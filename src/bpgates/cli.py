@@ -9,12 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
+import time
 
 import numpy as np
 
 from . import css, io, synth, verify, zx
-from .linalg import DEFAULT_TOL, GOLDEN_THETA, index_to_bits, require_unitary
+from .linalg import (
+    DEFAULT_TOL,
+    GOLDEN_THETA,
+    index_to_bits,
+    phase_optimized_error,
+    require_unitary,
+    worst_case_error,
+)
+
+log = logging.getLogger(__name__)
 
 
 def _load_matrix(path: str, tol: float) -> np.ndarray:
@@ -37,12 +48,23 @@ def _perm_lines(p: verify.PermutationWithPhases) -> list[str]:
     ]
 
 
+def _timed(name: str, verifier, *args, **kwargs):
+    """(result, wall seconds) of one verifier call, logged at its start and end."""
+    log.debug("%s: start", name)
+    start = time.perf_counter()
+    result = verifier(*args, **kwargs)
+    seconds = time.perf_counter() - start
+    log.debug("%s: end in %.6f s", name, seconds)
+    return result, seconds
+
+
 def cmd_check(args) -> int:
     G = _load_matrix(args.matrix, args.tol)
-    verdict = verify.check_permutation(G, args.tol)
-    agree_zx = verify.check_zx(G, args.tol)
-    agree_norm = verify.check_normalizer(
-        G, args.tol, exhaustive=args.exhaustive_normalizer
+    verdict, t_perm = _timed("permutation", verify.check_permutation, G, args.tol)
+    agree_zx, t_zx = _timed("zx", verify.check_zx, G, args.tol)
+    agree_norm, t_norm = _timed(
+        "normalizer", verify.check_normalizer,
+        G, args.tol, exhaustive=args.exhaustive_normalizer,
     )
     if verdict.is_bp != agree_zx or verdict.is_bp != agree_norm:
         print(
@@ -58,6 +80,8 @@ def cmd_check(args) -> int:
             "zx": agree_zx,
             "normalizer": agree_norm,
         },
+        # Wall seconds per verifier; kept out of "checks", which holds verdicts.
+        "seconds": {"permutation": t_perm, "zx": t_zx, "normalizer": t_norm},
     }
     if verdict.is_bp:
         p = verdict.canonical
@@ -88,8 +112,6 @@ def cmd_decompose_zx(args) -> int:
 def cmd_distance(args) -> int:
     U = _load_matrix(args.matrix, args.tol)
     V = _load_matrix(args.other, args.tol)
-    from .linalg import phase_optimized_error, worst_case_error
-
     value = (
         phase_optimized_error(U, V) if args.phase_optimized else worst_case_error(U, V)
     )

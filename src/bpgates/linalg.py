@@ -7,7 +7,7 @@ of a basis label and the most significant bit of its integer index, so
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +30,6 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 def rz(angle: float) -> np.ndarray:
     """Rotation about the z axis: diag(e^{-i a/2}, e^{i a/2})."""
     return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
-
-
-def phase_gate(angle: float) -> np.ndarray:
-    """diag(1, e^{i a}); equals rz(a) up to the global phase e^{i a/2}."""
-    return np.diag([1.0, np.exp(1j * angle)])
 
 
 def as_index(bits: str | Sequence[int]) -> tuple[int, int]:
@@ -100,27 +95,26 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
-def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = tensor(out, m)
-    return out
+def z_signs(c: int, n: int) -> np.ndarray:
+    """The diagonal of Z_c as a float vector: (-1)^{c·s} at basis index s."""
+    bits = np.arange(1 << n, dtype=np.int64) & c
+    for shift in (32, 16, 8, 4, 2, 1):
+        bits ^= bits >> shift
+    return 1.0 - 2.0 * (bits & 1)
 
 
 def pauli_z_string(c: str | Sequence[int]) -> np.ndarray:
     """Z_c = ⊗_i Z^{c_i}: diagonal with entry (-1)^{c·s} at basis index s."""
     cval, n = as_index(c)
-    diag = np.array([(-1.0) ** parity(cval & s) for s in range(1 << n)])
-    return np.diag(diag).astype(complex)
+    return np.diag(z_signs(cval, n)).astype(complex)
 
 
 def pauli_x_string(v: str | Sequence[int]) -> np.ndarray:
     """X_v = ⊗_i X^{v_i}: permutation matrix |s⟩ ↦ |s ⊕ v⟩."""
     vval, n = as_index(v)
-    dim = 1 << n
-    M = np.zeros((dim, dim), dtype=complex)
-    for s in range(dim):
-        M[s ^ vval, s] = 1.0
+    s = np.arange(1 << n)
+    M = np.zeros((s.size, s.size), dtype=complex)
+    M[s ^ vval, s] = 1.0
     return M
 
 
@@ -160,15 +154,31 @@ def phase_optimized_error(U: np.ndarray, V: np.ndarray) -> float:
     return float(2.0 * np.sin(min(arc / 2.0, np.pi) / 2.0))
 
 
+def walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of every row of a (k, 2^n)
+    array, in place: a[r, u] ← Σ_s (-1)^{u·s} a[r, s]. Returns a.
+
+    Fast transform of Fino and Algazi: n butterfly stages, each one pass over
+    the array plus a half-size temporary, O(k·n·2^n) in all. The array must be
+    C-contiguous so that every stage works on a view of it.
+    """
+    if a.ndim != 2 or not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError("expected a writeable C-contiguous (k, 2^n) array")
+    k, dim = a.shape
+    if dim <= 0 or dim & (dim - 1):
+        raise ValueError(f"row length {dim} is not a power of two")
+    h = 1
+    while h < dim:
+        pairs = a.reshape(k, dim // (2 * h), 2, h)
+        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        old_lo = lo.copy()
+        lo += hi
+        np.subtract(old_lo, hi, out=hi)
+        h *= 2
+    return a
+
+
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform: out[u] = Σ_s (-1)^{u·s} vec[s]."""
-    out = np.array(vec, dtype=complex)
-    h = 1
-    while h < out.size:
-        for i in range(0, out.size, 2 * h):
-            a = out[i : i + h].copy()
-            b = out[i + h : i + 2 * h].copy()
-            out[i : i + h] = a + b
-            out[i + h : i + 2 * h] = a - b
-        h *= 2
-    return out
+    out = np.array(vec, dtype=complex).reshape(1, -1)
+    return walsh_hadamard_rows(out)[0]

@@ -11,7 +11,6 @@ They must agree on every unitary; the test suite enforces that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -20,10 +19,11 @@ from .linalg import (
     DEFAULT_TOL,
     index_to_bits,
     matrix_qubits,
-    pauli_z_string,
+    num_qubits,
     require_unitary,
+    z_signs,
 )
-from .zx import block, block_basis_form, block_matrix, is_z_type, zx_decompose
+from .zx import basis_forms, is_z_type, zx_decompose
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,17 +118,29 @@ def check_permutation(G: np.ndarray, tol: float = DEFAULT_TOL) -> BpVerdict:
 
 
 def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Block test: A_v A_w† = 0 for v ≠ w and Σ_v A_v A_v† = I."""
+    """Block test: A_v A_w† = 0 for v ≠ w and Σ_v A_v A_v† = I.
+
+    Decided from the block basis forms A_v = Σ_s β_{s,v}|s⟩⟨s⊕v| of the
+    ZX-decomposition, where β_{s,v} = Σ_u (-1)^{u·s} α_{u,v} comes from the
+    coefficients above tol by one batched Walsh-Hadamard transform over all
+    X-parts (zx.basis_forms). No dense product is formed:
+      * A_v A_w† is nonzero only at (s, s⊕v⊕w), where it equals
+        β_{s,v}·conj(β_{s⊕v⊕w,w}); each part v is tested against all later
+        parts w at once, over the s with β_{s,v} ≠ 0. That costs
+        O(parts·2^n) per part, and the test stops at the first part with a
+        product entry above tol.
+      * Σ_v A_v A_v† is diagonal with entry Σ_v |β_{s,v}|² at s.
+    """
     G = require_unitary(G, tol)
-    n = matrix_qubits(G)
-    d = zx_decompose(G, tol)
-    parts = d.x_parts()
-    mats = {v: block_matrix(block(d, v)) for v in parts}
-    for v, w in combinations(parts, 2):
-        if np.max(np.abs(mats[v] @ mats[w].conj().T)) > tol:
+    parts, beta = basis_forms(zx_decompose(G, tol).array())
+    for i in range(len(parts) - 1):
+        s = np.flatnonzero(beta[i])
+        later = np.arange(i + 1, len(parts))[:, None]
+        partner = beta[later, s ^ parts[i] ^ parts[later]]
+        if np.max(np.abs(beta[i, s] * partner.conj()), initial=0.0) > tol:
             return False
-    total = sum((m @ m.conj().T for m in mats.values()), np.zeros((1 << n, 1 << n)))
-    return bool(np.max(np.abs(total - np.eye(1 << n))) <= tol)
+    diagonal = np.sum(np.abs(beta) ** 2, axis=0)
+    return bool(np.max(np.abs(diagonal - 1.0)) <= tol)
 
 
 def check_normalizer(
@@ -139,16 +151,17 @@ def check_normalizer(
     Checking the n single-qubit generators Z_i suffices: conjugation is a
     homomorphism and the diagonal unitaries are closed under products. The
     exhaustive variant over all 2^n strings is kept for cross-validation.
+    G Z_c G† is formed as (G · diag(Z_c)) G†, scaling the columns of G.
     """
     G = require_unitary(G, tol)
     n = matrix_qubits(G)
     Gdag = G.conj().T
     if exhaustive:
-        strings = [index_to_bits(c, n) for c in range(1, 1 << n)]
+        strings = range(1, 1 << n)
     else:
-        strings = ["0" * i + "1" + "0" * (n - 1 - i) for i in range(n)]
+        strings = [1 << (n - 1 - i) for i in range(n)]
     for c in strings:
-        if not is_z_type(G @ pauli_z_string(c) @ Gdag, tol):
+        if not is_z_type((G * z_signs(c, n)) @ Gdag, tol):
             return False
     return True
 
@@ -161,8 +174,6 @@ def coherence_rank(psi: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def support_set(psi: np.ndarray, tol: float = DEFAULT_TOL) -> set[str]:
     """Bit-string labels of the nonzero amplitudes."""
     psi = np.asarray(psi)
-    from .linalg import num_qubits
-
     n = num_qubits(psi.size)
     return {index_to_bits(s, n) for s in np.where(np.abs(psi) > tol)[0]}
 
@@ -173,18 +184,6 @@ def hadamard_bound(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return float(np.sqrt(2.0 * (1.0 - 2.0 ** (-n / 2.0))))
-
-
-def support_partition(G: np.ndarray, tol: float = DEFAULT_TOL) -> dict[int, set[int]]:
-    """Map v -> S_v from the block basis form; for a bias-preserving gate the
-    supports partition the basis strings."""
-    d = zx_decompose(G, tol)
-    out: dict[int, set[int]] = {}
-    for v in d.x_parts():
-        support, _ = block_basis_form(block(d, v), tol)
-        if support:
-            out[v] = support
-    return out
 
 
 def random_bp(n: int, rng: np.random.Generator) -> PermutationWithPhases:

@@ -1,28 +1,61 @@
 """ZX-decomposition: G = Σ_{u,v} α_{u,v} Z_u X_v and its X-part blocks.
 
-Coefficient storage is sparse: entries with |α| ≤ tol are absent. A gate
-that permutes basis states with phases has at most 2^n nonzero coefficients
-out of 4^n, so the sparse map is the natural carrier.
+A ZXDecomposition maps (u, v) to α_{u,v}; entries with |α| ≤ tol are absent.
+zx_decompose computes every coefficient with one batched Walsh-Hadamard
+transform (linalg.walsh_hadamard_rows) and keeps them in a dense (2^n, 2^n)
+array indexed [v, u], which the verifiers work on directly (array()).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, matrix_qubits, parity, walsh_hadamard
+from .linalg import DEFAULT_TOL, matrix_qubits, walsh_hadamard, walsh_hadamard_rows
+
+
+class CoefficientView(Mapping):
+    """Read-only (u, v) -> α_{u,v} mapping over the nonzero entries of a
+    dense coefficient array alpha[v, u], without copying it."""
+
+    def __init__(self, alpha: np.ndarray):
+        self.array = alpha
+
+    def __getitem__(self, key: tuple[int, int]) -> complex:
+        u, v = key
+        dim = len(self.array)
+        if not (0 <= u < dim and 0 <= v < dim) or self.array[v, u] == 0:
+            raise KeyError(key)
+        return complex(self.array[v, u])
+
+    def __iter__(self):
+        vs, us = np.nonzero(self.array)
+        return zip(us.tolist(), vs.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array))
 
 
 @dataclass(frozen=True)
 class ZXDecomposition:
     n: int
-    coeffs: dict[tuple[int, int], complex]  # (u, v) -> alpha_{u,v}
+    coeffs: Mapping[tuple[int, int], complex]  # (u, v) -> alpha_{u,v}
     tol: float = DEFAULT_TOL
 
     def x_parts(self) -> list[int]:
         """Sorted list of v with at least one stored coefficient."""
         return sorted({v for (_, v) in self.coeffs})
+
+    def array(self) -> np.ndarray:
+        """Dense coefficient array alpha[v, u] = α_{u,v}, zero where absent."""
+        if isinstance(self.coeffs, CoefficientView):
+            return self.coeffs.array
+        alpha = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
+        for (u, v), a in self.coeffs.items():
+            alpha[v, u] = a
+        return alpha
 
 
 @dataclass(frozen=True)
@@ -35,32 +68,44 @@ class ZXBlock:
 
 
 def zx_decompose(G: np.ndarray, tol: float = DEFAULT_TOL) -> ZXDecomposition:
-    """Expand G in the Z_u X_v basis: α_{u,v} = Tr((Z_u X_v)† G) / 2^n.
+    """Expand G in the Z_u X_v basis, α_{u,v} = Tr((Z_u X_v)† G) / 2^n,
+    keeping the coefficients above tol.
 
-    Z_u X_v has entry (-1)^{u·s} at (s, s⊕v), so for fixed v the coefficient
-    column is the Walsh-Hadamard transform of the shifted diagonal
-    d_v[s] = G[s, s⊕v].
+    Z_u X_v has entry (-1)^{u·s} at (s, s⊕v), so α_{·,v} is the
+    Walsh-Hadamard transform of the shifted diagonal d_v[s] = G[s, s⊕v]: one
+    gather of all 2^n shifted diagonals, then one batched transform.
     """
     G = np.asarray(G, dtype=complex)
     n = matrix_qubits(G)
-    dim = 1 << n
-    coeffs: dict[tuple[int, int], complex] = {}
-    for v in range(dim):
-        dv = np.array([G[s, s ^ v] for s in range(dim)])
-        alpha = walsh_hadamard(dv) / dim
-        for u in range(dim):
-            if abs(alpha[u]) > tol:
-                coeffs[(u, v)] = complex(alpha[u])
-    return ZXDecomposition(n=n, coeffs=coeffs, tol=tol)
+    s = np.arange(1 << n)
+    alpha = walsh_hadamard_rows(G[s, s ^ s[:, None]])
+    alpha /= 1 << n
+    alpha[np.abs(alpha) <= tol] = 0.0
+    alpha.flags.writeable = False
+    return ZXDecomposition(n=n, coeffs=CoefficientView(alpha), tol=tol)
+
+
+def basis_forms(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, beta) for a coefficient array alpha[v, u]: the sorted X-parts
+    v with a nonzero row and, in row i, the block basis form
+    β_{s,v} = Σ_u (-1)^{u·s} α_{u,v} of A_v, v = parts[i], at every s.
+    One batched Walsh-Hadamard transform of a copy of those rows."""
+    parts = np.flatnonzero(np.any(alpha, axis=1))
+    return parts, walsh_hadamard_rows(alpha[parts])
+
+
+def _from_basis_forms(parts: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Dense Σ_i Σ_s beta[i, s]|s⟩⟨s⊕v| with v = parts[i]."""
+    dim = beta.shape[1]
+    s = np.arange(dim)
+    M = np.zeros((dim, dim), dtype=complex)
+    # Distinct X-parts put each entry (s, s⊕v) in a distinct place.
+    M[s, s ^ parts[:, None]] = beta
+    return M
 
 
 def reconstruct(d: ZXDecomposition) -> np.ndarray:
-    dim = 1 << d.n
-    M = np.zeros((dim, dim), dtype=complex)
-    for (u, v), alpha in d.coeffs.items():
-        for s in range(dim):
-            M[s, s ^ v] += alpha * (-1.0) ** parity(u & s)
-    return M
+    return _from_basis_forms(*basis_forms(d.array()))
 
 
 def block(d: ZXDecomposition, v: int | str) -> ZXBlock:
@@ -73,37 +118,40 @@ def block(d: ZXDecomposition, v: int | str) -> ZXBlock:
     return ZXBlock(n=d.n, v=v, coeffs=coeffs)
 
 
+def _block_beta(b: ZXBlock) -> np.ndarray:
+    """β_{s,v} for every s: the transform of the block's coefficient vector."""
+    alpha = np.zeros(1 << b.n, dtype=complex)
+    alpha[list(b.coeffs)] = list(b.coeffs.values())
+    return walsh_hadamard(alpha)
+
+
 def block_matrix(b: ZXBlock) -> np.ndarray:
-    dim = 1 << b.n
-    M = np.zeros((dim, dim), dtype=complex)
-    for u, alpha in b.coeffs.items():
-        for s in range(dim):
-            M[s, s ^ b.v] += alpha * (-1.0) ** parity(u & s)
-    return M
+    """Dense A_v = Σ_s β_{s,v}|s⟩⟨s⊕v|."""
+    return _from_basis_forms(np.array([b.v]), _block_beta(b)[None, :])
 
 
 def block_basis_form(
     b: ZXBlock, tol: float = DEFAULT_TOL
 ) -> tuple[set[int], dict[int, complex]]:
     """(S_v, β) with A_v = Σ_{s∈S_v} β_{s,v}|s⟩⟨s ⊕ v| and β_{s,v} = Σ_u (-1)^{u·s} α_{u,v}."""
-    dim = 1 << b.n
-    alpha = np.zeros(dim, dtype=complex)
-    for u, a in b.coeffs.items():
-        alpha[u] = a
-    beta = walsh_hadamard(alpha)
-    diag = {s: complex(beta[s]) for s in range(dim) if abs(beta[s]) > tol}
+    beta = _block_beta(b)
+    diag = {int(s): complex(beta[s]) for s in np.flatnonzero(np.abs(beta) > tol)}
     return set(diag), diag
 
 
 def block_product_adjoint(a: ZXBlock, b: ZXBlock) -> np.ndarray:
-    """Dense A_v A_w†."""
+    """Dense A_v A_w†: the only nonzero entries are β_{s,v}·conj(β_{s⊕v⊕w,w})
+    at (s, s⊕v⊕w)."""
     if a.n != b.n:
         raise ValueError("block qubit counts differ")
-    return block_matrix(a) @ block_matrix(b).conj().T
+    s = np.arange(1 << a.n)
+    t = s ^ a.v ^ b.v
+    M = np.zeros((s.size, s.size), dtype=complex)
+    M[s, t] = _block_beta(a) * _block_beta(b)[t].conj()
+    return M
 
 
 def is_z_type(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff G is a combination of Z-string Paulis, i.e. every ZX
     coefficient with v ≠ 0 is below tol. Equivalent to G being diagonal."""
-    d = zx_decompose(G, tol)
-    return all(v == 0 for (_, v) in d.coeffs)
+    return not np.any(zx_decompose(G, tol).array()[1:])

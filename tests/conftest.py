@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bpgates import BinaryCode, build_css
+from bpgates import BinaryCode, build_css, random_bp, to_unitary
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -10,6 +10,18 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     Q, R = np.linalg.qr(A)
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
+def random_near_bp(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random BP gate followed by a Givens rotation, of angle in
+    [1e-3, 1.3], between two distinct basis states: close to BP, but not BP."""
+    G = to_unitary(random_bp(n, rng))
+    a, b = rng.choice(1 << n, size=2, replace=False)
+    theta = rng.uniform(1e-3, 1.3)
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.eye(1 << n, dtype=complex)
+    R[a, a], R[a, b], R[b, a], R[b, b] = c, -s, s, c
+    return R @ G
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -54,11 +55,32 @@ def test_check_hadamard(hadamard_file, capsys):
     assert "WITNESS" in out
 
 
-def test_check_json(cnot_file, capsys):
+def test_check_json(cnot_file, capsys, caplog):
+    caplog.set_level(logging.DEBUG, logger="bpgates.cli")
     assert main(["check", "--matrix", cnot_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["bp"] is True
     assert payload["checks"] == {"permutation": True, "zx": True, "normalizer": True}
+    assert set(payload["seconds"]) == {"permutation", "zx", "normalizer"}
+    assert all(t >= 0.0 for t in payload["seconds"].values())
+    messages = [r.getMessage() for r in caplog.records]
+    for name in ("permutation", "zx", "normalizer"):
+        assert f"{name}: start" in messages
+        assert any(m.startswith(f"{name}: end in ") for m in messages)
+
+
+def test_check_json_eight_qubits(tmp_path, capsys):
+    p = random_bp(8, np.random.default_rng(8))
+    path = tmp_path / "bp8.mat"
+    io.write_file(str(path), io.write_matrix, to_unitary(p))
+    assert main(["check", "--matrix", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bp"] is True
+    assert set(payload["checks"].values()) == {True}
+    perm = payload["canonical"]["perm"]
+    assert [int(perm[format(s, "08b")], 2) for s in range(256)] == list(p.perm)
+    got = np.exp(1j * np.array(payload["canonical"]["phases"]))
+    assert np.max(np.abs(got - np.exp(1j * np.array(p.phases)))) < 1e-9
 
 
 def test_check_exhaustive_flag(cnot_file):

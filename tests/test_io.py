@@ -76,6 +76,7 @@ def test_zx_roundtrip(rng):
         assert set(back.coeffs) == set(d.coeffs)
         for uv, a in d.coeffs.items():
             assert back.coeffs[uv] == a
+        assert np.array_equal(back.array(), d.array())
 
 
 def test_zx_sorted_lexicographically(rng):

@@ -66,6 +66,19 @@ def test_pauli_x_string_cases():
     assert np.allclose(pauli_x_string("11") @ psi, [0, 0, 1, 0])  # |10>
 
 
+def test_pauli_strings_match_entrywise_reference():
+    # the per-entry loops these helpers were first written as
+    for n in range(1, 5):
+        for c in range(1 << n):
+            bits = format(c, f"0{n}b")
+            Xc = np.zeros((1 << n, 1 << n), dtype=complex)
+            for s in range(1 << n):
+                Xc[s ^ c, s] = 1.0
+            Zc = np.diag([(-1.0) ** linalg.parity(c & s) for s in range(1 << n)])
+            assert np.array_equal(pauli_x_string(bits), Xc)
+            assert np.array_equal(pauli_z_string(bits), Zc)
+
+
 @given(bitstrings, bitstrings)
 @settings(max_examples=50, deadline=None)
 def test_pauli_string_group_law(a, b):
@@ -144,6 +157,29 @@ def test_num_qubits_validation():
     with pytest.raises(ValueError):
         linalg.num_qubits(1 << (linalg.DENSE_QUBIT_CAP + 1))
     assert linalg.num_qubits(8) == 3
+
+
+def test_walsh_hadamard_rows_matches_definition():
+    rng = np.random.default_rng(11)
+    for n in range(7):
+        dim = 1 << n
+        a = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        signs = np.array(
+            [[(-1.0) ** linalg.parity(u & s) for s in range(dim)] for u in range(dim)]
+        )
+        direct = a @ signs.T
+        out = linalg.walsh_hadamard_rows(a.copy())
+        assert np.max(np.abs(out - direct)) < 1e-10
+
+
+def test_walsh_hadamard_rows_is_in_place_and_validates():
+    a = np.arange(8, dtype=complex).reshape(2, 4)
+    assert linalg.walsh_hadamard_rows(a) is a
+    assert np.array_equal(a[0], [6, -2, -4, 0])
+    with pytest.raises(ValueError):
+        linalg.walsh_hadamard_rows(np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        linalg.walsh_hadamard_rows(np.zeros((4, 2), dtype=complex).T)
 
 
 def test_walsh_hadamard_matches_definition():

@@ -16,8 +16,8 @@ from bpgates import (
     to_unitary,
     worst_case_error,
 )
-from bpgates.linalg import H, I2, rz
-from conftest import random_state, random_unitary
+from bpgates.linalg import H, I2, parity, rz
+from conftest import random_near_bp, random_state, random_unitary
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -67,13 +67,48 @@ def test_normalizer_exhaustive_agrees(rng):
 
 
 def test_three_way_agreement(rng):
-    for n in (1, 2, 3):
-        for _ in range(25):
+    for n, rounds in ((1, 25), (2, 25), (3, 25), (4, 8), (5, 4)):
+        for _ in range(rounds):
             bp_gate = to_unitary(random_bp(n, rng))
             haar = random_unitary(n, rng)
-            for G in (bp_gate, haar):
-                a = check_permutation(G).is_bp
-                assert a == check_zx(G) == check_normalizer(G)
+            near = random_near_bp(n, rng)
+            for G, want in ((bp_gate, True), (haar, False), (near, False)):
+                assert check_permutation(G).is_bp == want
+                assert check_zx(G) == want
+                assert check_normalizer(G) == want
+
+
+def _dense_zx_reference(G, tol=1e-9):
+    """check_zx by its definition: α_{u,v} = Tr((Z_u X_v)† G) / 2^n, dense
+    blocks A_v = Σ_{|α_{u,v}| > tol} α_{u,v} Z_u X_v, and dense products."""
+    dim = G.shape[0]
+    sign = np.array([[(-1.0) ** parity(u & s) for s in range(dim)] for u in range(dim)])
+    blocks = []
+    for v in range(dim):
+        ZX = [np.zeros((dim, dim)) for _ in range(dim)]
+        for u in range(dim):
+            for s in range(dim):
+                ZX[u][s, s ^ v] = sign[u, s]
+        A = np.zeros((dim, dim), dtype=complex)
+        for u in range(dim):
+            alpha = np.trace(ZX[u].T @ G) / dim
+            if abs(alpha) > tol:
+                A += alpha * ZX[u]
+        if np.any(A):
+            blocks.append(A)
+    for i, A in enumerate(blocks):
+        for B in blocks[i + 1 :]:
+            if np.max(np.abs(A @ B.conj().T)) > tol:
+                return False
+    total = sum(A @ A.conj().T for A in blocks)
+    return bool(np.max(np.abs(total - np.eye(dim))) <= tol)
+
+
+def test_check_zx_matches_dense_reference(rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng), random_near_bp(n, rng)):
+                assert check_zx(G) == _dense_zx_reference(G)
 
 
 def test_group_closure(rng):

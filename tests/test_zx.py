@@ -10,6 +10,7 @@ from bpgates import (
     is_z_type,
     pauli_x_string,
     pauli_z_string,
+    random_bp,
     reconstruct,
     to_unitary,
     zx_decompose,
@@ -164,3 +165,28 @@ def test_conjugation_identity(rng):
                     rhs += (-1.0) ** parity(x & v) * (Av @ Aw.conj().T)
             lhs = G @ Zx @ G.conj().T
             assert np.max(np.abs(lhs - Zx @ rhs)) < 1e-8
+
+
+def _loop_block_matrix(n, items):
+    # the per-entry loop block_matrix and reconstruct were first written as
+    M = np.zeros((1 << n, 1 << n), dtype=complex)
+    for (u, v), alpha in items:
+        for s in range(1 << n):
+            M[s, s ^ v] += alpha * (-1.0) ** parity(u & s)
+    return M
+
+
+def test_block_matrix_and_reconstruct_match_loop_reference(rng):
+    for n in (1, 2, 3, 4):
+        for G in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
+            d = zx_decompose(G)
+            assert np.max(np.abs(reconstruct(d) - _loop_block_matrix(n, d.coeffs.items()))) < 1e-12
+            for v in range(1 << n):
+                b = block(d, v)
+                ref = _loop_block_matrix(n, (((u, v), a) for u, a in b.coeffs.items()))
+                assert np.max(np.abs(block_matrix(b) - ref)) < 1e-12
+                for w in (0, v, (1 << n) - 1):
+                    other = block(d, w)
+                    ref_w = _loop_block_matrix(n, (((u, w), a) for u, a in other.coeffs.items()))
+                    prod = block_product_adjoint(b, other)
+                    assert np.max(np.abs(prod - ref @ ref_w.conj().T)) < 1e-12
