@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 import time
+from io import StringIO
 
 import numpy as np
 
@@ -144,21 +145,16 @@ def cmd_synth(args) -> int:
         f"ANCILLAS {report.sequence.n_anc}",
     ] + [f"COUNT {k} {v}" for k, v in sorted(report.gate_counts.items())]
     if not args.output:
-        buf = []
-
-        class _W:
-            def write(self, s):
-                buf.append(s)
-
-        io.write_circuit(report.sequence, _W())
-        lines += ["".join(buf).rstrip("\n")]
+        buf = StringIO()
+        io.write_circuit(report.sequence, buf)
+        lines += [buf.getvalue().rstrip("\n")]
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_simulate(args) -> int:
     seq = io.read_circuit(io.read_file(args.circuit))
-    U = synth.simulate_restricted(seq) if args.restrict else synth.simulate(seq)
+    U = verify.to_unitary(synth.simulate_restricted(seq) if args.restrict else synth.simulate(seq))
     if args.output:
         io.write_file(args.output, io.write_matrix, U)
     else:
@@ -219,7 +215,7 @@ def cmd_css_restrict(args) -> int:
     if args.matrix:
         G = _load_matrix(args.matrix, args.tol)
     else:
-        G = verify.to_unitary(io.read_perm(io.read_file(args.gate)))
+        G = io.read_perm(io.read_file(args.gate))
     try:
         logical = css.restrict_physical(e, G, args.tol)
     except (css.NotBiasPreservingError, css.NotLogicalOperatorError) as exc:

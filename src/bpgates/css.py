@@ -6,10 +6,15 @@ superposition over x·B + C1, where the transversal B extends a basis of C1
 to one of C2. Every logical basis image has coherence rank |C1| and the
 supports are disjoint cosets, which is exactly what lets a logical
 permutation-with-phases lift to a physical one.
+
+An encoding stores the coset supports and builds a basis state only when it
+is looked up; lifting and restriction map cosets to cosets on the
+PermutationWithPhases form, so they run beyond the dense cap.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -19,7 +24,6 @@ from . import gf2
 from .linalg import DEFAULT_TOL, index_to_bits, num_qubits
 from .verify import (
     TWO_PI,
-    BpVerdict,
     PermutationWithPhases,
     check_permutation,
     coherence_rank,
@@ -63,7 +67,29 @@ class BinaryCode:
 
     def words(self) -> list[int]:
         """All codewords as big-endian integers."""
-        return [gf2.vec_to_int(w) for w in gf2.codewords(self.generator)]
+        return gf2.codewords(self.generator).tolist()
+
+
+class CosetStates(Mapping):
+    """Read-only map logical x -> n-qubit state vector, the uniform
+    superposition over the support T(|x>_L); each state is built when it is
+    looked up, so an encoding holds no 2^n-entry vectors."""
+
+    def __init__(self, n: int, supports: dict[int, frozenset[int]]):
+        self._n = n
+        self._supports = supports
+
+    def __getitem__(self, x: int) -> np.ndarray:
+        support = self._supports[x]
+        psi = np.zeros(1 << self._n, dtype=complex)
+        psi[list(support)] = 1.0 / np.sqrt(len(support))
+        return psi
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._supports)
+
+    def __len__(self) -> int:
+        return len(self._supports)
 
 
 @dataclass(frozen=True)
@@ -75,15 +101,7 @@ class CssEncoding:
     transversal: np.ndarray  # k x n uint8, coset representatives B_i
     l: int  # common coherence rank, |C1|
     basis_support: dict[int, frozenset[int]]  # logical x -> T(|x>_L)
-    basis_states: dict[int, np.ndarray]  # logical x -> n-qubit state vector
-
-    def coset_rep(self, x: int) -> int:
-        """x·B as a big-endian integer, for a logical basis index x."""
-        rep = np.zeros(self.n, dtype=np.uint8)
-        for i in range(self.k):
-            if (x >> (self.k - 1 - i)) & 1:
-                rep ^= self.transversal[i]
-        return gf2.vec_to_int(rep)
+    basis_states: CosetStates  # logical x -> n-qubit state vector
 
 
 @dataclass(frozen=True)
@@ -140,33 +158,24 @@ def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
         raise CodeConstructionError("transversal extraction lost rank")
     B.setflags(write=False)
 
-    c1_words = c1.words()
-    l = len(c1_words)
-    support: dict[int, frozenset[int]] = {}
-    states: dict[int, np.ndarray] = {}
-    amp = 1.0 / np.sqrt(l)
-    for x in range(1 << k):
-        rep = np.zeros(n, dtype=np.uint8)
-        for i in range(k):
-            if (x >> (k - 1 - i)) & 1:
-                rep ^= B[i]
-        rep_int = gf2.vec_to_int(rep)
-        coset = frozenset(rep_int ^ y for y in c1_words)
-        support[x] = coset
-        psi = np.zeros(1 << n, dtype=complex)
-        for t in coset:
-            psi[t] = amp
-        states[x] = psi
+    cosets = _cosets(B, c1)
+    support = {x: frozenset(row) for x, row in enumerate(cosets.tolist())}
     return CssEncoding(
         c1=c1,
         c2=c2,
         n=n,
         k=k,
         transversal=B,
-        l=l,
+        l=cosets.shape[1],
         basis_support=support,
-        basis_states=states,
+        basis_states=CosetStates(n, support),
     )
+
+
+def _cosets(transversal: np.ndarray, c1: BinaryCode) -> np.ndarray:
+    """(2^k, |C1|) array whose row x is the coset x·B ⊕ C1, entry (x, j)
+    being x·B ⊕ (word j of C1): any two rows are aligned by C1-translation."""
+    return gf2.codewords(transversal)[:, None] ^ gf2.codewords(c1.generator)
 
 
 def check_equicoherent(
@@ -241,46 +250,47 @@ def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPha
     phase. Satisfies encode ∘ G = Ĝ ∘ encode on the logical basis."""
     if g.n != e.k:
         raise ValueError(f"logical gate acts on {g.n} qubits, code has k={e.k}")
-    dim = 1 << e.n
-    perm = list(range(dim))
-    phases = [0.0] * dim
-    c1_words = e.c1.words()
-    for x in range(1 << e.k):
-        src_rep = e.coset_rep(x)
-        dst_rep = e.coset_rep(g.perm[x])
-        for y in c1_words:
-            perm[src_rep ^ y] = dst_rep ^ y
-            phases[src_rep ^ y] = g.phases[x]
-    return PermutationWithPhases(e.n, tuple(perm), tuple(phases))
+    cosets = _cosets(e.transversal, e.c1)
+    perm = np.arange(1 << e.n)
+    phases = np.zeros(1 << e.n)
+    perm[cosets] = cosets[np.array(g.perm)]
+    phases[cosets] = np.array(g.phases)[:, None]
+    return PermutationWithPhases(e.n, tuple(perm.tolist()), tuple(phases.tolist()))
 
 
 def restrict_physical(
-    e: CssEncoding, g_hat: np.ndarray, tol: float = DEFAULT_TOL
+    e: CssEncoding, g_hat: PermutationWithPhases | np.ndarray, tol: float = DEFAULT_TOL
 ) -> PermutationWithPhases:
     """Logical gate induced by a physical gate that is both bias-preserving
     and a logical operator; the result is guaranteed to be a permutation
-    with phases."""
-    verdict: BpVerdict = check_permutation(g_hat, tol)
-    if not verdict.is_bp:
-        raise NotBiasPreservingError(verdict.witness or "gate is not bias-preserving")
-    perm = [0] * (1 << e.k)
-    phases = [0.0] * (1 << e.k)
-    for x in range(1 << e.k):
-        image = np.asarray(g_hat, dtype=complex) @ e.basis_states[x]
-        try:
-            coeffs = decode(e, image, tol)
-        except NotInCodespaceError as exc:
-            raise NotLogicalOperatorError(
-                f"image of logical |{index_to_bits(x, e.k)}⟩ leaves the codespace"
-            ) from exc
-        hits = np.where(np.abs(coeffs) > tol)[0]
-        if hits.size != 1 or abs(abs(coeffs[hits[0]]) - 1.0) > tol:
-            raise NotLogicalOperatorError(
-                f"image of logical |{index_to_bits(x, e.k)}⟩ is not a basis state"
-            )
-        perm[x] = int(hits[0])
-        phases[x] = float(np.angle(coeffs[hits[0]])) % TWO_PI
-    return PermutationWithPhases(e.k, tuple(perm), tuple(phases))
+    with phases.
+
+    A dense matrix is first brought to its canonical form by
+    check_permutation. The gate is a logical operator iff it maps each coset
+    T(|x>_L) onto one coset T(|y>_L) with a constant phase φ; the logical
+    gate then sends x to y with phase φ. Beyond reading the gate, the check
+    looks only at the 2^k·|C1| codespace states and builds no state vector."""
+    if not isinstance(g_hat, PermutationWithPhases):
+        verdict = check_permutation(g_hat, tol)
+        if not verdict.is_bp:
+            raise NotBiasPreservingError(verdict.witness or "gate is not bias-preserving")
+        g_hat = verdict.canonical
+    if g_hat.n != e.n:
+        raise ValueError(f"physical gate acts on {g_hat.n} qubits, code has n={e.n}")
+    cosets = _cosets(e.transversal, e.c1)
+    owner = np.full(1 << e.n, -1)  # logical index of each codespace support
+    owner[cosets] = np.arange(1 << e.k)[:, None]
+    image = owner[np.array(g_hat.perm)[cosets]]
+    phase = np.array(g_hat.phases)[cosets]
+    drift = (phase - phase[:, :1]) % TWO_PI
+    outside = np.any(image < 0, axis=1)
+    bad = outside | np.any(image != image[:, :1], axis=1)
+    bad |= np.any(np.minimum(drift, TWO_PI - drift) > tol, axis=1)
+    if bad.any():
+        x = int(np.argmax(bad))
+        why = "leaves the codespace" if outside[x] else "is not one coset with a constant phase"
+        raise NotLogicalOperatorError(f"image of logical |{index_to_bits(x, e.k)}⟩ {why}")
+    return PermutationWithPhases(e.k, tuple(image[:, 0].tolist()), tuple(phase[:, 0].tolist()))
 
 
 def obstruction_check(

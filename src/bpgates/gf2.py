@@ -54,27 +54,12 @@ def in_rowspace(v: np.ndarray, R: np.ndarray, pivots: list[int]) -> bool:
     return not reduce_against(v, R, pivots).any()
 
 
-def codewords(G: np.ndarray) -> list[np.ndarray]:
-    """All 2^k codewords of the row space of a k x n generator matrix."""
+def codewords(G: np.ndarray) -> np.ndarray:
+    """All 2^k codewords of the row space of a k x n generator matrix, as
+    big-endian integers: word m is the XOR of the rows picked by the bits of
+    m, row 0 by the most significant one."""
     G = as_gf2(G)
     k, n = G.shape
-    words = []
-    for m in range(1 << k):
-        w = np.zeros(n, dtype=np.uint8)
-        for i in range(k):
-            if (m >> (k - 1 - i)) & 1:
-                w ^= G[i]
-        words.append(w)
-    return words
-
-
-def vec_to_int(v: np.ndarray) -> int:
-    """Big-endian integer value of a binary vector."""
-    out = 0
-    for b in np.asarray(v, dtype=np.uint8) & 1:
-        out = (out << 1) | int(b)
-    return out
-
-
-def int_to_vec(x: int, n: int) -> np.ndarray:
-    return np.array([(x >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+    rows = G.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    picks = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return np.bitwise_xor.reduce(picks * rows, axis=1)

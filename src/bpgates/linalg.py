@@ -147,8 +147,17 @@ def phase_optimized_error(U: np.ndarray, V: np.ndarray) -> float:
     V = np.asarray(V, dtype=complex)
     if U.shape != V.shape:
         raise ValueError(f"dimension mismatch: {U.shape} vs {V.shape}")
-    lam = np.linalg.eigvals(U.conj().T @ V)
-    angles = np.sort(np.angle(lam))
+    return shortest_arc_chord(np.angle(np.linalg.eigvals(U.conj().T @ V)))
+
+
+def shortest_arc_chord(angles) -> float:
+    """min_φ max_j |1 − e^{i(φ + a_j)}| over the angles a_j.
+
+    The best φ centres the shortest arc of the circle holding every a_j, that
+    is the circle minus its largest angular gap; the error is the chord
+    2 sin(arc/4) to that arc's ends.
+    """
+    angles = np.sort(np.mod(angles, 2.0 * np.pi))
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
     arc = 2.0 * np.pi - float(np.max(gaps))
     return float(2.0 * np.sin(min(arc / 2.0, np.pi) / 2.0))

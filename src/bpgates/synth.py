@@ -7,6 +7,9 @@ rotation Rz(θ). All approximation error lives in the diagonal stage.
 
 Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
 ancillas supplied and returned in |0⟩.
+`simulate` and `simulate_restricted` push basis indices through the gates
+and return a PermutationWithPhases; certification compares its per-state
+phases with the target's and builds no dense matrix.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DENSE_QUBIT_CAP, GOLDEN_THETA
-from .verify import TWO_PI, PermutationWithPhases, to_unitary
-from .linalg import phase_optimized_error
+from .linalg import GOLDEN_THETA, shortest_arc_chord
+from .verify import TWO_PI, PermutationWithPhases
 
 GATE_KINDS = ("X", "RZ", "CNOT", "CCNOT")
 
@@ -94,15 +96,14 @@ class SynthesisReport:
             )
 
 
-def _monomial(seq: GateSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Run the sequence as a monomial operator: column s ends at basis index
-    target[s] with amplitude amp[s]. Every primitive is a signed-phase
-    permutation, so this is exact."""
+def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Push the basis indices `inputs` through the sequence: inputs[j] ends at
+    basis index target[j] with phase phase[j]. Every primitive is a
+    signed-phase permutation, so this is exact."""
     seq.validate()
     m = seq.n_total
-    dim = 1 << m
-    target = np.arange(dim, dtype=np.int64)
-    amp = np.ones(dim, dtype=complex)
+    target = np.array(inputs, dtype=np.int64)
+    phase = np.zeros(target.size)
     for g in seq.gates:
         # big-endian: qubit q is integer bit position m-1-q
         bits = tuple(m - 1 - q for q in g.qubits)
@@ -115,51 +116,40 @@ def _monomial(seq: GateSequence) -> tuple[np.ndarray, np.ndarray]:
             ctrl = (target >> bits[0]) & (target >> bits[1]) & 1
             target ^= ctrl << bits[2]
         else:  # RZ: diag(e^{-i k θ/2}, e^{+i k θ/2}) on the qubit
+            # reduced mod 2π first: summing large angles would lose precision
             bit = (target >> bits[0]) & 1
-            amp = amp * np.exp(0.5j * g.reps * seq.theta * (2 * bit - 1))
-    return target, amp
+            phase += (0.5 * g.reps * seq.theta % TWO_PI) * (2 * bit - 1)
+    return target, phase
 
 
-def simulate(seq: GateSequence) -> np.ndarray:
-    """Dense unitary on all n_data + n_anc qubits (global_phase not applied)."""
-    if seq.n_total > DENSE_QUBIT_CAP:
-        raise ValueError(f"{seq.n_total} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
-    target, amp = _monomial(seq)
-    dim = 1 << seq.n_total
-    M = np.zeros((dim, dim), dtype=complex)
-    M[target, np.arange(dim)] = amp
-    return M
+def simulate(seq: GateSequence) -> PermutationWithPhases:
+    """The sequence on all n_data + n_anc qubits (global_phase not applied)."""
+    target, phase = _monomial(seq, np.arange(1 << seq.n_total))
+    return PermutationWithPhases(seq.n_total, tuple(target.tolist()), tuple(phase.tolist()))
 
 
-def simulate_restricted(seq: GateSequence) -> np.ndarray:
-    """Dense unitary on the data qubits, with ancillas in and out at |0⟩.
-
-    Raises AncillaNotRestoredError if any |data⟩⊗|0...0⟩ input leaves an
-    ancilla excited; the check is exact at the permutation level."""
-    if seq.n_total > DENSE_QUBIT_CAP:
-        raise ValueError(f"{seq.n_total} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
-    target, amp = _monomial(seq)
-    ddim = 1 << seq.n_data
-    anc_mask = (1 << seq.n_anc) - 1
-    M = np.zeros((ddim, ddim), dtype=complex)
-    for d in range(ddim):
-        s = d << seq.n_anc
-        t = int(target[s])
-        if t & anc_mask:
-            raise AncillaNotRestoredError(
-                f"input {d:0{seq.n_data}b} leaves ancillas at {t & anc_mask:0{seq.n_anc}b}"
-            )
-        M[t >> seq.n_anc, d] = amp[s]
-    return M
+def simulate_restricted(seq: GateSequence) -> PermutationWithPhases:
+    """The sequence on the data qubits, with ancillas in and out at |0⟩
+    (global_phase not applied), from the 2^n_data inputs |data⟩⊗|0...0⟩ alone.
+    Raises AncillaNotRestoredError if any of them leaves an ancilla excited."""
+    target, phase = _monomial(seq, np.arange(1 << seq.n_data) << seq.n_anc)
+    left = target & ((1 << seq.n_anc) - 1)
+    bad = np.flatnonzero(left)
+    if bad.size:
+        d = int(bad[0])
+        raise AncillaNotRestoredError(
+            f"input {d:0{seq.n_data}b} leaves ancillas at {int(left[d]):0{seq.n_anc}b}"
+        )
+    return PermutationWithPhases(
+        seq.n_data, tuple((target >> seq.n_anc).tolist()), tuple(phase.tolist())
+    )
 
 
 def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, tuple[int, ...]]:
     """G = D·P with P the bare permutation and D the diagonal of phases
     re-indexed to target positions: D[σ(s)] = e^{iφ_s}."""
-    dim = 1 << p.n
-    d = np.zeros(dim)
-    for s in range(dim):
-        d[p.perm[s]] = p.phases[s]
+    d = np.zeros(1 << p.n)
+    d[np.array(p.perm)] = p.phases
     return d, p.perm
 
 
@@ -342,7 +332,9 @@ def synthesize(
 
     The permutation stage is exact; the diagonal stage carries the whole
     budget. achieved_error is the phase-optimized worst-case error between
-    the target and the simulated data-qubit restriction."""
+    the target U and the simulated data-qubit restriction V: both permute by
+    σ, so the eigenvalues of U†V are e^{i(ψ_s − φ_s)}. Any other permutation
+    is a synthesis bug and raises RuntimeError."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     d_phases, perm = factor_dp(p)
@@ -355,10 +347,12 @@ def synthesize(
         theta=theta,
         global_phase=diag_seq.global_phase,
     )
-    achieved = phase_optimized_error(to_unitary(p), simulate_restricted(seq))
+    achieved = simulate_restricted(seq)
+    if achieved.perm != p.perm:
+        raise RuntimeError("synthesized permutation differs from the target's")
     return SynthesisReport(
         sequence=seq,
         target_eps=eps,
-        achieved_error=achieved,
+        achieved_error=shortest_arc_chord(np.subtract(achieved.phases, p.phases)),
         gate_counts=seq.gate_counts(),
     )

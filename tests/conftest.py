@@ -51,3 +51,26 @@ def steane():
             [1, 0, 1, 1, 0, 1, 0],
             [1, 1, 0, 1, 0, 0, 1]]
     return build_css(BinaryCode.from_rows(dual), BinaryCode.from_rows(hamming))
+
+
+def hamming_pair(m: int) -> tuple[BinaryCode, BinaryCode]:
+    """(simplex [2^m-1, m], Hamming [2^m-1, 2^m-1-m]): column j of the simplex
+    generator is j+1 in binary, so the simplex code is the Hamming code's dual
+    and lies inside it. m = 4 gives the [[15,7,3]] quantum Hamming code."""
+    n = (1 << m) - 1
+    simplex = [[((j + 1) >> (m - 1 - i)) & 1 for j in range(n)] for i in range(m)]
+    hamming = []
+    for j in range(n):
+        if (j + 1) & j:  # data position: j+1 is not a power of two
+            row = [0] * n
+            row[j] = 1
+            for b in range(m):
+                if (j + 1) >> b & 1:
+                    row[(1 << b) - 1] = 1  # parity position 2^b
+            hamming.append(row)
+    return BinaryCode.from_rows(simplex), BinaryCode.from_rows(hamming)
+
+
+@pytest.fixture
+def hamming15():
+    return build_css(*hamming_pair(4))

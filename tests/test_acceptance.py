@@ -139,7 +139,7 @@ def test_criterion_5_synthesis():
 def test_criterion_6_exhaustive_permutation_exactness():
     for perm in itertools.permutations(range(4)):
         seq = permutation_to_circuit(perm, 2)
-        M = simulate_restricted(seq)
+        M = to_unitary(simulate_restricted(seq))
         expected = np.zeros((4, 4))
         for s, t in enumerate(perm):
             expected[t, s] = 1.0

@@ -6,6 +6,8 @@ import pytest
 
 from bpgates import (
     BinaryCode,
+    Gate,
+    GateSequence,
     PermutationWithPhases,
     io,
     random_bp,
@@ -13,6 +15,7 @@ from bpgates import (
 )
 from bpgates.cli import main
 from bpgates.linalg import H, tensor
+from conftest import hamming_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -161,6 +164,29 @@ def test_synth_and_simulate(tmp_path, capsys, rng):
     assert phase_optimized_error(to_unitary(g), M) <= 1e-2
 
 
+def test_synth_and_simulate_seven_qubits(tmp_path, capsys):
+    # 7 data + 4 ancilla qubits: synth certifies on the monomial, simulate
+    # --restrict writes the 7-qubit matrix, and the full 11-qubit matrix is
+    # refused at the dense cap
+    g = PermutationWithPhases(7, tuple((s + 1) % 128 for s in range(128)), (0.0,) * 128)
+    gate_file, circ_file, mat_file = tmp_path / "inc.perm", tmp_path / "inc.circ", tmp_path / "inc.mat"
+    io.write_file(str(gate_file), io.write_perm, g)
+    assert main(["synth", "--target", str(gate_file), "--output", str(circ_file)]) == 0
+    assert "ACHIEVED 0\n" in capsys.readouterr().out
+    argv = ["simulate", "--circuit", str(circ_file), "--output", str(mat_file)]
+    assert main(argv + ["--restrict"]) == 0
+    assert np.array_equal(io.read_matrix(io.read_file(str(mat_file))), to_unitary(g))
+    assert main(argv) == 2
+    assert "11 qubits exceeds dense cap 10" in capsys.readouterr().err
+
+
+def test_simulate_refuses_above_dense_cap(tmp_path, capsys):
+    circ_file = tmp_path / "wide.circ"
+    io.write_file(str(circ_file), io.write_circuit, GateSequence(n_data=11, gates=[Gate("X", (0,))]))
+    assert main(["simulate", "--circuit", str(circ_file)]) == 2
+    assert "11 qubits exceeds dense cap 10" in capsys.readouterr().err
+
+
 def test_synth_rejects_non_bp(hadamard_file, capsys):
     assert main(["synth", "--matrix", hadamard_file, "--eps", "1e-2"]) == 1
     assert "not bias-preserving" in capsys.readouterr().err
@@ -236,6 +262,26 @@ def test_css_lift_and_restrict(code_files, tmp_path, rng, capsys):
         == 0
     )
     back = io.read_perm(io.read_file(str(logical_file)))
+    assert back.perm == g.perm
+    assert np.allclose(
+        np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
+    )
+
+
+def test_css_lift_and_restrict_hamming15(tmp_path, rng):
+    # [[15,7,3]]: the lifted gate acts on 15 qubits, past the dense cap
+    c1, c2 = tmp_path / "c1.code", tmp_path / "c2.code"
+    simplex, hamming = hamming_pair(4)
+    io.write_file(str(c1), io.write_code, simplex)
+    io.write_file(str(c2), io.write_code, hamming)
+    g = random_bp(7, rng)
+    gate_file, lifted_file, back_file = tmp_path / "g.perm", tmp_path / "lifted.perm", tmp_path / "back.perm"
+    io.write_file(str(gate_file), io.write_perm, g)
+    codes = ["--c1", str(c1), "--c2", str(c2)]
+    assert main(["css-lift", *codes, "--gate", str(gate_file), "--output", str(lifted_file)]) == 0
+    assert io.read_perm(io.read_file(str(lifted_file))).n == 15
+    assert main(["css-restrict", *codes, "--gate", str(lifted_file), "--output", str(back_file)]) == 0
+    back = io.read_perm(io.read_file(str(back_file)))
     assert back.perm == g.perm
     assert np.allclose(
         np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))

@@ -47,6 +47,20 @@ def test_binary_code_rejects_dependent_rows():
         BinaryCode.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
 
 
+def test_codewords_match_loop_reference(steane, hamming15):
+    # word order matters: lift_logical aligns cosets by the position of each C1 word
+    for code in (steane.c1, steane.c2, hamming15.c1, hamming15.c2):
+        G = code.generator
+        ref = []
+        for m in range(1 << code.k):
+            w = 0
+            for i, row in enumerate(G):
+                if (m >> (code.k - 1 - i)) & 1:
+                    w ^= int("".join(str(int(b)) for b in row), 2)
+            ref.append(w)
+        assert code.words() == ref
+
+
 def test_build_css_422(code_422):
     assert (code_422.n, code_422.k, code_422.l) == (4, 2, 2)
     # 4 disjoint cosets of size 2, frozen from the coset enumeration oracle
@@ -274,6 +288,65 @@ def test_restriction_roundtrip(code_422, steane, rng):
             assert np.allclose(
                 np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
             )
+
+
+def test_lift_logical_matches_loop_reference(code_422, steane, hamming15, rng):
+    for e in (code_422, steane, hamming15):
+        g = random_bp(e.k, rng)
+        rows = [int("".join(str(int(b)) for b in row), 2) for row in e.transversal]
+
+        def rep(x):
+            r = 0
+            for i, row in enumerate(rows):
+                if (x >> (e.k - 1 - i)) & 1:
+                    r ^= row
+            return r
+
+        perm = list(range(1 << e.n))
+        phases = [0.0] * (1 << e.n)
+        for x in range(1 << e.k):
+            for y in e.c1.words():
+                perm[rep(x) ^ y] = rep(g.perm[x]) ^ y
+                phases[rep(x) ^ y] = g.phases[x]
+        lifted = lift_logical(e, g)
+        assert lifted.perm == tuple(perm)
+        assert lifted.phases == tuple(phases)
+
+
+def test_hamming15_lift_restrict_roundtrip(hamming15, rng):
+    # n = 15 is beyond the dense cap: lift and restriction stay monomial
+    assert (hamming15.n, hamming15.k, hamming15.l) == (15, 7, 16)
+    for _ in range(3):
+        g = random_bp(7, rng)
+        back = restrict_physical(hamming15, lift_logical(hamming15, g))
+        assert back.perm == g.perm
+        assert np.allclose(
+            np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
+        )
+
+
+def test_restrict_monomial_rejects_non_logical(steane, rng):
+    zero = (0.0,) * 128
+    # X on the last qubit moves every codeword out of C2
+    outside = PermutationWithPhases(7, tuple(s ^ 1 for s in range(128)), zero)
+    # one state of the logical |1> coset picks up a phase of its own
+    phases = list(zero)
+    phases[min(steane.basis_support[1])] = 0.5
+    uneven = PermutationWithPhases(7, tuple(range(128)), tuple(phases))
+    # one state of each coset swapped: each coset lands on both
+    a, b = min(steane.basis_support[0]), min(steane.basis_support[1])
+    perm = list(range(128))
+    perm[a], perm[b] = b, a
+    split = PermutationWithPhases(7, tuple(perm), zero)
+    for gate, why in (
+        (outside, "leaves the codespace"),
+        (uneven, "constant phase"),
+        (split, "not one coset"),
+    ):
+        with pytest.raises(NotLogicalOperatorError, match=why):
+            restrict_physical(steane, gate)
+    with pytest.raises(ValueError, match="code has n=7"):
+        restrict_physical(steane, random_bp(3, rng))
 
 
 def test_restrict_x7_steane(steane):

@@ -23,6 +23,7 @@ from bpgates import (
     synthesize,
     to_unitary,
 )
+from bpgates import synth
 from bpgates.linalg import GOLDEN_THETA, X
 from bpgates.synth import PhaseApproximationError, circular_distance
 
@@ -40,12 +41,12 @@ def perm_matrix(perm):
 # ------------------------------------------------------------- simulation
 
 def test_simulate_empty_is_identity():
-    assert np.array_equal(simulate(GateSequence(n_data=2)), np.eye(4))
+    assert np.array_equal(to_unitary(simulate(GateSequence(n_data=2))), np.eye(4))
 
 
 def test_simulate_x():
     seq = GateSequence(n_data=1, gates=[Gate("X", (0,))])
-    assert np.array_equal(simulate(seq), X.real)
+    assert np.array_equal(to_unitary(simulate(seq)), X.real)
 
 
 def test_simulate_swap_identity():
@@ -54,18 +55,18 @@ def test_simulate_swap_identity():
         gates=[Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)), Gate("CNOT", (0, 1))],
     )
     swap = perm_matrix((0, 2, 1, 3))
-    assert np.array_equal(simulate(seq).real, swap)
+    assert np.array_equal(to_unitary(simulate(seq)).real, swap)
 
 
 def test_simulate_rz():
     seq = GateSequence(n_data=1, gates=[Gate("RZ", (0,), reps=3)], theta=0.5)
     expected = np.diag([np.exp(-0.75j), np.exp(0.75j)])
-    assert np.max(np.abs(simulate(seq) - expected)) < 1e-12
+    assert np.max(np.abs(to_unitary(simulate(seq)) - expected)) < 1e-12
 
 
 def test_simulate_ccnot_big_endian():
     seq = GateSequence(n_data=3, gates=[Gate("CCNOT", (0, 1, 2))])
-    M = simulate(seq).real
+    M = to_unitary(simulate(seq)).real
     assert M[0b111, 0b110] == 1.0 and M[0b110, 0b111] == 1.0
     assert all(M[s, s] == 1.0 for s in range(6))
 
@@ -142,14 +143,14 @@ def test_transposition_is_single_ccnot():
 def test_all_two_qubit_permutations_exact():
     for perm in itertools.permutations(range(4)):
         seq = permutation_to_circuit(perm, 2)
-        assert np.array_equal(simulate_restricted(seq).real, perm_matrix(perm))
+        assert np.array_equal(to_unitary(simulate_restricted(seq)).real, perm_matrix(perm))
 
 
 def test_random_three_qubit_permutations_exact(rng):
     for _ in range(200):
         perm = tuple(int(x) for x in rng.permutation(8))
         seq = permutation_to_circuit(perm, 3)
-        M = simulate_restricted(seq)
+        M = to_unitary(simulate_restricted(seq))
         assert np.array_equal(M.real, perm_matrix(perm))
         assert np.array_equal(M.imag, np.zeros((8, 8)))
 
@@ -204,7 +205,7 @@ def test_diagonal_single_qubit_index1():
     seq = diagonal_to_circuit([0.0, GOLDEN_THETA], eps=1e-6)
     assert seq.gates == [Gate("RZ", (0,), reps=1)]
     assert abs(seq.global_phase - GOLDEN_THETA / 2) < 1e-12
-    approx = np.exp(1j * seq.global_phase) * simulate_restricted(seq)
+    approx = np.exp(1j * seq.global_phase) * to_unitary(simulate_restricted(seq))
     target = np.diag([1.0, np.exp(1j * GOLDEN_THETA)])
     assert np.max(np.abs(approx - target)) < 1e-12
 
@@ -212,7 +213,7 @@ def test_diagonal_single_qubit_index1():
 def test_diagonal_single_qubit_index0():
     seq = diagonal_to_circuit([GOLDEN_THETA, 0.0], eps=1e-6)
     assert seq.gates == [Gate("X", (0,)), Gate("RZ", (0,), reps=1), Gate("X", (0,))]
-    approx = np.exp(1j * seq.global_phase) * simulate_restricted(seq)
+    approx = np.exp(1j * seq.global_phase) * to_unitary(simulate_restricted(seq))
     target = np.diag([np.exp(1j * GOLDEN_THETA), 1.0])
     assert np.max(np.abs(approx - target)) < 1e-12
 
@@ -220,7 +221,7 @@ def test_diagonal_single_qubit_index0():
 def test_diagonal_two_qubits(rng):
     phases = rng.uniform(0, TWO_PI, 4)
     seq = diagonal_to_circuit(phases, eps=1e-3)
-    approx = np.exp(1j * seq.global_phase) * simulate_restricted(seq)
+    approx = np.exp(1j * seq.global_phase) * to_unitary(simulate_restricted(seq))
     target = np.diag(np.exp(1j * phases))
     assert np.max(np.abs(np.linalg.svd(approx - target, compute_uv=False))) < 1e-3
 
@@ -237,8 +238,8 @@ def test_synthesize_z():
     g = PermutationWithPhases(1, (0, 1), (0.0, np.pi))
     report = synthesize(g, eps=1e-2)
     assert report.achieved_error <= 1e-2
-    approx = np.exp(1j * report.sequence.global_phase) * simulate_restricted(
-        report.sequence
+    approx = np.exp(1j * report.sequence.global_phase) * to_unitary(
+        simulate_restricted(report.sequence)
     )
     assert phase_optimized_error(np.diag([1, -1]).astype(complex), approx) <= 1e-2
 
@@ -249,8 +250,55 @@ def test_synthesize_random_targets(rng):
             g = random_bp(n, rng)
             report = synthesize(g, eps=1e-2)
             assert report.achieved_error <= 1e-2
-            M = simulate_restricted(report.sequence)
+            M = to_unitary(simulate_restricted(report.sequence))
             assert phase_optimized_error(to_unitary(g), M) <= 1e-2
+
+
+def test_certificate_matches_dense_reference(rng):
+    # the monomial certificate against the dense eigenvalue route, and the
+    # ancilla-clean pushes against the same columns of the full simulation
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            g = random_bp(n, rng)
+            report = synthesize(g, eps=1e-2)
+            seq = report.sequence
+            restricted = simulate_restricted(seq)
+            dense = phase_optimized_error(to_unitary(g), to_unitary(restricted))
+            assert abs(report.achieved_error - dense) <= 1e-12
+            full = simulate(seq)
+            for d in range(1 << n):
+                assert full.perm[d << seq.n_anc] == restricted.perm[d] << seq.n_anc
+                assert circular_distance(full.phases[d << seq.n_anc], restricted.phases[d]) <= 1e-12
+
+
+def test_synthesize_seven_qubit_increment():
+    # 7 data + 4 ancilla qubits: beyond the dense cap, certified on the monomial
+    g = PermutationWithPhases(7, tuple((s + 1) % 128 for s in range(128)), (0.0,) * 128)
+    report = synthesize(g, eps=1e-3)
+    assert report.achieved_error == 0.0
+    assert report.sequence.n_total > 10
+    restricted = simulate_restricted(report.sequence)  # raises if an ancilla is left
+    assert restricted.perm == g.perm
+    assert all(p == 0.0 for p in restricted.phases)
+
+
+def test_synthesize_six_qubit_random_phases():
+    g = random_bp(6, np.random.default_rng(6))
+    report = synthesize(g, eps=1e-2)
+    assert report.sequence.n_total > 10
+    assert report.achieved_error <= 1e-2
+    achieved = simulate_restricted(report.sequence)
+    assert achieved.perm == g.perm
+    gamma = report.sequence.global_phase
+    worst = max(circular_distance(a + gamma, b) for a, b in zip(achieved.phases, g.phases))
+    assert worst <= 1e-2
+
+
+def test_synthesize_raises_on_wrong_permutation(monkeypatch):
+    # a permutation stage that drops its gates is a synthesis bug, not an input error
+    monkeypatch.setattr(synth, "permutation_to_circuit", lambda perm, n: GateSequence(n_data=n))
+    with pytest.raises(RuntimeError, match="permutation differs"):
+        synthesize(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4), eps=1e-2)
 
 
 def test_every_primitive_is_bias_preserving():
@@ -261,7 +309,7 @@ def test_every_primitive_is_bias_preserving():
         GateSequence(n_data=3, gates=[Gate("CCNOT", (0, 1, 2))]),
     ]
     for seq in gates:
-        U = simulate(seq)
+        U = to_unitary(simulate(seq))
         assert check_permutation(U).is_bp
         assert check_zx(U)
         assert check_normalizer(U)
@@ -301,8 +349,8 @@ def test_closure_roundtrip(rng):
     for n in (1, 2):
         g = random_bp(n, rng)
         report = synthesize(g, eps=1e-2)
-        M = np.exp(1j * report.sequence.global_phase) * simulate_restricted(
-            report.sequence
+        M = np.exp(1j * report.sequence.global_phase) * to_unitary(
+            simulate_restricted(report.sequence)
         )
         v = check_permutation(M)  # exact monomial, passes at default tol
         assert v.is_bp

@@ -189,6 +189,21 @@ def test_to_unitary_trivial():
     )
 
 
+def test_to_unitary_matches_entrywise_reference(rng):
+    for n in (1, 2, 3, 4):
+        p = random_bp(n, rng)
+        ref = np.zeros((1 << n, 1 << n), dtype=complex)
+        for s in range(1 << n):
+            ref[p.perm[s], s] = np.exp(1j * p.phases[s])
+        assert np.array_equal(to_unitary(p), ref)
+
+
+def test_to_unitary_refuses_above_dense_cap():
+    p = PermutationWithPhases(11, tuple(range(1 << 11)), (0.0,) * (1 << 11))
+    with pytest.raises(ValueError, match="11 qubits exceeds dense cap 10"):
+        to_unitary(p)
+
+
 def test_canonical_roundtrip(rng):
     for n in (1, 2, 3):
         p = random_bp(n, rng)
