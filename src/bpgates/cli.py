@@ -138,6 +138,8 @@ def cmd_synth(args) -> int:
         "target_eps": report.target_eps,
         "gate_counts": report.gate_counts,
         "ancillas": report.sequence.n_anc,
+        "stage_gate_counts": report.stage_gate_counts,
+        "max_phase_residual": report.max_phase_residual,
     }
     lines = [
         f"ACHIEVED {report.achieved_error:.17g}",
@@ -304,7 +306,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (io.FormatError, css.CodeConstructionError, ValueError, OSError) as exc:
+    except (
+        io.FormatError,
+        css.CodeConstructionError,
+        synth.PhaseApproximationError,
+        ValueError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

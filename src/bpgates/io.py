@@ -224,11 +224,18 @@ def read_code(text: str) -> BinaryCode:
 
 def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     """Lines `s-bits -> t-bits phase=<radians>` for every basis string s."""
-    for s in range(1 << p.n):
-        fp.write(
-            f"{index_to_bits(s, p.n)} -> {index_to_bits(p.perm[s], p.n)} "
-            f"phase={_fmt(p.phases[s])}\n"
-        )
+    label = f"0{p.n}b"  # index_to_bits without its per-call range check
+    bits = [format(s, label) for s in range(1 << p.n)]
+    # Each distinct phase is formatted once, keyed on its bit pattern: -0.0
+    # and 0.0 compare equal but are written differently.
+    keys, which = np.unique(
+        np.asarray(p.phases, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    text = [_fmt(x) for x in keys.view(np.float64).tolist()]
+    fp.write("".join(
+        f"{b} -> {bits[t]} phase={text[i]}\n"
+        for b, t, i in zip(bits, p.perm, which.tolist())
+    ))
 
 
 def read_perm(text: str) -> PermutationWithPhases:

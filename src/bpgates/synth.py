@@ -5,6 +5,13 @@ exactly from {X, CNOT, CCNOT} via transpositions and Gray-code routing, and
 a diagonal D approximated one-level factor at a time by repeating the fixed
 rotation Rz(θ). All approximation error lives in the diagonal stage.
 
+The one-level factors act on distinct basis states, so their errors do not
+add: each factor gets the full budget eps, every residual k·θ − φ lies in
+(−eps, eps), and the phase-optimized error is the chord to the shortest arc
+holding the residuals, at most 2·sin(eps/2) < eps. The smallest k for each
+factor is found exactly, by a continued-fraction search on θ/(2π) with no
+loop over k.
+
 Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
 ancillas supplied and returned in |0⟩.
 `simulate` and `simulate_restricted` push basis indices through the gates
@@ -14,6 +21,10 @@ phases with the target's and builds no dense matrix.
 
 from __future__ import annotations
 
+import logging
+import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +38,14 @@ GATE_KINDS = ("X", "RZ", "CNOT", "CCNOT")
 # factors and emit no gates.
 PHASE_TRIVIAL = 1e-12
 
+log = logging.getLogger(__name__)
+
 
 class PhaseApproximationError(RuntimeError):
-    """The repetition search hit its iteration cap: θ/(2π) is effectively too
-    close to rational at the requested accuracy."""
+    """No repetition count k reaches a phase within budget: θ/(2π) is
+    rational at double precision and its multiples miss the window, or the
+    smallest k exceeds the cap. Also raised by a report whose certified error
+    exceeds its budget."""
 
 
 class AncillaNotRestoredError(RuntimeError):
@@ -88,6 +103,11 @@ class SynthesisReport:
     target_eps: float
     achieved_error: float
     gate_counts: dict[str, int]
+    # gate counts of the "permutation" and "diagonal" stages
+    stage_gate_counts: dict[str, dict[str, int]]
+    # largest |k·θ − φ| over the diagonal factors (wrapped to [0, π]), read
+    # off the certificate's per-state phases; each is below target_eps
+    max_phase_residual: float
 
     def __post_init__(self):
         if self.achieved_error > self.target_eps:
@@ -252,24 +272,71 @@ def circular_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def _check_eps_theta(eps: float, theta: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+
+
+def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest x ≥ 0 with lo ≤ a·x mod m ≤ hi, for 0 < lo ≤ hi < m; None
+    if there is none.
+
+    If no multiple of a lies in [lo, hi], the first hit a·x = m·y + r has the
+    smallest wrap count y, and y is the first hit of m·y mod a in
+    [(−hi) mod a, (−lo) mod a]: the same problem on (m mod a, a), again with
+    0 < lo ≤ hi. The levels are the steps of Euclid's algorithm on a/m, i.e.
+    its continued fraction; they end at a hit, or at a = 0 when every
+    multiple of a/m misses the range."""
+    a %= m
+    levels = []
+    while a:
+        x = -(-lo // a)
+        if a * x <= hi:
+            for a, m, lo in reversed(levels):  # x is the wrap count one level up
+                x = -(-(lo + m * x) // a)
+            return x
+        levels.append((a, m, lo))
+        a, m, lo, hi = m % a, a, (-hi) % a, (-lo) % a
+    return None
+
+
 def approximate_phase(
     phi: float, eps: float, theta: float = GOLDEN_THETA, cap: int = 10**7
 ) -> int:
-    """Smallest k ≥ 0 with k·θ within eps of φ on the circle.
+    """Smallest k ≥ 0 with k·θ within eps of φ on the circle (distance < eps).
 
-    Terminates for θ/(2π) irrational by equidistribution; floating point
-    cannot certify irrationality, so the cap turns a near-rational θ into an
-    explicit error instead of a silent hang."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    angle = 0.0
-    for k in range(cap + 1):
-        if circular_distance(angle, phi) < eps:
-            return k
-        angle = (angle + theta) % TWO_PI
-    raise PhaseApproximationError(
-        f"no k <= {cap} with k*theta within {eps} of {phi}; theta too close to rational"
-    )
+    Exact, with no loop over k: θ, 2π, φ and eps are doubles, so dyadic
+    rationals. Over their common denominator, k·θ mod 2π is a·k mod m in
+    integers and the open window around φ is an integer range; if the range
+    holds 0, k = 0, and otherwise `_first_hit` solves it in O(log m) steps.
+
+    Raises PhaseApproximationError for either of two causes: no k exists
+    (θ/(2π) is rational at double precision, e.g. θ = 0 or 2π/8, and no
+    multiple lands in the window), or the smallest k exceeds cap."""
+    _check_eps_theta(eps, theta)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
+    ratios = [x.as_integer_ratio() for x in (theta, TWO_PI, phi, eps)]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    a, m, p, e = (num * (den // d) for num, d in ratios)
+    p %= m
+    # residues r with circular distance |r − p| < e
+    lo, hi = p - e + 1, p + e - 1
+    if lo <= 0 or hi >= m:
+        return 0
+    k = _first_hit(a, m, lo, hi)
+    if k is None:
+        raise PhaseApproximationError(
+            f"no multiple of theta={theta!r} comes within {eps} of {phi}: "
+            "theta/(2*pi) is rational at double precision"
+        )
+    if k > cap:
+        raise PhaseApproximationError(
+            f"the smallest k with k*theta within {eps} of {phi} exceeds the cap {cap}"
+        )
+    return k
 
 
 def _phase_factor_gates(
@@ -300,9 +367,12 @@ def diagonal_to_circuit(
 ) -> GateSequence:
     """Approximate diag(e^{iφ_0}, ..., e^{iφ_{2^n-1}}) over the gate set.
 
-    Each nontrivial one-level factor gets a uniform share eps/m of the
-    budget; the chord error of each factor is below its share, and the
-    operator norm is subadditive under unitary composition."""
+    Each nontrivial one-level factor gets the full eps: it leaves residual
+    δ_j = k_j·θ − φ_j on basis state j alone, with |δ_j| < eps, and trivial
+    factors leave 0. Distinct factors touch distinct states, so the worst
+    case over states is the maximum, not the sum: every residual sits on an
+    arc shorter than 2·eps, and the phase-optimized error is below
+    2·sin(eps/2) < eps."""
     phases = [float(p) % TWO_PI for p in phases]
     dim = len(phases)
     n = dim.bit_length() - 1
@@ -312,14 +382,22 @@ def diagonal_to_circuit(
     seq = GateSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
     if not nontrivial:
         return seq
-    budget = eps / len(nontrivial)
     for j in nontrivial:
-        k = approximate_phase(phases[j], budget, theta, cap)
+        k = approximate_phase(phases[j], eps, theta, cap)
         gates, n_anc = _phase_factor_gates(n, j, k, anc_start=n)
         seq.gates.extend(gates)
         seq.n_anc = max(seq.n_anc, n_anc)
         seq.global_phase = (seq.global_phase + 0.5 * k * theta) % TWO_PI
     return seq
+
+
+@contextmanager
+def _stage(name: str):
+    """Log the start and end, with wall seconds, of one synthesis stage."""
+    log.debug("%s: start", name)
+    start = time.perf_counter()
+    yield
+    log.debug("%s: end in %.6f s", name, time.perf_counter() - start)
 
 
 def synthesize(
@@ -335,11 +413,12 @@ def synthesize(
     the target U and the simulated data-qubit restriction V: both permute by
     σ, so the eigenvalues of U†V are e^{i(ψ_s − φ_s)}. Any other permutation
     is a synthesis bug and raises RuntimeError."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps_theta(eps, theta)
     d_phases, perm = factor_dp(p)
-    perm_seq = permutation_to_circuit(perm, p.n)
-    diag_seq = diagonal_to_circuit(d_phases, eps, theta, cap)
+    with _stage("permutation"):
+        perm_seq = permutation_to_circuit(perm, p.n)
+    with _stage("diagonal"):
+        diag_seq = diagonal_to_circuit(d_phases, eps, theta, cap)
     seq = GateSequence(
         n_data=p.n,
         n_anc=max(perm_seq.n_anc, diag_seq.n_anc),
@@ -347,12 +426,18 @@ def synthesize(
         theta=theta,
         global_phase=diag_seq.global_phase,
     )
-    achieved = simulate_restricted(seq)
-    if achieved.perm != p.perm:
-        raise RuntimeError("synthesized permutation differs from the target's")
+    with _stage("certify"):
+        achieved = simulate_restricted(seq)
+        if achieved.perm != p.perm:
+            raise RuntimeError("synthesized permutation differs from the target's")
+        deltas = np.subtract(achieved.phases, p.phases)
+        residuals = np.abs((deltas + seq.global_phase + np.pi) % TWO_PI - np.pi)
+    stages = {"permutation": perm_seq.gate_counts(), "diagonal": diag_seq.gate_counts()}
     return SynthesisReport(
         sequence=seq,
         target_eps=eps,
-        achieved_error=shortest_arc_chord(np.subtract(achieved.phases, p.phases)),
-        gate_counts=seq.gate_counts(),
+        achieved_error=shortest_arc_chord(deltas),
+        gate_counts={k: sum(c[k] for c in stages.values()) for k in GATE_KINDS},
+        stage_gate_counts=stages,
+        max_phase_residual=float(residuals.max()),
     )

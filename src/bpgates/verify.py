@@ -10,6 +10,7 @@ They must agree on every unitary; the test suite enforces that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,9 +44,10 @@ class PermutationWithPhases:
             raise ValueError("perm/phases length must be 2^n")
         if sorted(self.perm) != list(range(dim)):
             raise ValueError("perm is not a bijection on basis indices")
-        object.__setattr__(
-            self, "phases", tuple(float(p) % TWO_PI for p in self.phases)
-        )
+        phases = tuple(float(p) % TWO_PI for p in self.phases)
+        if not all(map(math.isfinite, phases)):  # inf % 2π is nan
+            raise ValueError("phases must be finite")
+        object.__setattr__(self, "phases", phases)
 
     def compose(self, other: "PermutationWithPhases") -> "PermutationWithPhases":
         """self ∘ other (other applied first)."""

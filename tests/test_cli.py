@@ -1,5 +1,6 @@
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,43 @@ def test_synth_from_matrix(cnot_file, capsys):
     assert main(["synth", "--matrix", cnot_file, "--eps", "1e-2"]) == 0
     out = capsys.readouterr().out
     assert "ACHIEVED 0" in out
+
+
+def test_synth_json_reports_stages(tmp_path, capsys, rng):
+    g = random_bp(3, rng)
+    gate_file = tmp_path / "g.perm"
+    io.write_file(str(gate_file), io.write_perm, g)
+    assert main(["synth", "--target", str(gate_file), "--eps", "1e-2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {"achieved_error", "target_eps", "gate_counts", "ancillas"} <= set(report)
+    stages = report["stage_gate_counts"]
+    for kind, count in report["gate_counts"].items():
+        assert stages["permutation"][kind] + stages["diagonal"][kind] == count
+    assert report["achieved_error"] <= report["max_phase_residual"] < 1e-2
+
+
+@pytest.mark.parametrize(
+    "phase, flags",
+    [
+        (np.pi / 3, ["--theta", "0.7853981633974483"]),  # θ = 2π/8 never reaches π/3
+        (np.pi / 3, ["--eps", "nan"]),
+        (np.pi / 3, ["--eps", "inf"]),
+        (np.pi / 3, ["--eps", "0"]),
+        (np.pi / 3, ["--theta", "nan"]),
+        (np.pi / 3, ["--theta", "inf"]),
+        (float("nan"), []),
+    ],
+    ids=["rational-theta", "eps-nan", "eps-inf", "eps-zero", "theta-nan", "theta-inf", "phase-nan"],
+)
+def test_synth_input_errors_exit_2(tmp_path, capsys, phase, flags):
+    gate_file = tmp_path / "t.perm"
+    gate_file.write_text(f"0 -> 0 phase=0\n1 -> 1 phase={phase!r}\n")
+    start = time.perf_counter()
+    assert main(["synth", "--target", str(gate_file)] + flags) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_css_build(code_files, capsys):

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from bpgates import BinaryCode, random_bp, synthesize, zx_decompose
+from bpgates import BinaryCode, lift_logical, random_bp, synthesize, zx_decompose
 from bpgates import io
 from bpgates.io import (
     FormatError,
@@ -18,6 +20,7 @@ from bpgates.io import (
     write_perm,
     write_zx,
 )
+from bpgates.linalg import index_to_bits
 from bpgates.verify import to_unitary
 from conftest import random_unitary
 
@@ -133,6 +136,31 @@ def test_perm_roundtrip(rng):
         assert back.perm == p.perm
         assert back.phases == p.phases
         assert np.array_equal(to_unitary(back), to_unitary(p))
+
+
+def write_perm_per_line(p, fp):
+    """Reference writer: one formatted line per basis string."""
+    for s in range(1 << p.n):
+        fp.write(
+            f"{index_to_bits(s, p.n)} -> {index_to_bits(p.perm[s], p.n)} "
+            f"phase={p.phases[s]:.17g}\n"
+        )
+
+
+def test_write_perm_matches_per_line_writer(rng, hamming15):
+    # -0.0 and 0.0 compare equal but print differently; the phase memo must
+    # keep them apart (PermutationWithPhases maps -0.0 to 0.0, so the -0.0
+    # gates are plain namespaces carrying the same three fields)
+    gates = [SimpleNamespace(n=1, perm=(1, 0), phases=(-0.0, 0.0))]
+    for n in (1, 2, 3, 4):
+        g = random_bp(n, rng)
+        phases = list(g.phases)
+        phases[0], phases[-1] = -0.0, 0.0
+        gates += [g, SimpleNamespace(n=n, perm=g.perm, phases=tuple(phases))]
+    gates.append(lift_logical(hamming15, random_bp(7, rng)))
+    for g in gates:
+        assert dumps(write_perm, g) == dumps(write_perm_per_line, g)
+    assert "phase=-0\n" in dumps(write_perm, gates[0])
 
 
 def test_perm_parse_errors():

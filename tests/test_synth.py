@@ -1,4 +1,8 @@
 import itertools
+import logging
+import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from bpgates import (
     to_unitary,
 )
 from bpgates import synth
-from bpgates.linalg import GOLDEN_THETA, X
+from bpgates.linalg import GOLDEN_THETA, X, shortest_arc_chord
 from bpgates.synth import PhaseApproximationError, circular_distance
 
 TWO_PI = 2 * np.pi
@@ -179,12 +183,71 @@ def test_approximate_phase_matches_scan_oracle():
     assert approximate_phase(np.pi, 1e-2, theta) == 204
 
 
+def scan_oracle(phi, eps, theta, limit):
+    """Smallest k <= limit with k*theta within eps of phi, by a scan in exact
+    integers over the common denominator; None if there is none."""
+    fr = [Fraction(x) for x in (theta, TWO_PI, phi, eps)]
+    den = math.lcm(*(f.denominator for f in fr))
+    a, m, p, e = (int(f * den) for f in fr)
+    r = 0
+    for k in range(limit + 1):
+        d = (r - p) % m
+        if min(d, m - d) < e:
+            return k
+        r = (r + a) % m
+    return None
+
+
+def test_approximate_phase_matches_exact_oracle():
+    rng = np.random.default_rng(11)
+    limit = 200_000
+    thetas = [GOLDEN_THETA, TWO_PI * (np.sqrt(2) - 1)] + list(rng.uniform(0.0, TWO_PI, 4))
+    for theta in thetas:
+        theta = float(theta)
+        for _ in range(6):
+            phi = float(rng.uniform(0.0, TWO_PI))
+            eps = float(10 ** rng.uniform(-4, -1))
+            k = scan_oracle(phi, eps, theta, limit)
+            if k is None:
+                with pytest.raises(PhaseApproximationError, match="cap"):
+                    approximate_phase(phi, eps, theta, cap=limit)
+            else:
+                assert approximate_phase(phi, eps, theta, cap=limit) == k
+    # windows at the ends of [0, 2π): one holding 0 (it wraps), one just short
+    for phi, eps in ((TWO_PI - 5e-4, 1e-3), (TWO_PI - 2e-3, 1e-3), (3e-3, 2e-3)):
+        k = approximate_phase(phi, eps)
+        assert k == scan_oracle(phi, eps, GOLDEN_THETA, limit)
+        assert (k == 0) == (phi > TWO_PI - eps)
+
+
+def test_approximate_phase_large_eps_is_zero():
+    for eps in (np.pi, 4.0, 1e3):
+        for phi in (0.1, 3.0, 6.2):
+            assert approximate_phase(phi, eps) == 0
+
+
 def test_approximate_phase_cap():
-    # theta = 2pi/8 exactly rational: pi/3 is unreachable
-    with pytest.raises(PhaseApproximationError):
-        approximate_phase(np.pi / 3, 1e-6, TWO_PI / 8, cap=10**4)
-    with pytest.raises(ValueError):
-        approximate_phase(0.3, 0.0)
+    # theta = 2pi/8 exactly rational, and theta = 0: pi/3 is unreachable
+    for theta in (TWO_PI / 8, 0.0):
+        start = time.perf_counter()
+        with pytest.raises(PhaseApproximationError, match="rational"):
+            approximate_phase(np.pi / 3, 1e-6, theta)
+        assert time.perf_counter() - start < 1.0
+    k = approximate_phase(np.pi, 1e-3)
+    assert approximate_phase(np.pi, 1e-3, cap=k) == k
+    with pytest.raises(PhaseApproximationError, match=f"cap {k - 1}"):
+        approximate_phase(np.pi, 1e-3, cap=k - 1)
+    for phi, eps, theta in (
+        (0.3, 0.0, GOLDEN_THETA),
+        (0.3, -1e-3, GOLDEN_THETA),
+        (0.3, float("nan"), GOLDEN_THETA),
+        (0.3, float("inf"), GOLDEN_THETA),
+        (0.3, 1e-3, float("nan")),
+        (0.3, 1e-3, float("inf")),
+        (float("nan"), 1e-3, GOLDEN_THETA),
+    ):
+        with pytest.raises(ValueError):
+            approximate_phase(phi, eps, theta)
 
 
 @given(st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9))
@@ -315,22 +378,54 @@ def test_every_primitive_is_bias_preserving():
         assert check_normalizer(U)
 
 
-def test_error_budget_subadditive(rng):
-    for _ in range(5):
-        g = random_bp(2, rng)
+def test_error_is_max_of_factor_residuals(rng):
+    # each nontrivial factor gets the full eps, so the certified error is the
+    # chord to the shortest arc holding the per-factor residuals, not a sum
+    eps = 1e-2
+    for n in (1, 2, 3):
+        for _ in range(4):
+            g = random_bp(n, rng)
+            report = synthesize(g, eps=eps)
+            d_phases, _ = factor_dp(g)
+            residuals = []
+            for p in d_phases:
+                if circular_distance(p, 0.0) > synth.PHASE_TRIVIAL:
+                    k = approximate_phase(p, eps)
+                    r = (k * GOLDEN_THETA - p + np.pi) % TWO_PI - np.pi
+                    assert abs(r) < eps
+                    residuals.append(r)
+                else:
+                    residuals.append(0.0)
+            assert abs(report.achieved_error - shortest_arc_chord(residuals)) <= 1e-12
+            assert report.achieved_error <= 2 * np.sin(eps / 2)
+            assert abs(report.max_phase_residual - max(map(abs, residuals))) <= 1e-12
+
+
+def test_synthesize_five_qubits_tight_eps():
+    # at eps = 1e-6 a per-factor share of eps/32 put the smallest k past the cap
+    g = random_bp(5, np.random.default_rng(5))
+    report = synthesize(g, eps=1e-6)
+    assert report.achieved_error <= 1e-6
+    assert report.max_phase_residual < 1e-6
+    assert simulate_restricted(report.sequence).perm == g.perm
+
+
+def test_report_stage_counts_and_logs(rng, caplog):
+    g = random_bp(3, rng)
+    with caplog.at_level(logging.DEBUG, logger="bpgates.synth"):
         report = synthesize(g, eps=1e-2)
-        d_phases, _ = factor_dp(g)
-        per_factor = 0.0
-        k_budget = 1e-2 / max(
-            1, sum(1 for p in d_phases if circular_distance(p, 0.0) > 1e-12)
-        )
-        for p in d_phases:
-            if circular_distance(p, 0.0) > 1e-12:
-                k = approximate_phase(p, k_budget)
-                per_factor += abs(
-                    np.exp(1j * k * GOLDEN_THETA) - np.exp(1j * p)
-                )
-        assert report.achieved_error <= per_factor + 1e-12
+    stages = report.stage_gate_counts
+    assert set(stages) == {"permutation", "diagonal"}
+    for kind, count in report.gate_counts.items():
+        assert stages["permutation"][kind] + stages["diagonal"][kind] == count
+    assert stages["permutation"]["RZ"] == 0
+    assert stages["diagonal"]["RZ"] == sum(
+        circular_distance(p, 0.0) > synth.PHASE_TRIVIAL for p in factor_dp(g)[0]
+    )
+    messages = [r.getMessage() for r in caplog.records if r.name == "bpgates.synth"]
+    for stage in ("permutation", "diagonal", "certify"):
+        assert f"{stage}: start" in messages
+        assert any(m.startswith(f"{stage}: end in ") for m in messages)
 
 
 def test_monotonicity_per_factor_refinement():
