@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from io import StringIO
 
 import numpy as np
@@ -22,9 +21,11 @@ from .linalg import (
     GOLDEN_THETA,
     index_to_bits,
     phase_optimized_error,
+    require_dense_cap,
     require_unitary,
     worst_case_error,
 )
+from .stages import Stage
 
 log = logging.getLogger(__name__)
 
@@ -51,12 +52,9 @@ def _perm_lines(p: verify.PermutationWithPhases) -> list[str]:
 
 def _timed(name: str, verifier, *args, **kwargs):
     """(result, wall seconds) of one verifier call, logged at its start and end."""
-    log.debug("%s: start", name)
-    start = time.perf_counter()
-    result = verifier(*args, **kwargs)
-    seconds = time.perf_counter() - start
-    log.debug("%s: end in %.6f s", name, seconds)
-    return result, seconds
+    with Stage(log, name) as stage:
+        result = verifier(*args, **kwargs)
+    return result, stage.seconds
 
 
 def cmd_check(args) -> int:
@@ -140,6 +138,7 @@ def cmd_synth(args) -> int:
         "ancillas": report.sequence.n_anc,
         "stage_gate_counts": report.stage_gate_counts,
         "max_phase_residual": report.max_phase_residual,
+        "factor_reps": list(report.factor_reps),
     }
     lines = [
         f"ACHIEVED {report.achieved_error:.17g}",
@@ -156,6 +155,9 @@ def cmd_synth(args) -> int:
 
 def cmd_simulate(args) -> int:
     seq = io.read_circuit(io.read_file(args.circuit))
+    # refused before simulating: the push itself is 2^n wide
+    n = seq.n_data if args.restrict else seq.n_total
+    require_dense_cap(n)
     U = verify.to_unitary(synth.simulate_restricted(seq) if args.restrict else synth.simulate(seq))
     if args.output:
         io.write_file(args.output, io.write_matrix, U)

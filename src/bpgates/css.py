@@ -14,6 +14,7 @@ PermutationWithPhases form, so they run beyond the dense cap.
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,12 +23,15 @@ import numpy as np
 
 from . import gf2
 from .linalg import DEFAULT_TOL, index_to_bits, num_qubits
+from .stages import Stage
 from .verify import (
     TWO_PI,
     PermutationWithPhases,
     check_permutation,
     coherence_rank,
 )
+
+log = logging.getLogger(__name__)
 
 
 class CodeConstructionError(ValueError):
@@ -128,6 +132,7 @@ class GenericEncoding:
         return cls(n=n, k=k, basis_states=vecs)
 
 
+@Stage(log, "build_css")
 def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
     """Standard CSS encoding for C1 ⊂ C2.
 
@@ -242,6 +247,7 @@ def coherence_scaling_check(
     return coherence_rank(encode(e, psi), tol) == e.l * coherence_rank(psi, tol)
 
 
+@Stage(log, "lift_logical")
 def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPhases:
     """Physical bias-preserving gate realizing a logical one.
 
@@ -258,6 +264,7 @@ def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPha
     return PermutationWithPhases(e.n, tuple(perm.tolist()), tuple(phases.tolist()))
 
 
+@Stage(log, "restrict_physical")
 def restrict_physical(
     e: CssEncoding, g_hat: PermutationWithPhases | np.ndarray, tol: float = DEFAULT_TOL
 ) -> PermutationWithPhases:

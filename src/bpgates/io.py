@@ -130,16 +130,21 @@ def read_zx(text: str) -> ZXDecomposition:
 
 # ------------------------------------------------------------- circuits
 
+# One `%` template per permutation gate kind, filled from Gate.qubits.
+_GATE_LINE = {"X": "X %s\n", "CNOT": "CNOT %s %s\n", "CCNOT": "CCNOT %s %s %s\n"}
+
+
 def write_circuit(seq: GateSequence, fp: TextIO) -> None:
-    fp.write(f"qubits {seq.n_data}\n")
-    fp.write(f"ancillas {seq.n_anc}\n")
-    fp.write(f"theta {_fmt(seq.theta)}\n")
-    fp.write(f"globalphase {_fmt(seq.global_phase)}\n")
-    for g in seq.gates:
-        if g.kind == "RZ":
-            fp.write(f"RZ {g.qubits[0]} {g.reps}\n")
-        else:
-            fp.write(f"{g.kind} {' '.join(str(q) for q in g.qubits)}\n")
+    """Headers `qubits`, `ancillas`, `theta`, `globalphase`, then one line per
+    gate: `RZ <qubit> <reps>` or `<kind> <qubits...>`."""
+    fp.write("".join([
+        f"qubits {seq.n_data}\nancillas {seq.n_anc}\n",
+        f"theta {_fmt(seq.theta)}\nglobalphase {_fmt(seq.global_phase)}\n",
+        *[
+            "RZ %s %s\n" % (g.qubits[0], g.reps) if g.kind == "RZ" else _GATE_LINE[g.kind] % g.qubits
+            for g in seq.gates
+        ],
+    ]))
 
 
 def read_circuit(text: str) -> GateSequence:
@@ -172,10 +177,18 @@ def read_circuit(text: str) -> GateSequence:
     for required in ("qubits", "ancillas"):
         if required not in headers:
             raise FormatError(f"missing header '{required}'")
+    sizes = {}
+    for key in ("qubits", "ancillas"):
+        try:
+            sizes[key] = int(headers[key])
+        except ValueError:
+            raise FormatError(f"bad header value: header {key} {headers[key]!r}") from None
+        if sizes[key] < 0:
+            raise FormatError(f"header {key} must be nonnegative, got {sizes[key]}")
     try:
         seq = GateSequence(
-            n_data=int(headers["qubits"]),
-            n_anc=int(headers["ancillas"]),
+            n_data=sizes["qubits"],
+            n_anc=sizes["ancillas"],
             gates=gates,
             theta=float(headers["theta"]) if "theta" in headers else GOLDEN_THETA,
             global_phase=float(headers.get("globalphase", "0")),

@@ -58,13 +58,18 @@ def parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
+def require_dense_cap(n: int) -> None:
+    """Refuse a dense n-qubit object above DENSE_QUBIT_CAP qubits."""
+    if n > DENSE_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+
+
 def num_qubits(dim: int) -> int:
     """Qubit count for a dimension that must be an exact power of two."""
     n = dim.bit_length() - 1
     if dim <= 0 or (1 << n) != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    if n > DENSE_QUBIT_CAP:
-        raise ValueError(f"{n} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+    require_dense_cap(n)
     return n
 
 

@@ -16,20 +16,21 @@ Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
 ancillas supplied and returned in |0⟩.
 `simulate` and `simulate_restricted` push basis indices through the gates
 and return a PermutationWithPhases; certification compares its per-state
-phases with the target's and builds no dense matrix.
+phases with the target's and builds no dense matrix. The simulator is
+bit-sliced: each qubit of all inputs is one Python integer, so a
+permutation gate is one integer operation however many inputs there are.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import GOLDEN_THETA, shortest_arc_chord
+from .stages import Stage
 from .verify import TWO_PI, PermutationWithPhases
 
 GATE_KINDS = ("X", "RZ", "CNOT", "CCNOT")
@@ -37,6 +38,9 @@ GATE_KINDS = ("X", "RZ", "CNOT", "CCNOT")
 # Phases closer to 0 (mod 2pi) than this are treated as trivial diagonal
 # factors and emit no gates.
 PHASE_TRIVIAL = 1e-12
+
+# Widest register whose basis indices fit the simulator's int64 arrays.
+INDEX_QUBITS = 63
 
 log = logging.getLogger(__name__)
 
@@ -86,9 +90,12 @@ class GateSequence:
         return self.n_data + self.n_anc
 
     def validate(self) -> None:
-        for g in self.gates:
-            if any(q >= self.n_total or q < 0 for q in g.qubits):
-                raise ValueError(f"gate {g} addresses qubit outside register")
+        used = {q for g in self.gates for q in g.qubits}
+        if used and (min(used) < 0 or max(used) >= self.n_total):
+            bad = next(
+                g for g in self.gates if any(q < 0 or q >= self.n_total for q in g.qubits)
+            )
+            raise ValueError(f"gate {bad} addresses qubit outside register")
 
     def gate_counts(self) -> dict[str, int]:
         counts = {k: 0 for k in GATE_KINDS}
@@ -108,6 +115,8 @@ class SynthesisReport:
     # largest |k·θ − φ| over the diagonal factors (wrapped to [0, π]), read
     # off the certificate's per-state phases; each is below target_eps
     max_phase_residual: float
+    # repetition count k of each diagonal factor's Rz(θ)^k, in emission order
+    factor_reps: tuple[int, ...]
 
     def __post_init__(self):
         if self.achieved_error > self.target_eps:
@@ -119,26 +128,54 @@ class SynthesisReport:
 def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Push the basis indices `inputs` through the sequence: inputs[j] ends at
     basis index target[j] with phase phase[j]. Every primitive is a
-    signed-phase permutation, so this is exact."""
+    signed-phase permutation, so this is exact.
+
+    Bit-sliced: planes[q] is one Python integer whose bit j is qubit q of
+    input j, so each X, CNOT or CCNOT is one integer operation on all inputs
+    at once. An RZ keeps its angle and planes[q], a snapshot since integers
+    are immutable, and the phases are summed from the snapshots in gate
+    order, as a per-gate loop would sum them."""
     seq.validate()
     m = seq.n_total
-    target = np.array(inputs, dtype=np.int64)
-    phase = np.zeros(target.size)
+    if m > INDEX_QUBITS:
+        raise ValueError(f"{m} qubits exceeds the {INDEX_QUBITS}-qubit basis-index width")
+    inputs = np.asarray(inputs, dtype=np.int64)
+    size = inputs.size
+    nbytes = (size + 7) // 8
+    # big-endian: qubit q is integer bit position m-1-q
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+    bits = ((inputs >> shifts[:, None]) & 1).astype(np.uint8)
+    planes = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(bits, axis=1, bitorder="little")
+    ]
+    ones = (1 << size) - 1
+    angles, snapshots = [], []
     for g in seq.gates:
-        # big-endian: qubit q is integer bit position m-1-q
-        bits = tuple(m - 1 - q for q in g.qubits)
-        if g.kind == "X":
-            target ^= 1 << bits[0]
-        elif g.kind == "CNOT":
-            ctrl = (target >> bits[0]) & 1
-            target ^= ctrl << bits[1]
-        elif g.kind == "CCNOT":
-            ctrl = (target >> bits[0]) & (target >> bits[1]) & 1
-            target ^= ctrl << bits[2]
+        q = g.qubits
+        kind = g.kind
+        if kind == "CCNOT":
+            planes[q[2]] ^= planes[q[0]] & planes[q[1]]
+        elif kind == "CNOT":
+            planes[q[1]] ^= planes[q[0]]
+        elif kind == "X":
+            planes[q[0]] ^= ones
         else:  # RZ: diag(e^{-i k θ/2}, e^{+i k θ/2}) on the qubit
             # reduced mod 2π first: summing large angles would lose precision
-            bit = (target >> bits[0]) & 1
-            phase += (0.5 * g.reps * seq.theta % TWO_PI) * (2 * bit - 1)
+            angles.append(0.5 * g.reps * seq.theta % TWO_PI)
+            snapshots.append(planes[q[0]])
+
+    def unpack(values: list[int]) -> np.ndarray:
+        packed = b"".join(v.to_bytes(nbytes, "little") for v in values)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(values), nbytes)
+        return np.unpackbits(rows, axis=1, count=size, bitorder="little")
+
+    target = np.zeros(size, dtype=np.int64)
+    for shift, row in zip(shifts.tolist(), unpack(planes)):
+        target |= row.astype(np.int64) << shift
+    phase = np.zeros(size)
+    for angle, row in zip(angles, unpack(snapshots)):
+        phase += angle * (2.0 * row - 1.0)
     return target, phase
 
 
@@ -391,15 +428,6 @@ def diagonal_to_circuit(
     return seq
 
 
-@contextmanager
-def _stage(name: str):
-    """Log the start and end, with wall seconds, of one synthesis stage."""
-    log.debug("%s: start", name)
-    start = time.perf_counter()
-    yield
-    log.debug("%s: end in %.6f s", name, time.perf_counter() - start)
-
-
 def synthesize(
     p: PermutationWithPhases,
     eps: float,
@@ -415,9 +443,9 @@ def synthesize(
     is a synthesis bug and raises RuntimeError."""
     _check_eps_theta(eps, theta)
     d_phases, perm = factor_dp(p)
-    with _stage("permutation"):
+    with Stage(log, "permutation"):
         perm_seq = permutation_to_circuit(perm, p.n)
-    with _stage("diagonal"):
+    with Stage(log, "diagonal"):
         diag_seq = diagonal_to_circuit(d_phases, eps, theta, cap)
     seq = GateSequence(
         n_data=p.n,
@@ -426,7 +454,7 @@ def synthesize(
         theta=theta,
         global_phase=diag_seq.global_phase,
     )
-    with _stage("certify"):
+    with Stage(log, "certify"):
         achieved = simulate_restricted(seq)
         if achieved.perm != p.perm:
             raise RuntimeError("synthesized permutation differs from the target's")
@@ -440,4 +468,5 @@ def synthesize(
         gate_counts={k: sum(c[k] for c in stages.values()) for k in GATE_KINDS},
         stage_gate_counts=stages,
         max_phase_residual=float(residuals.max()),
+        factor_reps=tuple(g.reps for g in diag_seq.gates if g.kind == "RZ"),
     )

@@ -18,10 +18,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    DENSE_QUBIT_CAP,
     index_to_bits,
     matrix_qubits,
     num_qubits,
+    require_dense_cap,
     require_unitary,
     z_signs,
 )
@@ -80,8 +80,7 @@ class BpVerdict:
 
 def to_unitary(p: PermutationWithPhases) -> np.ndarray:
     """The dense 2^n x 2^n matrix of p, refused above DENSE_QUBIT_CAP qubits."""
-    if p.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"{p.n} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+    require_dense_cap(p.n)
     dim = 1 << p.n
     M = np.zeros((dim, dim), dtype=complex)
     M[np.array(p.perm), np.arange(dim)] = np.exp(1j * np.array(p.phases))

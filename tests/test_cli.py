@@ -12,6 +12,8 @@ from bpgates import (
     PermutationWithPhases,
     io,
     random_bp,
+    synth,
+    synthesize,
     to_unitary,
 )
 from bpgates.cli import main
@@ -188,6 +190,49 @@ def test_simulate_refuses_above_dense_cap(tmp_path, capsys):
     assert "11 qubits exceeds dense cap 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, flags, width",
+    [
+        ("qubits 40\nancillas 0\n", [], 40),
+        ("qubits 40\nancillas 0\n", ["--restrict"], 40),
+        ("qubits 4\nancillas 36\n", [], 40),
+    ],
+    ids=["full", "restrict", "ancillas"],
+)
+def test_simulate_refuses_wide_circuit_before_simulating(
+    tmp_path, capsys, monkeypatch, header, flags, width
+):
+    # the 2^40-input push once ran first and died allocating 8 TiB
+    def push(*args):
+        raise AssertionError("simulated a circuit wider than the dense cap")
+
+    monkeypatch.setattr(synth, "_monomial", push)
+    circ_file = tmp_path / "wide.circ"
+    circ_file.write_text(header + "X 0\n")
+    assert main(["simulate", "--circuit", str(circ_file)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {width} qubits exceeds dense cap 10\n"
+
+
+def test_simulate_restrict_ignores_ancilla_width(tmp_path, capsys):
+    # 4 data + 36 ancilla qubits: only the 2^4 ancilla-clean inputs are pushed
+    circ_file = tmp_path / "narrow.circ"
+    circ_file.write_text("qubits 4\nancillas 36\nCNOT 0 39\nCNOT 0 39\nX 3\n")
+    assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 0
+    M = io.read_matrix(capsys.readouterr().out)
+    assert np.array_equal(M, to_unitary(PermutationWithPhases(4, tuple(s ^ 1 for s in range(16)), (0.0,) * 16)))
+
+
+def test_simulate_refuses_register_wider_than_basis_index(tmp_path, capsys):
+    # 2 data + 70 ancilla qubits: the restriction is narrow, but basis
+    # indices of 72 qubits do not fit int64; this once overflowed with a
+    # traceback and exit 1
+    circ_file = tmp_path / "deep.circ"
+    circ_file.write_text("qubits 2\nancillas 70\nCNOT 0 71\nCNOT 0 71\n")
+    assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 2
+    assert capsys.readouterr().err == "error: 72 qubits exceeds the 63-qubit basis-index width\n"
+
+
 def test_synth_rejects_non_bp(hadamard_file, capsys):
     assert main(["synth", "--matrix", hadamard_file, "--eps", "1e-2"]) == 1
     assert "not bias-preserving" in capsys.readouterr().err
@@ -210,6 +255,8 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
     for kind, count in report["gate_counts"].items():
         assert stages["permutation"][kind] + stages["diagonal"][kind] == count
     assert report["achieved_error"] <= report["max_phase_residual"] < 1e-2
+    assert report["factor_reps"] == list(synthesize(g, eps=1e-2).factor_reps)
+    assert len(report["factor_reps"]) == stages["diagonal"]["RZ"]
 
 
 @pytest.mark.parametrize(

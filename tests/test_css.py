@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -371,6 +374,27 @@ def test_restrict_rejects_non_logical(code_422):
     flip = PermutationWithPhases(4, tuple(s ^ 0b1000 for s in range(16)), (0.0,) * 16)
     with pytest.raises(NotLogicalOperatorError):
         restrict_physical(code_422, to_unitary(flip))
+
+
+def test_css_stages_log_start_and_end(code_422, rng, caplog):
+    c1, c2 = code_422.c1, code_422.c2
+    with caplog.at_level(logging.DEBUG, logger="bpgates.css"):
+        e = build_css(c1, c2)
+        lifted = lift_logical(e, random_bp(e.k, rng))
+        restrict_physical(e, lifted)
+        with pytest.raises(NotLogicalOperatorError):
+            restrict_physical(e, random_bp(e.n, np.random.default_rng(3)))
+    messages = [r.getMessage() for r in caplog.records if r.name == "bpgates.css"]
+    expected = []
+    for stage in ("build_css", "lift_logical", "restrict_physical"):
+        expected += [f"{stage}: start", rf"{stage}: end in \d+\.\d{{6}} s"]
+    expected += [
+        "restrict_physical: start",
+        r"restrict_physical: raised NotLogicalOperatorError after \d+\.\d{6} s",
+    ]
+    assert len(messages) == len(expected)
+    for message, pattern in zip(messages, expected):
+        assert re.fullmatch(pattern, message)
 
 
 def test_codespace_restriction_unique(code_422, rng):

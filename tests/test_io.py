@@ -3,7 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bpgates import BinaryCode, lift_logical, random_bp, synthesize, zx_decompose
+from bpgates import (
+    BinaryCode,
+    Gate,
+    GateSequence,
+    lift_logical,
+    random_bp,
+    synthesize,
+    zx_decompose,
+)
 from bpgates import io
 from bpgates.io import (
     FormatError,
@@ -110,6 +118,42 @@ def test_circuit_parse_errors():
         read_circuit("qubits 2\nancillas 0\nCNOT 0 0\n")
     with pytest.raises(FormatError):
         read_circuit("qubits 1\nancillas 0\nX 5\n")  # out of register
+
+
+def test_circuit_negative_register_sizes():
+    # a negative ancilla count once shrank the register to one qubit, and a
+    # negative qubit count failed with "negative shift count"
+    with pytest.raises(FormatError, match="header ancillas must be nonnegative, got -1"):
+        read_circuit("qubits 2\nancillas -1\nX 0\n")
+    with pytest.raises(FormatError, match="header qubits must be nonnegative, got -2"):
+        read_circuit("qubits -2\nancillas 0\n")
+    with pytest.raises(FormatError, match="header qubits"):
+        read_circuit("qubits two\nancillas 0\n")
+
+
+def write_circuit_per_line(seq, fp):
+    """Reference writer: one fp.write per header and per gate."""
+    fp.write(f"qubits {seq.n_data}\n")
+    fp.write(f"ancillas {seq.n_anc}\n")
+    fp.write(f"theta {seq.theta:.17g}\n")
+    fp.write(f"globalphase {seq.global_phase:.17g}\n")
+    for g in seq.gates:
+        if g.kind == "RZ":
+            fp.write(f"RZ {g.qubits[0]} {g.reps}\n")
+        else:
+            fp.write(f"{g.kind} {' '.join(str(q) for q in g.qubits)}\n")
+
+
+def test_write_circuit_matches_per_line_writer(rng):
+    seqs = [GateSequence(n_data=0), GateSequence(n_data=3, theta=-0.0, global_phase=1e-300)]
+    for n in (1, 3, 5):
+        seqs.append(synthesize(random_bp(n, rng), eps=1e-3).sequence)
+    seqs.append(GateSequence(n_data=12, n_anc=3, gates=[
+        Gate("X", (14,)), Gate("CNOT", (10, 2)), Gate("CCNOT", (0, 11, 13)),
+        Gate("RZ", (12,), reps=0), Gate("RZ", (1,), reps=10**15),
+    ]))
+    for seq in seqs:
+        assert dumps(write_circuit, seq) == dumps(write_circuit_per_line, seq)
 
 
 def test_code_roundtrip():

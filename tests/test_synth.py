@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -82,6 +83,77 @@ def test_ancilla_restoration_error():
 
     with pytest.raises(AncillaNotRestoredError):
         simulate_restricted(seq)
+
+
+def monomial_reference(seq, inputs):
+    """The per-gate numpy simulator the bit-sliced one replaced: four array
+    operations per gate on the basis indices themselves."""
+    seq.validate()
+    m = seq.n_total
+    target = np.array(inputs, dtype=np.int64)
+    phase = np.zeros(target.size)
+    for g in seq.gates:
+        bits = tuple(m - 1 - q for q in g.qubits)
+        if g.kind == "X":
+            target ^= 1 << bits[0]
+        elif g.kind == "CNOT":
+            target ^= ((target >> bits[0]) & 1) << bits[1]
+        elif g.kind == "CCNOT":
+            target ^= ((target >> bits[0]) & (target >> bits[1]) & 1) << bits[2]
+        else:
+            bit = (target >> bits[0]) & 1
+            phase += (0.5 * g.reps * seq.theta % TWO_PI) * (2 * bit - 1)
+    return target, phase
+
+
+def random_sequence(n_data, n_anc, length, rng):
+    """Random gates of all four kinds; RZ repetition counts up to 10^12."""
+    m = n_data + n_anc
+    arity = {"X": 1, "RZ": 1, "CNOT": 2, "CCNOT": 3}
+    kinds = [k for k in ("X", "RZ", "CNOT", "CCNOT") if arity[k] <= m]
+    gates = []
+    for _ in range(length):
+        kind = kinds[rng.integers(len(kinds))]
+        qubits = tuple(int(q) for q in rng.choice(m, size=arity[kind], replace=False))
+        reps = int(10 ** rng.uniform(0, 12)) if kind == "RZ" else 1
+        gates.append(Gate(kind, qubits, reps=reps))
+    return GateSequence(n_data=n_data, n_anc=n_anc, gates=gates, theta=float(rng.uniform(0, 7)))
+
+
+def assert_same_push(seq, inputs):
+    target, phase = synth._monomial(seq, inputs)
+    ref_target, ref_phase = monomial_reference(seq, inputs)
+    assert target.dtype == ref_target.dtype and np.array_equal(target, ref_target)
+    assert np.array_equal(phase.view(np.int64), ref_phase.view(np.int64))  # bitwise
+
+
+def test_bit_sliced_push_matches_reference(rng):
+    for n_data, n_anc in ((1, 0), (3, 0), (2, 2), (5, 3), (4, 7)):
+        m = n_data + n_anc
+        for length in (0, 1, 50, 400):
+            seq = random_sequence(n_data, n_anc, length, rng)
+            assert_same_push(seq, np.arange(1 << m))  # simulate's inputs
+            assert_same_push(seq, np.arange(1 << n_data) << n_anc)  # ancilla-clean
+            assert_same_push(seq, rng.choice(1 << m, size=min(13, 1 << m), replace=False))
+            assert_same_push(seq, np.array([], dtype=np.int64))
+
+
+def test_bit_sliced_push_matches_reference_on_synthesized(rng):
+    # RZ snapshots taken between permutation gates, on the ancilla-clean inputs
+    for n in (2, 4, 5):
+        seq = synthesize(random_bp(n, rng), eps=1e-3).sequence
+        assert_same_push(seq, np.arange(1 << seq.n_data) << seq.n_anc)
+
+
+def test_sequence_refuses_qubit_outside_register():
+    # a Python list index of -1 would wrap to the last qubit plane; the
+    # message names the first bad gate, not the later X on qubit 4
+    for qubits in ((-1,), (3,), (0, -1), (0, 1, 3)):
+        bad = Gate({1: "X", 2: "CNOT", 3: "CCNOT"}[len(qubits)], qubits)
+        seq = GateSequence(n_data=2, n_anc=1, gates=[Gate("X", (0,)), bad, Gate("X", (4,))])
+        for sim in (simulate, simulate_restricted):
+            with pytest.raises(ValueError, match=re.escape(f"gate {bad} addresses")):
+                sim(seq)
 
 
 def test_gate_validation():
@@ -426,6 +498,21 @@ def test_report_stage_counts_and_logs(rng, caplog):
     for stage in ("permutation", "diagonal", "certify"):
         assert f"{stage}: start" in messages
         assert any(m.startswith(f"{stage}: end in ") for m in messages)
+
+
+def test_report_factor_reps_in_emission_order(rng):
+    eps = 1e-2
+    for n in (1, 2, 3):
+        g = random_bp(n, rng)
+        report = synthesize(g, eps=eps)
+        expected = tuple(
+            approximate_phase(p, eps)
+            for p in factor_dp(g)[0]
+            if circular_distance(p, 0.0) > synth.PHASE_TRIVIAL
+        )
+        assert report.factor_reps == expected
+        rz = [gate.reps for gate in report.sequence.gates if gate.kind == "RZ"]
+        assert list(report.factor_reps) == rz
 
 
 def test_monotonicity_per_factor_refinement():
