@@ -42,14 +42,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _perm_lines(p: verify.PermutationWithPhases) -> list[str]:
-    return [
-        f"PERM {index_to_bits(s, p.n)}->{index_to_bits(p.perm[s], p.n)} "
-        f"phase={p.phases[s]:.17g}"
-        for s in range(1 << p.n)
-    ]
-
-
 def _timed(name: str, verifier, *args, **kwargs):
     """(result, wall seconds) of one verifier call, logged at its start and end."""
     with Stage(log, name) as stage:
@@ -84,14 +76,11 @@ def cmd_check(args) -> int:
     }
     if verdict.is_bp:
         p = verdict.canonical
-        payload["canonical"] = {
-            "perm": {
-                index_to_bits(s, p.n): index_to_bits(p.perm[s], p.n)
-                for s in range(1 << p.n)
-            },
-            "phases": list(p.phases),
-        }
-        _emit(args, payload, ["BP yes"] + _perm_lines(p))
+        targets, phases = p.perm.tolist(), p.phases.tolist()
+        perm = {index_to_bits(s, p.n): index_to_bits(t, p.n) for s, t in enumerate(targets)}
+        payload["canonical"] = {"perm": perm, "phases": phases}
+        lines = [f"PERM {s}->{t} phase={x:.17g}" for (s, t), x in zip(perm.items(), phases)]
+        _emit(args, payload, ["BP yes"] + lines)
         return 0
     payload["witness"] = verdict.witness
     _emit(args, payload, ["BP no", f"WITNESS {verdict.witness}"])

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from . import gf2
-from .linalg import DEFAULT_TOL, index_to_bits, num_qubits
+from .linalg import DEFAULT_TOL, index_to_bits, num_qubits, require_monomial_cap
 from .stages import Stage
 from .verify import (
     TWO_PI,
@@ -85,6 +85,7 @@ class CosetStates(Mapping):
 
     def __getitem__(self, x: int) -> np.ndarray:
         support = self._supports[x]
+        require_monomial_cap(self._n)
         psi = np.zeros(1 << self._n, dtype=complex)
         psi[list(support)] = 1.0 / np.sqrt(len(support))
         return psi
@@ -256,12 +257,13 @@ def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPha
     phase. Satisfies encode ∘ G = Ĝ ∘ encode on the logical basis."""
     if g.n != e.k:
         raise ValueError(f"logical gate acts on {g.n} qubits, code has k={e.k}")
+    require_monomial_cap(e.n)
     cosets = _cosets(e.transversal, e.c1)
     perm = np.arange(1 << e.n)
     phases = np.zeros(1 << e.n)
-    perm[cosets] = cosets[np.array(g.perm)]
-    phases[cosets] = np.array(g.phases)[:, None]
-    return PermutationWithPhases(e.n, tuple(perm.tolist()), tuple(phases.tolist()))
+    perm[cosets] = cosets[g.perm]
+    phases[cosets] = g.phases[:, None]
+    return PermutationWithPhases(e.n, perm, phases)
 
 
 @Stage(log, "restrict_physical")
@@ -287,8 +289,8 @@ def restrict_physical(
     cosets = _cosets(e.transversal, e.c1)
     owner = np.full(1 << e.n, -1)  # logical index of each codespace support
     owner[cosets] = np.arange(1 << e.k)[:, None]
-    image = owner[np.array(g_hat.perm)[cosets]]
-    phase = np.array(g_hat.phases)[cosets]
+    image = owner[g_hat.perm[cosets]]
+    phase = g_hat.phases[cosets]
     drift = (phase - phase[:, :1]) % TWO_PI
     outside = np.any(image < 0, axis=1)
     bad = outside | np.any(image != image[:, :1], axis=1)
@@ -297,7 +299,7 @@ def restrict_physical(
         x = int(np.argmax(bad))
         why = "leaves the codespace" if outside[x] else "is not one coset with a constant phase"
         raise NotLogicalOperatorError(f"image of logical |{index_to_bits(x, e.k)}⟩ {why}")
-    return PermutationWithPhases(e.k, tuple(image[:, 0].tolist()), tuple(phase[:, 0].tolist()))
+    return PermutationWithPhases(e.k, image[:, 0], phase[:, 0])
 
 
 def obstruction_check(

@@ -13,7 +13,7 @@ from typing import TextIO
 import numpy as np
 
 from .css import BinaryCode
-from .linalg import GOLDEN_THETA, index_to_bits, num_qubits
+from .linalg import GOLDEN_THETA, index_to_bits, num_qubits, require_dense_cap
 from .synth import Gate, GateSequence
 from .verify import PermutationWithPhases
 from .zx import ZXDecomposition
@@ -81,6 +81,9 @@ def read_matrix(text: str) -> np.ndarray:
         n = int(parts[1])
     except ValueError:
         raise FormatError(f"invalid qubit count {parts[1]!r}", lineno) from None
+    if n < 0:
+        raise FormatError(f"header n must be nonnegative, got {n}", lineno)
+    require_dense_cap(n)  # before any row is read
     dim = 1 << n
     if len(lines) - 1 != dim:
         raise FormatError(f"expected {dim} matrix rows, found {len(lines) - 1}")
@@ -245,9 +248,9 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
         np.asarray(p.phases, dtype=np.float64).view(np.int64), return_inverse=True
     )
     text = [_fmt(x) for x in keys.view(np.float64).tolist()]
+    perm, which = np.asarray(p.perm).tolist(), which.tolist()
     fp.write("".join(
-        f"{b} -> {bits[t]} phase={text[i]}\n"
-        for b, t, i in zip(bits, p.perm, which.tolist())
+        f"{b} -> {bits[t]} phase={text[i]}\n" for b, t, i in zip(bits, perm, which)
     ))
 
 
@@ -255,15 +258,17 @@ def read_perm(text: str) -> PermutationWithPhases:
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty gate file")
-    entries: dict[int, tuple[int, float]] = {}
     n = None
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[1] != "->" or not parts[3].startswith("phase="):
             raise FormatError("expected 's-bits -> t-bits phase=<radians>'", lineno)
         sb, tb = parts[0], parts[2]
-        if n is None:
+        if n is None:  # the line count bounds the arrays before they exist
             n = len(sb)
+            if len(lines) != 1 << n:
+                raise FormatError(f"expected all {1 << n} source strings exactly once")
+            perm, phases = np.full(1 << n, -1), np.zeros(1 << n)
         if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
             raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
         try:
@@ -271,14 +276,9 @@ def read_perm(text: str) -> PermutationWithPhases:
         except ValueError:
             raise FormatError("bad phase value", lineno) from None
         s = int(sb, 2)
-        if s in entries:
+        if perm[s] >= 0:
             raise FormatError(f"duplicate source string {sb}", lineno)
-        entries[s] = (int(tb, 2), phase)
-    assert n is not None
-    if set(entries) != set(range(1 << n)):
-        raise FormatError(f"expected all {1 << n} source strings exactly once")
-    perm = tuple(entries[s][0] for s in range(1 << n))
-    phases = tuple(entries[s][1] for s in range(1 << n))
+        perm[s], phases[s] = int(tb, 2), phase
     try:
         return PermutationWithPhases(n, perm, phases)
     except ValueError as exc:

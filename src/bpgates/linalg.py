@@ -17,6 +17,9 @@ DEFAULT_TOL = 1e-9
 # permutation-with-phases form instead.
 DENSE_QUBIT_CAP = 10
 
+# Widest 2^n-entry array past the dense edge: 16·2^n bytes, 256 MB at 24.
+MONOMIAL_QUBIT_CAP = 24
+
 # Default synthesis rotation angle: 2*pi*(sqrt(5)-1)/2. Its continued
 # fraction is all 1s, which keeps phase-approximation repetition counts small.
 GOLDEN_THETA = np.pi * (np.sqrt(5.0) - 1.0)
@@ -62,6 +65,12 @@ def require_dense_cap(n: int) -> None:
     """Refuse a dense n-qubit object above DENSE_QUBIT_CAP qubits."""
     if n > DENSE_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+
+
+def require_monomial_cap(n: int) -> None:
+    """Refuse a 2^n-entry array above MONOMIAL_QUBIT_CAP qubits."""
+    if n > MONOMIAL_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceeds monomial cap {MONOMIAL_QUBIT_CAP}")
 
 
 def num_qubits(dim: int) -> int:

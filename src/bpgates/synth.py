@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import GOLDEN_THETA, shortest_arc_chord
+from .linalg import GOLDEN_THETA, require_monomial_cap, shortest_arc_chord
 from .stages import Stage
 from .verify import TWO_PI, PermutationWithPhases
 
@@ -181,14 +181,16 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def simulate(seq: GateSequence) -> PermutationWithPhases:
     """The sequence on all n_data + n_anc qubits (global_phase not applied)."""
+    require_monomial_cap(seq.n_total)
     target, phase = _monomial(seq, np.arange(1 << seq.n_total))
-    return PermutationWithPhases(seq.n_total, tuple(target.tolist()), tuple(phase.tolist()))
+    return PermutationWithPhases(seq.n_total, target, phase)
 
 
 def simulate_restricted(seq: GateSequence) -> PermutationWithPhases:
     """The sequence on the data qubits, with ancillas in and out at |0⟩
     (global_phase not applied), from the 2^n_data inputs |data⟩⊗|0...0⟩ alone.
     Raises AncillaNotRestoredError if any of them leaves an ancilla excited."""
+    require_monomial_cap(seq.n_data)
     target, phase = _monomial(seq, np.arange(1 << seq.n_data) << seq.n_anc)
     left = target & ((1 << seq.n_anc) - 1)
     bad = np.flatnonzero(left)
@@ -197,16 +199,14 @@ def simulate_restricted(seq: GateSequence) -> PermutationWithPhases:
         raise AncillaNotRestoredError(
             f"input {d:0{seq.n_data}b} leaves ancillas at {int(left[d]):0{seq.n_anc}b}"
         )
-    return PermutationWithPhases(
-        seq.n_data, tuple((target >> seq.n_anc).tolist()), tuple(phase.tolist())
-    )
+    return PermutationWithPhases(seq.n_data, target >> seq.n_anc, phase)
 
 
-def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, tuple[int, ...]]:
+def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, np.ndarray]:
     """G = D·P with P the bare permutation and D the diagonal of phases
     re-indexed to target positions: D[σ(s)] = e^{iφ_s}."""
     d = np.zeros(1 << p.n)
-    d[np.array(p.perm)] = p.phases
+    d[p.perm] = p.phases
     return d, p.perm
 
 
@@ -268,14 +268,14 @@ def _transposition(n: int, a: int, b: int, anc_start: int) -> tuple[list[Gate], 
     return gates, n_anc
 
 
-def permutation_to_circuit(perm: tuple[int, ...] | list[int], n: int) -> GateSequence:
+def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: int) -> GateSequence:
     """Exact realization of a basis permutation over {X, CNOT, CCNOT}.
 
     Cycles are split into transpositions sharing the cycle's first element;
     each transposition is routed through Gray-code neighbours so that every
     step is a multi-controlled X."""
     dim = 1 << n
-    perm = list(perm)
+    perm = np.asarray(perm).tolist()
     if sorted(perm) != list(range(dim)):
         raise ValueError("not a bijection on basis indices")
     # cycle decomposition; (c0 c1 ... c_{m-1}) = (c0 c_{m-1})···(c0 c1),
@@ -456,9 +456,9 @@ def synthesize(
     )
     with Stage(log, "certify"):
         achieved = simulate_restricted(seq)
-        if achieved.perm != p.perm:
+        if not np.array_equal(achieved.perm, p.perm):
             raise RuntimeError("synthesized permutation differs from the target's")
-        deltas = np.subtract(achieved.phases, p.phases)
+        deltas = achieved.phases - p.phases
         residuals = np.abs((deltas + seq.global_phase + np.pi) % TWO_PI - np.pi)
     stages = {"permutation": perm_seq.gate_counts(), "diagonal": diag_seq.gate_counts()}
     return SynthesisReport(

@@ -10,7 +10,6 @@ They must agree on every unitary; the test suite enforces that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,43 +31,53 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class PermutationWithPhases:
-    """Canonical form G = Σ_s e^{iφ_s}|σ(s)⟩⟨s| of a bias-preserving gate."""
+    """Canonical form G = Σ_s e^{iφ_s}|σ(s)⟩⟨s| of a bias-preserving gate, the
+    one monomial form of every module, built from sequences into read-only arrays."""
 
     n: int
-    perm: tuple[int, ...]  # sigma: source index -> target index
-    phases: tuple[float, ...]  # phi_s, normalized to [0, 2pi)
+    perm: np.ndarray  # int64 sigma: source index -> target index
+    phases: np.ndarray  # float64 phi_s, normalized to [0, 2pi)
 
     def __post_init__(self):
         dim = 1 << self.n
-        if len(self.perm) != dim or len(self.phases) != dim:
+        perm = np.asarray(self.perm)
+        phases = np.asarray(self.phases, dtype=np.float64)
+        if perm.shape != (dim,) or phases.shape != (dim,):
             raise ValueError("perm/phases length must be 2^n")
-        if sorted(self.perm) != list(range(dim)):
+        # range and integrality are checked before the int64 cast truncates
+        if (
+            perm.dtype.kind not in "biuf"
+            or not np.all((perm >= 0) & (perm < dim))
+            or (perm.dtype.kind == "f" and np.any(perm % 1))
+        ):
             raise ValueError("perm is not a bijection on basis indices")
-        phases = tuple(float(p) % TWO_PI for p in self.phases)
-        if not all(map(math.isfinite, phases)):  # inf % 2π is nan
+        perm = perm.astype(np.int64)
+        if np.any(np.bincount(perm, minlength=dim) != 1):
+            raise ValueError("perm is not a bijection on basis indices")
+        if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        object.__setattr__(self, "phases", phases)
+        phases = np.mod(phases, TWO_PI)
+        for name, array in (("perm", perm), ("phases", phases)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PermutationWithPhases):
+            return NotImplemented
+        return np.array_equal(self.perm, other.perm) and np.array_equal(self.phases, other.phases)
 
     def compose(self, other: "PermutationWithPhases") -> "PermutationWithPhases":
         """self ∘ other (other applied first)."""
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        dim = 1 << self.n
-        perm = tuple(self.perm[other.perm[s]] for s in range(dim))
-        phases = tuple(
-            (other.phases[s] + self.phases[other.perm[s]]) % TWO_PI
-            for s in range(dim)
-        )
-        return PermutationWithPhases(self.n, perm, phases)
+        # the sum is nonnegative, so the constructor's one np.mod is enough
+        phases = other.phases + self.phases[other.perm]
+        return PermutationWithPhases(self.n, self.perm[other.perm], phases)
 
     def adjoint(self) -> "PermutationWithPhases":
-        dim = 1 << self.n
-        inv = [0] * dim
-        phases = [0.0] * dim
-        for s in range(dim):
-            inv[self.perm[s]] = s
-            phases[self.perm[s]] = (-self.phases[s]) % TWO_PI
-        return PermutationWithPhases(self.n, tuple(inv), tuple(phases))
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(1 << self.n)
+        return PermutationWithPhases(self.n, inv, np.mod(-self.phases[inv], TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ def to_unitary(p: PermutationWithPhases) -> np.ndarray:
     require_dense_cap(p.n)
     dim = 1 << p.n
     M = np.zeros((dim, dim), dtype=complex)
-    M[np.array(p.perm), np.arange(dim)] = np.exp(1j * np.array(p.phases))
+    M[p.perm, np.arange(dim)] = np.exp(1j * p.phases)
     return M
 
 
@@ -91,34 +100,27 @@ def check_permutation(G: np.ndarray, tol: float = DEFAULT_TOL) -> BpVerdict:
     """Column test: each column must hold exactly one unit-magnitude entry.
 
     Entries in the open band (tol, 1 - tol) are immediately diagnostic of a
-    genuine superposition, so the first such column is reported as witness.
+    genuine superposition; all columns are tested at once, the first failing
+    one being reported as witness.
     """
     G = require_unitary(G, tol)
     n = matrix_qubits(G)
-    dim = 1 << n
-    perm = [-1] * dim
-    phases = [0.0] * dim
-    for s in range(dim):
-        col = G[:, s]
-        mags = np.abs(col)
-        unit = np.where(np.abs(mags - 1.0) <= tol)[0]
-        band = np.where((mags > tol) & (np.abs(mags - 1.0) > tol))[0]
-        if band.size or unit.size != 1:
-            entries = ", ".join(
-                f"|{index_to_bits(int(t), n)}⟩: {mags[t]:.6f}"
-                for t in np.where(mags > tol)[0]
-            )
-            return BpVerdict(
-                is_bp=False,
-                witness=f"column {index_to_bits(s, n)} has entries {entries}",
-            )
-        t = int(unit[0])
-        perm[s] = t
-        phases[s] = float(np.angle(col[t])) % TWO_PI
-    if sorted(perm) != list(range(dim)):
+    mags = np.abs(G)
+    unit = np.abs(mags - 1.0) <= tol
+    bad = np.any((mags > tol) & ~unit, axis=0) | (np.count_nonzero(unit, axis=0) != 1)
+    if bad.any():
+        s = int(np.argmax(bad))
+        entries = ", ".join(
+            f"|{index_to_bits(t, n)}⟩: {mags[t, s]:.6f}"
+            for t in np.flatnonzero(mags[:, s] > tol).tolist()
+        )
+        return BpVerdict(is_bp=False, witness=f"column {index_to_bits(s, n)} has entries {entries}")
+    perm = np.argmax(unit, axis=0)
+    if np.any(np.bincount(perm, minlength=1 << n) != 1):
         return BpVerdict(is_bp=False, witness="unit entries do not form a bijection")
-    canonical = PermutationWithPhases(n, tuple(perm), tuple(phases))
-    return BpVerdict(is_bp=True, canonical=canonical)
+    # reduced here and again by the gate, so that -1e-17 rad ends at 0, not 2π
+    phases = np.mod(np.angle(G[perm, np.arange(1 << n)]), TWO_PI)
+    return BpVerdict(is_bp=True, canonical=PermutationWithPhases(n, perm, phases))
 
 
 def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -193,7 +195,4 @@ def hadamard_bound(n: int) -> float:
 def random_bp(n: int, rng: np.random.Generator) -> PermutationWithPhases:
     """Uniform random permutation plus phases uniform in [0, 2π); this
     parameterizes the whole bias-preserving group."""
-    dim = 1 << n
-    perm = tuple(int(t) for t in rng.permutation(dim))
-    phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=dim))
-    return PermutationWithPhases(n, perm, phases)
+    return PermutationWithPhases(n, rng.permutation(1 << n), rng.uniform(0.0, TWO_PI, 1 << n))

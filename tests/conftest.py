@@ -74,3 +74,25 @@ def hamming_pair(m: int) -> tuple[BinaryCode, BinaryCode]:
 @pytest.fixture
 def hamming15():
     return build_css(*hamming_pair(4))
+
+
+@pytest.fixture
+def golay():
+    """The [[23,1,7]] Golay code. C2 is the cyclic [23,12,7] Golay code,
+    spanned by the 12 shifts of g(x) = 1+x²+x⁴+x⁵+x⁶+x¹⁰+x¹¹; C1 is its
+    even-weight [23,11] subcode, spanned by the 11 shifts of (1+x)·g(x).
+    Entry i of a row is the coefficient of x^i."""
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    g_even = [a ^ b for a, b in zip(g + [0], [0] + g)]  # (1+x)·g(x)
+
+    def shifts(poly: list[int], count: int) -> list[list[int]]:
+        return [[0] * i + poly + [0] * (23 - len(poly) - i) for i in range(count)]
+
+    return build_css(BinaryCode.from_rows(shifts(g_even, 11)), BinaryCode.from_rows(shifts(g, 12)))
+
+
+def wide_pair() -> tuple[BinaryCode, BinaryCode]:
+    """C1 = <11 0^38> ⊂ C2 = <11 0^38, 001 0^37>: n = 40, k = 1, so a code
+    whose encoding is small but whose 2^40-state arrays are not."""
+    c1 = [1, 1] + [0] * 38
+    return BinaryCode.from_rows([c1]), BinaryCode.from_rows([c1, [0, 0, 1] + [0] * 37])

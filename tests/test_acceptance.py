@@ -189,7 +189,7 @@ def test_criterion_7_css_lifting(codes):
             assert check_zx(Ghat, TOL)
             assert check_normalizer(Ghat, TOL)
             back = restrict_physical(e, Ghat, TOL)
-            assert back.perm == g.perm
+            assert np.array_equal(back.perm, g.perm)
             assert np.allclose(
                 np.exp(1j * np.array(back.phases)),
                 np.exp(1j * np.array(g.phases)),
@@ -255,6 +255,6 @@ def test_criterion_10_file_format_roundtrips(tmp_path):
     # permutation-with-phases
     p = random_bp(3, rng)
     p2 = io.read_perm(dumps(io.write_perm, p))
-    assert p2.perm == p.perm
+    assert np.array_equal(p2.perm, p.perm)
     assert max(abs(a - b) for a, b in zip(p2.phases, p.phases)) <= 1e-12
     _report(10, "file-format round trips")

@@ -18,7 +18,7 @@ from bpgates import (
 )
 from bpgates.cli import main
 from bpgates.linalg import H, tensor
-from conftest import hamming_pair
+from conftest import hamming_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -347,7 +347,7 @@ def test_css_lift_and_restrict(code_files, tmp_path, rng, capsys):
         == 0
     )
     back = io.read_perm(io.read_file(str(logical_file)))
-    assert back.perm == g.perm
+    assert np.array_equal(back.perm, g.perm)
     assert np.allclose(
         np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
     )
@@ -367,7 +367,7 @@ def test_css_lift_and_restrict_hamming15(tmp_path, rng):
     assert io.read_perm(io.read_file(str(lifted_file))).n == 15
     assert main(["css-restrict", *codes, "--gate", str(lifted_file), "--output", str(back_file)]) == 0
     back = io.read_perm(io.read_file(str(back_file)))
-    assert back.perm == g.perm
+    assert np.array_equal(back.perm, g.perm)
     assert np.allclose(
         np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
     )
@@ -382,6 +382,34 @@ def test_css_restrict_rejects_non_logical(code_files, tmp_path, capsys):
         main(["css-restrict", "--c1", c1, "--c2", c2, "--gate", str(gate_file)]) == 1
     )
     assert "REJECTED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["css-lift", "css-check", "css-restrict"])
+def test_css_refuses_forty_qubit_inputs_quickly(tmp_path, capsys, command):
+    # n = 40: css-lift and css-check once died allocating 8 and 16 TiB
+    # (exit 1), and css-restrict on a one-line perm file of 40-bit strings
+    # built a 2^40-entry set of sources
+    c1, c2 = tmp_path / "c1.code", tmp_path / "c2.code"
+    for path, code in zip((c1, c2), wide_pair()):
+        io.write_file(str(path), io.write_code, code)
+    argv = [command, "--c1", str(c1), "--c2", str(c2)]
+    assert main(["css-build", *argv[1:]]) == 0
+    capsys.readouterr()
+    gate_file = tmp_path / "g.perm"
+    if command == "css-lift":
+        io.write_file(str(gate_file), io.write_perm, PermutationWithPhases(1, (1, 0), (0.0, 0.5)))
+        argv += ["--gate", str(gate_file)]
+        want = "error: 40 qubits exceeds monomial cap 24\n"
+    elif command == "css-check":
+        want = "error: 40 qubits exceeds monomial cap 24\n"
+    else:
+        gate_file.write_text(f"{'0' * 40} -> {'0' * 40} phase=0\n")
+        argv += ["--gate", str(gate_file)]
+        want = "error: expected all 1099511627776 source strings exactly once\n"
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err == want
 
 
 def test_emitted_files_reparse_equal(tmp_path, cnot_file, capsys):

@@ -31,7 +31,7 @@ from bpgates.css import (
     NotLogicalOperatorError,
 )
 from bpgates.linalg import H, tensor
-from conftest import random_state
+from conftest import random_state, wide_pair
 
 
 def rank13_encoding():
@@ -214,7 +214,7 @@ def test_coherence_scaling_pair_property(code_422, rng):
 def test_lift_identity(code_422):
     g = PermutationWithPhases(2, (0, 1, 2, 3), (0.0,) * 4)
     lifted = lift_logical(code_422, g)
-    assert lifted.perm == tuple(range(16))
+    assert np.array_equal(lifted.perm, np.arange(16))
     assert all(p == 0.0 for p in lifted.phases)
 
 
@@ -242,7 +242,7 @@ def test_lift_logical_phase_steane(steane):
     phi = 0.9
     g = PermutationWithPhases(1, (0, 1), (0.0, phi))
     lifted = lift_logical(steane, g)
-    assert lifted.perm == tuple(range(128))
+    assert np.array_equal(lifted.perm, np.arange(128))
     for t in range(128):
         expected = phi if t in steane.basis_support[1] else 0.0
         assert abs(lifted.phases[t] - expected) < 1e-12
@@ -287,7 +287,7 @@ def test_restriction_roundtrip(code_422, steane, rng):
         for _ in range(20):
             g = random_bp(e.k, rng)
             back = restrict_physical(e, to_unitary(lift_logical(e, g)))
-            assert back.perm == g.perm
+            assert np.array_equal(back.perm, g.perm)
             assert np.allclose(
                 np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
             )
@@ -312,8 +312,8 @@ def test_lift_logical_matches_loop_reference(code_422, steane, hamming15, rng):
                 perm[rep(x) ^ y] = rep(g.perm[x]) ^ y
                 phases[rep(x) ^ y] = g.phases[x]
         lifted = lift_logical(e, g)
-        assert lifted.perm == tuple(perm)
-        assert lifted.phases == tuple(phases)
+        assert lifted.perm.tolist() == perm
+        assert lifted.phases.tolist() == phases
 
 
 def test_hamming15_lift_restrict_roundtrip(hamming15, rng):
@@ -322,10 +322,43 @@ def test_hamming15_lift_restrict_roundtrip(hamming15, rng):
     for _ in range(3):
         g = random_bp(7, rng)
         back = restrict_physical(hamming15, lift_logical(hamming15, g))
-        assert back.perm == g.perm
+        assert np.array_equal(back.perm, g.perm)
         assert np.allclose(
             np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
         )
+
+
+def test_golay_lift_restrict_roundtrip(golay):
+    # [[23,1,7]]: the lifted gate holds 2^23 states; lift and restriction run
+    # on its arrays, with no per-state Python loop
+    assert (golay.n, golay.k, golay.l) == (23, 1, 2048)
+    g = PermutationWithPhases(1, (1, 0), (0.3, 5.9))
+    lifted = lift_logical(golay, g)
+    assert lifted.n == 23 and not lifted.perm.flags.writeable
+    for x in (0, 1):
+        support = sorted(golay.basis_support[x])
+        image = lifted.perm[support]
+        assert set(image.tolist()) == golay.basis_support[1 - x]
+        assert np.all(lifted.phases[support] == g.phases[x])
+    moved = np.flatnonzero((lifted.perm != np.arange(1 << 23)) | (lifted.phases != 0.0))
+    assert moved.size == 2 * golay.l  # every state outside the codespace is fixed
+    back = restrict_physical(golay, lifted)
+    assert np.array_equal(back.perm, g.perm)
+    assert np.array_equal(back.phases, g.phases)
+
+
+def test_width_past_monomial_cap_is_refused_before_allocating():
+    # n = 40: building the encoding is small, but lifting allocated 8 TiB and
+    # an equicoherence check 16 TiB before any refusal
+    e = build_css(*wide_pair())
+    assert (e.n, e.k, e.l) == (40, 1, 2)
+    refusal = "40 qubits exceeds monomial cap 24"
+    with pytest.raises(ValueError, match=refusal):
+        lift_logical(e, PermutationWithPhases(1, (1, 0), (0.0, 0.5)))
+    with pytest.raises(ValueError, match=refusal):
+        e.basis_states[0]
+    with pytest.raises(ValueError, match=refusal):
+        check_equicoherent(e)
 
 
 def test_restrict_monomial_rejects_non_logical(steane, rng):
@@ -357,7 +390,7 @@ def test_restrict_x7_steane(steane):
         PermutationWithPhases(7, tuple(s ^ 0b1111111 for s in range(128)), (0.0,) * 128)
     )
     logical = restrict_physical(steane, X7)
-    assert logical.perm == (1, 0)
+    assert np.array_equal(logical.perm, (1, 0))
     assert np.allclose(logical.phases, 0.0)
 
 

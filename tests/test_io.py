@@ -67,7 +67,7 @@ def test_matrix_roundtrip(rng):
         assert np.array_equal(read_matrix(text), U)
 
 
-def test_matrix_comments_and_errors():
+def test_matrix_comments_and_errors(monkeypatch):
     text = "# a comment\nn 1\n1+0i 0+0i\n0+0i 1+0i\n"
     assert np.array_equal(read_matrix(text), np.eye(2))
     with pytest.raises(FormatError, match="line 1"):
@@ -76,6 +76,18 @@ def test_matrix_comments_and_errors():
         read_matrix("n 1\n1+0i 0+0i\n")  # missing row
     with pytest.raises(FormatError, match="line 2"):
         read_matrix("n 1\n1+0i\n0+0i 1+0i\n")  # short row
+    # `n -1` once failed with "negative shift count"
+    with pytest.raises(FormatError, match="line 1: header n must be nonnegative, got -1"):
+        read_matrix("n -1\n1+0i\n")
+
+    # `n 11` is refused at the header: with 2048 rows (here of one entry
+    # each), the rows were once read before the width was refused
+    def parse(*args):
+        raise AssertionError("parsed an entry of a matrix past the dense cap")
+
+    monkeypatch.setattr(io, "parse_complex", parse)
+    with pytest.raises(ValueError, match="11 qubits exceeds dense cap 10"):
+        read_matrix("n 11\n" + "1+0i\n" * 2048)
 
 
 def test_zx_roundtrip(rng):
@@ -177,8 +189,8 @@ def test_perm_roundtrip(rng):
     for n in (1, 2, 3):
         p = random_bp(n, rng)
         back = read_perm(dumps(write_perm, p))
-        assert back.perm == p.perm
-        assert back.phases == p.phases
+        assert np.array_equal(back.perm, p.perm)
+        assert np.array_equal(back.phases, p.phases)
         assert np.array_equal(to_unitary(back), to_unitary(p))
 
 
@@ -214,3 +226,10 @@ def test_perm_parse_errors():
         read_perm("0 -> 1 phase=0\n")  # missing source string 1
     with pytest.raises(FormatError):
         read_perm("0 -> 1 phase=0\n1 -> 1 phase=0\n")  # not a bijection
+    # one line of 40-bit strings: refused by its line count, before any
+    # 2^40-entry structure is built
+    line = f"{'0' * 40} -> {'0' * 40} phase=0\n"
+    with pytest.raises(FormatError, match="expected all 1099511627776 source strings"):
+        read_perm(line)
+    with pytest.raises(FormatError, match="line 2: duplicate source string 1"):
+        read_perm("1 -> 1 phase=0\n1 -> 0 phase=0\n")

@@ -156,6 +156,24 @@ def test_sequence_refuses_qubit_outside_register():
                 sim(seq)
 
 
+def test_simulators_refuse_pushed_width_past_monomial_cap(monkeypatch):
+    # the refusal comes before the 2^n inputs are made; the restriction is
+    # sized by its data qubits alone
+    def push(*args):
+        raise AssertionError("pushed a register wider than the monomial cap")
+
+    monkeypatch.setattr(synth, "_monomial", push)
+    wide = GateSequence(n_data=25, gates=[Gate("X", (0,))])
+    for sim in (simulate, simulate_restricted):
+        with pytest.raises(ValueError, match="25 qubits exceeds monomial cap 24"):
+            sim(wide)
+    with pytest.raises(ValueError, match="26 qubits exceeds monomial cap 24"):
+        simulate(GateSequence(n_data=2, n_anc=24, gates=[Gate("X", (0,))]))
+    monkeypatch.undo()
+    narrow = GateSequence(n_data=2, n_anc=24, gates=[Gate("X", (0,))])
+    assert simulate_restricted(narrow).perm.tolist() == [2, 3, 0, 1]
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("CNOT", (0, 0))
@@ -172,12 +190,12 @@ def test_gate_validation():
 def test_factor_dp_x():
     d, p = factor_dp(PermutationWithPhases(1, (1, 0), (0.0, 0.0)))
     assert np.allclose(d, 0.0)
-    assert p == (1, 0)
+    assert np.array_equal(p, (1, 0))
 
 
 def test_factor_dp_z():
     d, p = factor_dp(PermutationWithPhases(1, (0, 1), (0.0, np.pi)))
-    assert p == (0, 1)
+    assert np.array_equal(p, (0, 1))
     assert np.allclose(d, [0.0, np.pi])
 
 
@@ -413,7 +431,7 @@ def test_synthesize_seven_qubit_increment():
     assert report.achieved_error == 0.0
     assert report.sequence.n_total > 10
     restricted = simulate_restricted(report.sequence)  # raises if an ancilla is left
-    assert restricted.perm == g.perm
+    assert np.array_equal(restricted.perm, g.perm)
     assert all(p == 0.0 for p in restricted.phases)
 
 
@@ -423,7 +441,7 @@ def test_synthesize_six_qubit_random_phases():
     assert report.sequence.n_total > 10
     assert report.achieved_error <= 1e-2
     achieved = simulate_restricted(report.sequence)
-    assert achieved.perm == g.perm
+    assert np.array_equal(achieved.perm, g.perm)
     gamma = report.sequence.global_phase
     worst = max(circular_distance(a + gamma, b) for a, b in zip(achieved.phases, g.phases))
     assert worst <= 1e-2
@@ -479,7 +497,7 @@ def test_synthesize_five_qubits_tight_eps():
     report = synthesize(g, eps=1e-6)
     assert report.achieved_error <= 1e-6
     assert report.max_phase_residual < 1e-6
-    assert simulate_restricted(report.sequence).perm == g.perm
+    assert np.array_equal(simulate_restricted(report.sequence).perm, g.perm)
 
 
 def test_report_stage_counts_and_logs(rng, caplog):
@@ -536,7 +554,7 @@ def test_closure_roundtrip(rng):
         )
         v = check_permutation(M)  # exact monomial, passes at default tol
         assert v.is_bp
-        assert v.canonical.perm == g.perm
+        assert np.array_equal(v.canonical.perm, g.perm)
         for s in range(1 << n):
             assert circular_distance(v.canonical.phases[s], g.phases[s]) <= 1e-2
 

@@ -16,8 +16,10 @@ from bpgates import (
     to_unitary,
     worst_case_error,
 )
-from bpgates.linalg import H, I2, parity, rz
+from bpgates.linalg import H, I2, index_to_bits, parity, rz
 from conftest import random_near_bp, random_state, random_unitary
+
+TWO_PI = 2.0 * np.pi
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -25,7 +27,7 @@ CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 def test_check_permutation_cnot():
     v = check_permutation(CNOT)
     assert v.is_bp
-    assert v.canonical.perm == (0, 1, 3, 2)
+    assert np.array_equal(v.canonical.perm, (0, 1, 3, 2))
     assert all(p == 0.0 for p in v.canonical.phases)
 
 
@@ -39,7 +41,7 @@ def test_check_permutation_rz():
     theta = 0.7
     v = check_permutation(rz(theta))
     assert v.is_bp
-    assert v.canonical.perm == (0, 1)
+    assert np.array_equal(v.canonical.perm, (0, 1))
     assert abs(v.canonical.phases[0] - (-theta / 2) % (2 * np.pi)) < 1e-12
     assert abs(v.canonical.phases[1] - theta / 2) < 1e-12
 
@@ -210,7 +212,7 @@ def test_canonical_roundtrip(rng):
         G = to_unitary(p)
         v = check_permutation(G)
         assert v.is_bp
-        assert v.canonical.perm == p.perm
+        assert np.array_equal(v.canonical.perm, p.perm)
         assert np.allclose(
             np.exp(1j * np.array(v.canonical.phases)),
             np.exp(1j * np.array(p.phases)),
@@ -223,3 +225,123 @@ def test_permutation_with_phases_validation():
         PermutationWithPhases(1, (0, 0), (0, 0))
     with pytest.raises(ValueError):
         PermutationWithPhases(1, (0,), (0,))
+    # 1.5 is refused, not truncated to 1 by the int64 cast
+    for perm in ((1, 1), (0, 2), (-1, 0), (0, 1.5), (0.5, 1), (0, np.nan), (0, np.inf),
+                 (0, 2**70), ("0", "1"), (0, None)):
+        with pytest.raises(ValueError, match="perm is not a bijection on basis indices"):
+            PermutationWithPhases(1, perm, (0.0, 0.0))
+    for phases in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            PermutationWithPhases(1, (0, 1), phases)
+
+
+def check_permutation_reference(G, tol=1e-9):
+    """The per-column loop check_permutation replaced: (verdict, witness,
+    perm, phases), the phases normalized by float % 2π before the gate's own
+    normalization, as that loop did."""
+    n = G.shape[0].bit_length() - 1
+    dim = 1 << n
+    perm, phases = [-1] * dim, [0.0] * dim
+    for s in range(dim):
+        col = G[:, s]
+        mags = np.abs(col)
+        unit = np.where(np.abs(mags - 1.0) <= tol)[0]
+        band = np.where((mags > tol) & (np.abs(mags - 1.0) > tol))[0]
+        if band.size or unit.size != 1:
+            entries = ", ".join(
+                f"|{index_to_bits(int(t), n)}⟩: {mags[t]:.6f}" for t in np.where(mags > tol)[0]
+            )
+            return False, f"column {index_to_bits(s, n)} has entries {entries}", None, None
+        t = int(unit[0])
+        perm[s] = t
+        phases[s] = float(np.angle(col[t])) % TWO_PI
+    if sorted(perm) != list(range(dim)):
+        return False, "unit entries do not form a bijection", None, None
+    return True, None, perm, [x % TWO_PI for x in phases]
+
+
+def test_check_permutation_matches_column_loop(rng):
+    # the first bad column and its witness text, and the canonical form bit
+    # for bit; phases of -1e-17 rad (e^{2πi} in floating point) included
+    tiny = to_unitary(PermutationWithPhases(2, (2, 0, 3, 1), (0.0,) * 4)).astype(complex)
+    tiny[2, 0] = complex(1.0, -1e-17)
+    cases = [tiny, H, CNOT, tensor(H, I2)]
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            cases += [to_unitary(random_bp(n, rng)), random_near_bp(n, rng), random_unitary(n, rng)]
+    for G in cases:
+        is_bp, witness, perm, phases = check_permutation_reference(G)
+        v = check_permutation(G)
+        assert (v.is_bp, v.witness) == (is_bp, witness)
+        if is_bp:
+            assert v.canonical.perm.tolist() == perm
+            assert v.canonical.phases.view(np.int64).tolist() == np.array(phases).view(np.int64).tolist()
+
+
+def test_permutation_with_phases_arrays_are_read_only_copies():
+    perm, phases = np.array([1, 0, 3, 2]), np.array([0.5, 0.0, 7.0, -1.0])
+    p = PermutationWithPhases(2, perm, phases)
+    assert p.perm.dtype == np.int64 and p.phases.dtype == np.float64
+    for array in (p.perm, p.phases):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    perm[0], phases[0] = 0, 1.0  # the inputs stay writeable and unshared
+    assert p.perm.tolist() == [1, 0, 3, 2] and p.phases[0] == 0.5
+    # any integer-valued sequence is accepted
+    for seq in ((1.0, 0.0), np.array([1, 0], dtype=np.uint8), [True, False]):
+        assert PermutationWithPhases(1, seq, (0, 0)).perm.tolist() == [1, 0]
+
+
+def test_phase_normalization_matches_python_modulo():
+    edge = [-0.0, 0.0, -1e-20, 1e-20, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0),
+            np.pi, -np.pi, 1e300, -1e300, 5e-324, -5e-324, 7.0, -7.0, 2.0**60]
+    p = PermutationWithPhases(4, range(16), edge)
+    want = np.array([x % TWO_PI for x in edge])
+    assert p.phases.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def compose_reference(a, b):
+    """The per-state loop `compose` replaced, on Python ints and floats."""
+    ap, aph, bp, bph = a.perm.tolist(), a.phases.tolist(), b.perm.tolist(), b.phases.tolist()
+    return ([ap[bp[s]] for s in range(1 << a.n)],
+            [((bph[s] + aph[bp[s]]) % TWO_PI) % TWO_PI for s in range(1 << a.n)])
+
+
+def adjoint_reference(a):
+    """The per-state loop `adjoint` replaced, on Python ints and floats."""
+    perm, phases = a.perm.tolist(), a.phases.tolist()
+    inv, out = [0] * (1 << a.n), [0.0] * (1 << a.n)
+    for s in range(1 << a.n):
+        inv[perm[s]] = s
+        out[perm[s]] = ((-phases[s]) % TWO_PI) % TWO_PI
+    return inv, out
+
+
+def test_compose_and_adjoint_match_state_loops(rng):
+    def bits(values):
+        return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            a, b = random_bp(n, rng), random_bp(n, rng)
+            # tiny phases, whose negation rounds to 2π, and exact 0 and π
+            phases = a.phases.copy()
+            phases[: min(4, 1 << n)] = [1e-20, 0.0, np.pi, 5e-324][: min(4, 1 << n)]
+            a = PermutationWithPhases(n, a.perm, phases)
+            perm, want = compose_reference(a, b)
+            got = a.compose(b)
+            assert got.perm.tolist() == perm and bits(got.phases) == bits(want)
+            inv, want = adjoint_reference(a)
+            got = a.adjoint()
+            assert got.perm.tolist() == inv and bits(got.phases) == bits(want)
+
+
+def test_permutation_with_phases_equality():
+    a = PermutationWithPhases(2, (1, 0, 3, 2), (0.5, 0.0, 0.0, 0.0))
+    same = PermutationWithPhases(2, np.array([1, 0, 3, 2]), [0.5, 0.0, 0.0, 0.0])
+    assert a == same and not a != same and a is not same
+    assert a != PermutationWithPhases(2, (0, 1, 3, 2), (0.5, 0.0, 0.0, 0.0))
+    assert a != PermutationWithPhases(2, (1, 0, 3, 2), (0.25, 0.0, 0.0, 0.0))
+    assert a != PermutationWithPhases(1, (1, 0), (0.5, 0.0))
+    assert a != (a.perm, a.phases)
