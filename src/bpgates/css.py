@@ -189,11 +189,12 @@ def check_equicoherent(
 ) -> tuple[bool, int | None, str | None]:
     """Verify equal coherence ranks and pairwise disjoint supports of the
     logical basis images. Returns (ok, common rank l, violation)."""
-    ranks = {x: coherence_rank(v, tol) for x, v in e.basis_states.items()}
+    # one lookup per state: its rank is the size of its support
     supports = {
-        x: frozenset(np.where(np.abs(v) > tol)[0].tolist())
+        x: frozenset(np.flatnonzero(np.abs(v) > tol).tolist())
         for x, v in e.basis_states.items()
     }
+    ranks = {x: len(s) for x, s in supports.items()}
     for x, y in combinations(sorted(ranks), 2):
         if ranks[x] != ranks[y]:
             return (
@@ -218,6 +219,7 @@ def encode(e: CssEncoding | GenericEncoding, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.size != 1 << e.k:
         raise ValueError(f"expected a {e.k}-qubit state, got dimension {psi.size}")
+    require_monomial_cap(e.n)
     out = np.zeros(1 << e.n, dtype=complex)
     for x in range(1 << e.k):
         if psi[x]:

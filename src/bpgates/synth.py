@@ -1,9 +1,11 @@
 """Compiling bias-preserving gates into {X, Rz(θ), CNOT, CCNOT}.
 
 The target in canonical form factors as G = D·P: a permutation P realized
-exactly from {X, CNOT, CCNOT} via transpositions and Gray-code routing, and
-a diagonal D approximated one-level factor at a time by repeating the fixed
-rotation Rz(θ). All approximation error lives in the diagonal stage.
+exactly from {X, CNOT, CCNOT} as transpositions, each one multi-controlled X
+conjugated by CNOTs, and a diagonal D approximated one-level factor at a
+time by repeating the fixed rotation Rz(θ), the factors' basis states
+selected by one unary-iteration walk over a shared AND tree of ancillas.
+All approximation error lives in the diagonal stage.
 
 The one-level factors act on distinct basis states, so their errors do not
 add: each factor gets the full budget eps, every residual k·θ − φ lies in
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,8 @@ from .linalg import GOLDEN_THETA, require_monomial_cap, shortest_arc_chord
 from .stages import Stage
 from .verify import TWO_PI, PermutationWithPhases
 
-GATE_KINDS = ("X", "RZ", "CNOT", "CCNOT")
+ARITY = {"X": 1, "RZ": 1, "CNOT": 2, "CCNOT": 3}  # qubits each gate kind acts on
+GATE_KINDS = tuple(ARITY)
 
 # Phases closer to 0 (mod 2pi) than this are treated as trivial diagonal
 # factors and emit no gates.
@@ -57,21 +61,21 @@ class AncillaNotRestoredError(RuntimeError):
     ancillas in |0⟩."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str  # one of GATE_KINDS
     qubits: tuple[int, ...]
     reps: int = 1  # repetition count, RZ only
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        arity = ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = {"X": 1, "RZ": 1, "CNOT": 2, "CCNOT": 3}[self.kind]
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s)")
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(set(self.qubits)) != arity:
             raise ValueError(f"{self.kind} qubit indices must be distinct")
-        if self.kind != "RZ" and self.reps != 1:
+        if self.reps != 1 and self.kind != "RZ":
             raise ValueError("repetition count is only meaningful for RZ")
         if self.reps < 0:
             raise ValueError("repetition count must be nonnegative")
@@ -210,70 +214,51 @@ def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, np.ndarray]:
     return d, p.perm
 
 
-def _mcx_core(controls: list[int], target: int, anc_start: int) -> tuple[list[Gate], int]:
-    """Multi-controlled X with all controls at value 1, built from the
-    generating set. Returns (gates, ancillas used); ancillas are clean and
-    restored. controls may be empty."""
-    c = len(controls)
-    if c == 0:
-        return [Gate("X", (target,))], 0
-    if c == 1:
-        return [Gate("CNOT", (controls[0], target))], 0
-    if c == 2:
-        return [Gate("CCNOT", (controls[0], controls[1], target))], 0
-    # Toffoli ladder: AND the controls pairwise into c-2 clean ancillas.
-    n_anc = c - 2
-    anc = list(range(anc_start, anc_start + n_anc))
-    compute = [Gate("CCNOT", (controls[0], controls[1], anc[0]))]
-    for i in range(2, c - 1):
-        compute.append(Gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])))
-    body = [Gate("CCNOT", (controls[c - 1], anc[-1], target))]
-    return compute + body + list(reversed(compute)), n_anc
-
-
 def _mcx_pattern(
     n: int, pattern: int, flip_qubit: int, anc_start: int
 ) -> tuple[list[Gate], int]:
     """X on flip_qubit controlled on every other qubit matching the bits of
-    `pattern` (an n-qubit basis index). Zero-valued controls are conjugated
-    with X."""
+    `pattern` (an n-qubit basis index), built from the generating set.
+    Zero-valued controls are conjugated with X. Past two controls, a Toffoli
+    ladder ANDs them pairwise into c − 2 clean ancillas from anc_start and
+    undoes it. Returns (gates, ancillas used)."""
     controls = [q for q in range(n) if q != flip_qubit]
-    zeros = [q for q in controls if not (pattern >> (n - 1 - q)) & 1]
-    conj = [Gate("X", (q,)) for q in zeros]
-    core, n_anc = _mcx_core(controls, flip_qubit, anc_start)
-    return conj + core + list(reversed(conj)), n_anc
+    conj = [Gate("X", (q,)) for q in controls if not (pattern >> (n - 1 - q)) & 1]
+    c = len(controls)
+    if c <= 2:
+        core = Gate(("X", "CNOT", "CCNOT")[c], (*controls, flip_qubit))
+        return conj + [core] + conj[::-1], 0
+    anc = range(anc_start, anc_start + c - 2)
+    compute = [Gate("CCNOT", (controls[0], controls[1], anc[0]))]
+    compute += [Gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])) for i in range(2, c - 1)]
+    body = [Gate("CCNOT", (controls[-1], anc[-1], flip_qubit))]
+    return conj + compute + body + compute[::-1] + conj[::-1], c - 2
 
 
 def _transposition(n: int, a: int, b: int, anc_start: int) -> tuple[list[Gate], int]:
-    """Exact swap of basis states |a⟩ ↔ |b⟩ via a Gray-code path."""
-    diffs = [p for p in range(n - 1, -1, -1) if (a ^ b) >> p & 1]
-    path = [a]
-    cur = a
-    for p in diffs:
-        cur ^= 1 << p
-        path.append(cur)
-    gates: list[Gate] = []
-    n_anc = 0
-    steps = []
-    for i in range(len(path) - 1):
-        flip_pos = (path[i] ^ path[i + 1]).bit_length() - 1
-        g, used = _mcx_pattern(n, path[i], n - 1 - flip_pos, anc_start)
-        n_anc = max(n_anc, used)
-        steps.append(g)
-    for g in steps[:-1]:
-        gates.extend(g)
-    gates.extend(steps[-1])
-    for g in reversed(steps[:-1]):
-        gates.extend(g)
-    return gates, n_anc
+    """Exact swap of basis states |a⟩ ↔ |b⟩, conjugated by CNOTs.
+
+    With p a qubit where a and b differ, CNOTs from p onto the other d − 1
+    differing qubits map a and b to images that differ in p alone; the map
+    is linear and invertible, so it moves no other pair onto them. One X on
+    p controlled on the other n − 1 qubits of a's image swaps the images,
+    and the CNOTs are undone (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6),
+    2003)."""
+    diff = a ^ b
+    p = n - diff.bit_length()  # the most significant differing qubit
+    bit_p = a >> (n - 1 - p) & 1
+    fan = [Gate("CNOT", (p, q)) for q in range(p + 1, n) if diff >> (n - 1 - q) & 1]
+    # a's image: each fanned-out qubit of a flips when a holds 1 on p
+    image = a ^ (diff ^ 1 << (n - 1 - p)) * bit_p
+    mcx, n_anc = _mcx_pattern(n, image, p, anc_start)
+    return fan + mcx + fan[::-1], n_anc
 
 
 def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: int) -> GateSequence:
     """Exact realization of a basis permutation over {X, CNOT, CCNOT}.
 
     Cycles are split into transpositions sharing the cycle's first element;
-    each transposition is routed through Gray-code neighbours so that every
-    step is a multi-controlled X."""
+    each transposition is one multi-controlled X conjugated by CNOTs."""
     dim = 1 << n
     perm = np.asarray(perm).tolist()
     if sorted(perm) != list(range(dim)):
@@ -376,24 +361,50 @@ def approximate_phase(
     return k
 
 
-def _phase_factor_gates(
-    n: int, index: int, k: int, anc_start: int
-) -> tuple[list[Gate], int]:
-    """Gates applying e^{i k θ} to basis index `index` (data qubits only),
-    with an overall factor e^{-i k θ/2} tracked by the caller."""
-    if n == 1:
-        body = [Gate("RZ", (0,), reps=k)]
-        if index == 0:
-            return [Gate("X", (0,))] + body + [Gate("X", (0,))], 0
-        return body, 0
-    # select index with an MCX into a dedicated phase ancilla, rotate it
-    phase_anc = anc_start
-    zeros = [q for q in range(n) if not (index >> (n - 1 - q)) & 1]
-    conj = [Gate("X", (q,)) for q in zeros]
-    core, ladder_anc = _mcx_core(list(range(n)), phase_anc, anc_start + 1)
-    select = conj + core + list(reversed(conj))
-    gates = select + [Gate("RZ", (phase_anc,), reps=k)] + list(reversed(select))
-    return gates, 1 + ladder_anc
+def _unary_iteration(n: int, indices: list[int], reps: list[int]) -> list[Gate]:
+    """RZ^{reps[i]} on a flag qubit that is 1 on basis state indices[i] alone,
+    for sorted distinct indices, in one depth-first walk over a shared AND
+    tree (unary iteration: Babbush et al., PRX 8, 041015, 2018, §III.A).
+
+    Flag a_j holds "qubits 0..j match the current prefix". a_0 is qubit 0
+    itself, flipped by one X pair around its 0-subtree; a_j for j ≥ 1 is
+    ancilla n + j − 1, clean outside its subtree. Entering the 0-branch of
+    qubit j sets a_j = a_{j−1}·¬q_j by a CNOT and a CCNOT, a CNOT switches it
+    to a_{j−1}·q_j for the 1-branch, and a CCNOT clears it; a 1-branch
+    alone is entered by the CCNOT. The walk takes the 0-branch first, so the
+    rotations follow `indices`, and skips a subtree holding no index, found
+    by bisection."""
+    flag = [0, *range(n, 2 * n - 1)]
+    gates: list[Gate] = []
+
+    def walk(lo: int, hi: int, j: int) -> None:
+        # indices[lo:hi], nonempty, are the indices under the prefix a_j holds
+        if j == n - 1:
+            gates.append(Gate("RZ", (flag[j],), reps=reps[lo]))
+            return
+        c, shift = j + 1, n - 2 - j
+        mid = bisect_left(indices, (indices[lo] >> shift | 1) << shift, lo, hi)
+        switch = Gate("CNOT", (flag[j], flag[c]))
+        toggle = Gate("CCNOT", (flag[j], c, flag[c]))
+        if lo < mid:
+            gates.extend((switch, toggle))
+            walk(lo, mid, c)
+            gates.append(switch)
+        else:
+            gates.append(toggle)
+        if mid < hi:
+            walk(mid, hi, c)
+        gates.append(toggle)
+
+    half = bisect_left(indices, 1 << (n - 1))
+    if half:
+        flip = Gate("X", (0,))
+        gates.append(flip)
+        walk(0, half, 0)
+        gates.append(flip)
+    if half < len(indices):
+        walk(half, len(indices), 0)
+    return gates
 
 
 def diagonal_to_circuit(
@@ -419,11 +430,12 @@ def diagonal_to_circuit(
     seq = GateSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
     if not nontrivial:
         return seq
-    for j in nontrivial:
-        k = approximate_phase(phases[j], eps, theta, cap)
-        gates, n_anc = _phase_factor_gates(n, j, k, anc_start=n)
-        seq.gates.extend(gates)
-        seq.n_anc = max(seq.n_anc, n_anc)
+    reps = [approximate_phase(phases[j], eps, theta, cap) for j in nontrivial]
+    seq.gates = _unary_iteration(n, nontrivial, reps)
+    seq.n_anc = n - 1
+    # RZ^k gives its state e^{+ikθ/2} and every other e^{−ikθ/2}; the global
+    # phase e^{+ikθ/2} makes these e^{ikθ} and 1
+    for k in reps:
         seq.global_phase = (seq.global_phase + 0.5 * k * theta) % TWO_PI
     return seq
 

@@ -41,7 +41,7 @@ class PermutationWithPhases:
     def __post_init__(self):
         dim = 1 << self.n
         perm = np.asarray(self.perm)
-        phases = np.asarray(self.phases, dtype=np.float64)
+        phases = np.array(self.phases, dtype=np.float64)  # a copy: reduced in place
         if perm.shape != (dim,) or phases.shape != (dim,):
             raise ValueError("perm/phases length must be 2^n")
         # range and integrality are checked before the int64 cast truncates
@@ -56,7 +56,11 @@ class PermutationWithPhases:
             raise ValueError("perm is not a bijection on basis indices")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        phases = np.mod(phases, TWO_PI)
+        # np.mod leaves [0, 2π) bit for bit and turns −0.0 into 0.0; the
+        # entries it would change are reduced alone, with the same result
+        outside = np.signbit(phases) | (phases >= TWO_PI)
+        if outside.any():
+            phases[outside] = np.mod(phases[outside], TWO_PI)
         for name, array in (("perm", perm), ("phases", phases)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -70,7 +74,7 @@ class PermutationWithPhases:
         """self ∘ other (other applied first)."""
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        # the sum is nonnegative, so the constructor's one np.mod is enough
+        # the sum is nonnegative, so the constructor's reduction is enough
         phases = other.phases + self.phases[other.perm]
         return PermutationWithPhases(self.n, self.perm[other.perm], phases)
 

@@ -26,6 +26,7 @@ from bpgates import (
 )
 from bpgates.css import (
     CodeConstructionError,
+    CosetStates,
     NotBiasPreservingError,
     NotInCodespaceError,
     NotLogicalOperatorError,
@@ -151,6 +152,21 @@ def test_css_codes_equicoherent(code_422, steane):
     assert ok and l == 2 and violation is None
     ok, l, violation = check_equicoherent(steane)
     assert ok and l == 8 and violation is None
+
+
+def test_equicoherent_builds_each_state_once(steane, hamming15, monkeypatch):
+    lookups = []
+    build = CosetStates.__getitem__
+
+    def counted(self, x):
+        lookups.append(x)
+        return build(self, x)
+
+    monkeypatch.setattr(CosetStates, "__getitem__", counted)
+    for e in (steane, hamming15):
+        lookups.clear()
+        assert check_equicoherent(e)[0]
+        assert sorted(lookups) == list(range(1 << e.k))
 
 
 def test_equicoherent_rank_violation():
@@ -359,6 +375,8 @@ def test_width_past_monomial_cap_is_refused_before_allocating():
         e.basis_states[0]
     with pytest.raises(ValueError, match=refusal):
         check_equicoherent(e)
+    with pytest.raises(ValueError, match=refusal):
+        encode(e, np.array([1.0, 0.0]))
 
 
 def test_restrict_monomial_rejects_non_logical(steane, rng):

@@ -234,6 +234,24 @@ def test_transposition_is_single_ccnot():
     assert seq.gates == [Gate("CCNOT", (0, 1, 2))]
 
 
+def test_transposition_is_one_mcx_conjugated_by_cnots():
+    # one X with n − 1 controls (a CCNOT, or a 3-CCNOT ladder on one ancilla)
+    # between d − 1 CNOTs and their inverses, from the pivot qubit alone
+    for n in (3, 4):
+        for a, b in itertools.permutations(range(1 << n), 2):
+            d = bin(a ^ b).count("1")
+            gates, n_anc = synth._transposition(n, a, b, anc_start=n)
+            seq = GateSequence(n_data=n, n_anc=n_anc, gates=gates)
+            counts = seq.gate_counts()
+            assert (counts["CCNOT"], n_anc) == {3: (1, 0), 4: (3, 1)}[n]
+            assert counts["CNOT"] == 2 * (d - 1) and counts["RZ"] == 0
+            assert len({g.qubits[0] for g in gates if g.kind == "CNOT"}) <= 1
+            swap = list(range(1 << n))
+            swap[a], swap[b] = b, a
+            achieved = simulate_restricted(seq)
+            assert achieved.perm.tolist() == swap and not achieved.phases.any()
+
+
 def test_all_two_qubit_permutations_exact():
     for perm in itertools.permutations(range(4)):
         seq = permutation_to_circuit(perm, 2)
@@ -371,6 +389,37 @@ def test_diagonal_single_qubit_index0():
     assert np.max(np.abs(approx - target)) < 1e-12
 
 
+def assert_diagonal_certified(phases, seq, eps):
+    achieved = simulate_restricted(seq)  # raises if an ancilla is left set
+    assert np.array_equal(achieved.perm, np.arange(len(phases)))
+    deltas = achieved.phases + seq.global_phase - np.asarray(phases)
+    assert shortest_arc_chord(deltas) <= eps
+
+
+def test_diagonal_unary_iteration_counts(rng):
+    # all 2^n factors nontrivial: two CCNOTs per node of the AND tree below
+    # qubit 0, one X pair around qubit 0's 0-subtree, a flag ancilla per level
+    eps = 1e-3
+    for n in range(2, 7):
+        phases = rng.uniform(0.1, TWO_PI - 0.1, 1 << n)
+        seq = diagonal_to_circuit(phases, eps)
+        counts = seq.gate_counts()
+        assert counts["CCNOT"] == 2 ** (n + 1) - 4
+        assert counts["X"] <= 2 and counts["RZ"] == 1 << n
+        assert seq.n_anc == n - 1
+        assert_diagonal_certified(phases, seq, eps)
+
+
+def test_diagonal_single_index_at_every_position():
+    eps = 1e-3
+    for j in range(8):
+        phases = np.zeros(8)
+        phases[j] = 2.0
+        seq = diagonal_to_circuit(phases, eps)
+        assert seq.gate_counts()["RZ"] == 1 and seq.n_anc == 2
+        assert_diagonal_certified(phases, seq, eps)
+
+
 def test_diagonal_two_qubits(rng):
     phases = rng.uniform(0, TWO_PI, 4)
     seq = diagonal_to_circuit(phases, eps=1e-3)
@@ -422,6 +471,18 @@ def test_certificate_matches_dense_reference(rng):
             for d in range(1 << n):
                 assert full.perm[d << seq.n_anc] == restricted.perm[d] << seq.n_anc
                 assert circular_distance(full.phases[d << seq.n_anc], restricted.phases[d]) <= 1e-12
+
+
+def test_synthesize_random_targets_certified_to_eight_qubits():
+    for n in range(1, 9):
+        g = random_bp(n, np.random.default_rng(n))
+        report = synthesize(g, eps=1e-3)
+        assert report.achieved_error <= 1e-3
+        assert report.sequence.n_anc == max(0, n - 1)
+        achieved = simulate_restricted(report.sequence)
+        assert np.array_equal(achieved.perm, g.perm)
+        deltas = achieved.phases + report.sequence.global_phase - g.phases
+        assert abs(shortest_arc_chord(deltas) - report.achieved_error) <= 1e-12
 
 
 def test_synthesize_seven_qubit_increment():

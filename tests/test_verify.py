@@ -286,6 +286,7 @@ def test_permutation_with_phases_arrays_are_read_only_copies():
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+    assert phases.tolist() == [0.5, 0.0, 7.0, -1.0]  # reduced on a copy
     perm[0], phases[0] = 0, 1.0  # the inputs stay writeable and unshared
     assert p.perm.tolist() == [1, 0, 3, 2] and p.phases[0] == 0.5
     # any integer-valued sequence is accepted
@@ -294,11 +295,15 @@ def test_permutation_with_phases_arrays_are_read_only_copies():
 
 
 def test_phase_normalization_matches_python_modulo():
+    # only entries outside [0, 2π) and −0.0 are reduced; the result must be
+    # np.mod's over the whole array, bit for bit
     edge = [-0.0, 0.0, -1e-20, 1e-20, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0),
-            np.pi, -np.pi, 1e300, -1e300, 5e-324, -5e-324, 7.0, -7.0, 2.0**60]
-    p = PermutationWithPhases(4, range(16), edge)
-    want = np.array([x % TWO_PI for x in edge])
-    assert p.phases.view(np.int64).tolist() == want.view(np.int64).tolist()
+            np.pi, -np.pi, 1e300, -1e300, 5e-324, -5e-324, 7.0, -7.0, 2.0**60,
+            -1e-17, 1e6]
+    edge += [0.5] * (32 - len(edge))
+    p = PermutationWithPhases(5, range(32), edge)
+    for want in (np.array([x % TWO_PI for x in edge]), np.mod(edge, TWO_PI)):
+        assert p.phases.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def compose_reference(a, b):
