@@ -13,10 +13,10 @@ from typing import TextIO
 import numpy as np
 
 from .css import BinaryCode
-from .linalg import GOLDEN_THETA, index_to_bits, num_qubits, require_dense_cap
+from .linalg import GOLDEN_THETA, num_qubits, require_dense_cap
 from .synth import Gate, GateSequence
 from .verify import PermutationWithPhases
-from .zx import ZXDecomposition
+from .zx import CoefficientView, ZXDecomposition
 
 
 class FormatError(ValueError):
@@ -100,35 +100,41 @@ def read_matrix(text: str) -> np.ndarray:
 # ------------------------------------------------- ZX decompositions
 
 def write_zx(d: ZXDecomposition, fp: TextIO) -> None:
-    """Lines `u-bits v-bits re im`, sorted lexicographically."""
-    for (u, v) in sorted(d.coeffs, key=lambda uv: (index_to_bits(uv[0], d.n), index_to_bits(uv[1], d.n))):
-        a = d.coeffs[(u, v)]
-        fp.write(
-            f"{index_to_bits(u, d.n)} {index_to_bits(v, d.n)} {_fmt(a.real)} {_fmt(a.imag)}\n"
-        )
+    """Lines `u-bits v-bits re im` for the nonzero coefficients, sorted by u then v."""
+    alpha, label = d.array().T, f"0{d.n}b"
+    us, vs = np.nonzero(alpha)  # row-major: by u, then v
+    fp.write("".join(f"{u:{label}} {v:{label}} {_fmt(a.real)} {_fmt(a.imag)}\n"
+                     for u, v, a in zip(us.tolist(), vs.tolist(), alpha[us, vs].tolist())))
 
 
 def read_zx(text: str) -> ZXDecomposition:
+    """Inverse of write_zx, lines in any order. An absent pair, or one with
+    an explicit zero, has α = 0; a repeated pair and more than 10 qubits are
+    refused."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty decomposition file")
-    coeffs: dict[tuple[int, int], complex] = {}
-    n = None
+    seen: set[tuple[str, str]] = set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 4:
             raise FormatError("expected 'u-bits v-bits re im'", lineno)
         ub, vb, re_s, im_s = parts
-        if n is None:
+        if not seen:  # the width bounds the array before it exists
             n = len(ub)
+            require_dense_cap(n)
+            alpha = np.zeros((1 << n, 1 << n), dtype=complex)
         if len(ub) != n or len(vb) != n or set(ub + vb) - {"0", "1"}:
             raise FormatError(f"bad bit strings {ub!r} {vb!r}", lineno)
+        if (ub, vb) in seen:
+            raise FormatError(f"repeated pair {ub} {vb}", lineno)
+        seen.add((ub, vb))
         try:
-            coeffs[(int(ub, 2), int(vb, 2))] = complex(float(re_s), float(im_s))
+            alpha[int(vb, 2), int(ub, 2)] = complex(float(re_s), float(im_s))
         except ValueError:
             raise FormatError("bad coefficient value", lineno) from None
-    assert n is not None
-    return ZXDecomposition(n=n, coeffs=coeffs)
+    alpha.flags.writeable = False
+    return ZXDecomposition(n=n, coeffs=CoefficientView(alpha))
 
 
 # ------------------------------------------------------------- circuits

@@ -411,7 +411,6 @@ def diagonal_to_circuit(
     phases: np.ndarray | list[float],
     eps: float,
     theta: float = GOLDEN_THETA,
-    cap: int = 10**7,
 ) -> GateSequence:
     """Approximate diag(e^{iφ_0}, ..., e^{iφ_{2^n-1}}) over the gate set.
 
@@ -430,7 +429,7 @@ def diagonal_to_circuit(
     seq = GateSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
     if not nontrivial:
         return seq
-    reps = [approximate_phase(phases[j], eps, theta, cap) for j in nontrivial]
+    reps = [approximate_phase(phases[j], eps, theta) for j in nontrivial]
     seq.gates = _unary_iteration(n, nontrivial, reps)
     seq.n_anc = n - 1
     # RZ^k gives its state e^{+ikθ/2} and every other e^{−ikθ/2}; the global
@@ -444,7 +443,6 @@ def synthesize(
     p: PermutationWithPhases,
     eps: float,
     theta: float = GOLDEN_THETA,
-    cap: int = 10**7,
 ) -> SynthesisReport:
     """Compile a bias-preserving gate with certified error below eps.
 
@@ -458,7 +456,7 @@ def synthesize(
     with Stage(log, "permutation"):
         perm_seq = permutation_to_circuit(perm, p.n)
     with Stage(log, "diagonal"):
-        diag_seq = diagonal_to_circuit(d_phases, eps, theta, cap)
+        diag_seq = diagonal_to_circuit(d_phases, eps, theta)
     seq = GateSequence(
         n_data=p.n,
         n_anc=max(perm_seq.n_anc, diag_seq.n_anc),

@@ -56,11 +56,12 @@ class PermutationWithPhases:
             raise ValueError("perm is not a bijection on basis indices")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
-        # np.mod leaves [0, 2π) bit for bit and turns −0.0 into 0.0; the
-        # entries it would change are reduced alone, with the same result
+        # np.mod leaves [0, 2π) bit for bit and turns −0.0 into 0.0, so only the
+        # entries it would change are reduced; the 2π it rounds −1e-17 to is 0
         outside = np.signbit(phases) | (phases >= TWO_PI)
         if outside.any():
             phases[outside] = np.mod(phases[outside], TWO_PI)
+            phases[phases == TWO_PI] = 0.0
         for name, array in (("perm", perm), ("phases", phases)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -81,7 +82,7 @@ class PermutationWithPhases:
     def adjoint(self) -> "PermutationWithPhases":
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(1 << self.n)
-        return PermutationWithPhases(self.n, inv, np.mod(-self.phases[inv], TWO_PI))
+        return PermutationWithPhases(self.n, inv, -self.phases[inv])
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,7 @@ def check_permutation(G: np.ndarray, tol: float = DEFAULT_TOL) -> BpVerdict:
     perm = np.argmax(unit, axis=0)
     if np.any(np.bincount(perm, minlength=1 << n) != 1):
         return BpVerdict(is_bp=False, witness="unit entries do not form a bijection")
-    # reduced here and again by the gate, so that -1e-17 rad ends at 0, not 2π
-    phases = np.mod(np.angle(G[perm, np.arange(1 << n)]), TWO_PI)
+    phases = np.angle(G[perm, np.arange(1 << n)])
     return BpVerdict(is_bp=True, canonical=PermutationWithPhases(n, perm, phases))
 
 

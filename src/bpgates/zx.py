@@ -1,15 +1,15 @@
 """ZX-decomposition: G = Σ_{u,v} α_{u,v} Z_u X_v and its X-part blocks.
 
-A ZXDecomposition maps (u, v) to α_{u,v}; entries with |α| ≤ tol are absent.
-zx_decompose computes every coefficient with one batched Walsh-Hadamard
-transform (linalg.walsh_hadamard_rows) and keeps them in a dense (2^n, 2^n)
-array indexed [v, u], which the verifiers work on directly (array()).
+The coefficients live in one read-only dense (2^n, 2^n) array alpha[v, u],
+zero where absent, filled by zx_decompose with one batched Walsh-Hadamard
+transform (linalg.walsh_hadamard_rows). The verifiers work on it directly,
+`coeffs` reads it as a (u, v) -> α mapping, and the block A_v is its row v.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +41,15 @@ class CoefficientView(Mapping):
 @dataclass(frozen=True)
 class ZXDecomposition:
     n: int
-    coeffs: Mapping[tuple[int, int], complex]  # (u, v) -> alpha_{u,v}
-    tol: float = DEFAULT_TOL
+    coeffs: CoefficientView  # (u, v) -> alpha_{u,v}
 
     def x_parts(self) -> list[int]:
-        """Sorted list of v with at least one stored coefficient."""
-        return sorted({v for (_, v) in self.coeffs})
+        """Sorted list of v with at least one nonzero coefficient."""
+        return np.flatnonzero(np.any(self.array(), axis=1)).tolist()
 
     def array(self) -> np.ndarray:
-        """Dense coefficient array alpha[v, u] = α_{u,v}, zero where absent."""
-        if isinstance(self.coeffs, CoefficientView):
-            return self.coeffs.array
-        alpha = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
-        for (u, v), a in self.coeffs.items():
-            alpha[v, u] = a
-        return alpha
+        """The read-only coefficient array alpha[v, u] = α_{u,v}."""
+        return self.coeffs.array
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,16 @@ class ZXBlock:
 
     n: int
     v: int
-    coeffs: dict[int, complex] = field(default_factory=dict)  # u -> alpha
+    alpha: np.ndarray  # row v of the coefficient array: alpha[u] = α_{u,v}
+
+    @property
+    def coeffs(self) -> dict[int, complex]:  # u -> alpha, nonzero entries only
+        return {u: complex(self.alpha[u]) for u in np.flatnonzero(self.alpha).tolist()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ZXBlock):
+            return NotImplemented
+        return (self.n, self.v) == (other.n, other.v) and np.array_equal(self.alpha, other.alpha)
 
 
 def zx_decompose(G: np.ndarray, tol: float = DEFAULT_TOL) -> ZXDecomposition:
@@ -82,7 +85,7 @@ def zx_decompose(G: np.ndarray, tol: float = DEFAULT_TOL) -> ZXDecomposition:
     alpha /= 1 << n
     alpha[np.abs(alpha) <= tol] = 0.0
     alpha.flags.writeable = False
-    return ZXDecomposition(n=n, coeffs=CoefficientView(alpha), tol=tol)
+    return ZXDecomposition(n=n, coeffs=CoefficientView(alpha))
 
 
 def basis_forms(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,27 +117,19 @@ def block(d: ZXDecomposition, v: int | str) -> ZXBlock:
         v = int(v, 2)
     if not 0 <= v < (1 << d.n):
         raise ValueError(f"v={v} out of range for n={d.n}")
-    coeffs = {u: a for (u, w), a in d.coeffs.items() if w == v}
-    return ZXBlock(n=d.n, v=v, coeffs=coeffs)
-
-
-def _block_beta(b: ZXBlock) -> np.ndarray:
-    """β_{s,v} for every s: the transform of the block's coefficient vector."""
-    alpha = np.zeros(1 << b.n, dtype=complex)
-    alpha[list(b.coeffs)] = list(b.coeffs.values())
-    return walsh_hadamard(alpha)
+    return ZXBlock(n=d.n, v=v, alpha=d.array()[v])
 
 
 def block_matrix(b: ZXBlock) -> np.ndarray:
     """Dense A_v = Σ_s β_{s,v}|s⟩⟨s⊕v|."""
-    return _from_basis_forms(np.array([b.v]), _block_beta(b)[None, :])
+    return _from_basis_forms(np.array([b.v]), walsh_hadamard(b.alpha)[None, :])
 
 
 def block_basis_form(
     b: ZXBlock, tol: float = DEFAULT_TOL
 ) -> tuple[set[int], dict[int, complex]]:
     """(S_v, β) with A_v = Σ_{s∈S_v} β_{s,v}|s⟩⟨s ⊕ v| and β_{s,v} = Σ_u (-1)^{u·s} α_{u,v}."""
-    beta = _block_beta(b)
+    beta = walsh_hadamard(b.alpha)
     diag = {int(s): complex(beta[s]) for s in np.flatnonzero(np.abs(beta) > tol)}
     return set(diag), diag
 
@@ -147,7 +142,7 @@ def block_product_adjoint(a: ZXBlock, b: ZXBlock) -> np.ndarray:
     s = np.arange(1 << a.n)
     t = s ^ a.v ^ b.v
     M = np.zeros((s.size, s.size), dtype=complex)
-    M[s, t] = _block_beta(a) * _block_beta(b)[t].conj()
+    M[s, t] = walsh_hadamard(a.alpha) * walsh_hadamard(b.alpha)[t].conj()
     return M
 
 

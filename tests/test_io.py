@@ -109,6 +109,47 @@ def test_zx_sorted_lexicographically(rng):
     assert keys == sorted(keys)
 
 
+def write_zx_sorted_labels(d, fp):
+    """The writer write_zx replaced: every stored (u, v) key, sorted on its
+    bit-string labels."""
+    for (u, v) in sorted(d.coeffs, key=lambda uv: (index_to_bits(uv[0], d.n), index_to_bits(uv[1], d.n))):
+        a = d.coeffs[(u, v)]
+        fp.write(
+            f"{index_to_bits(u, d.n)} {index_to_bits(v, d.n)} {format(a.real, '.17g')} {format(a.imag, '.17g')}\n"
+        )
+
+
+def test_write_zx_matches_sorted_label_writer(rng):
+    for n in range(1, 6):
+        for G in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
+            d = zx_decompose(G)
+            assert dumps(write_zx, d) == dumps(write_zx_sorted_labels, d)
+            assert dumps(write_zx, read_zx(dumps(write_zx, d))) == dumps(write_zx, d)
+
+
+def test_zx_parse_errors():
+    with pytest.raises(FormatError, match="line 2: repeated pair 0 1"):
+        read_zx("0 1 1 0\n0 1 0.5 0\n")
+    with pytest.raises(FormatError, match="line 3: repeated pair 1 1"):
+        read_zx("1 1 0 0\n0 1 1 0\n1 1 0 0\n")  # a repeated explicit zero too
+    with pytest.raises(FormatError, match="line 2: bad bit strings"):
+        read_zx("0 1 1 0\n00 01 1 0\n")
+    with pytest.raises(FormatError, match="line 1: bad coefficient value"):
+        read_zx("0 1 one 0\n")
+    # 40-bit labels are refused at the first line, before a 4^40-entry
+    # array is asked for
+    wide = "0" * 40
+    with pytest.raises(ValueError, match="^40 qubits exceeds dense cap 10$"):
+        read_zx(f"{wide} {wide} 1 0\n")
+
+
+def test_zx_explicit_zero_reads_as_absent():
+    d = read_zx("0 0 0 0\n1 1 1 0\n")
+    assert dict(d.coeffs) == {(1, 1): 1 + 0j}
+    assert d.x_parts() == [1]
+    assert dumps(write_zx, d) == "1 1 1 0\n"
+
+
 def test_circuit_roundtrip(rng):
     report = synthesize(random_bp(2, rng), eps=1e-2)
     seq = report.sequence
@@ -192,6 +233,13 @@ def test_perm_roundtrip(rng):
         assert np.array_equal(back.perm, p.perm)
         assert np.array_equal(back.phases, p.phases)
         assert np.array_equal(to_unitary(back), to_unitary(p))
+
+
+def test_perm_tiny_negative_phase_reads_as_zero():
+    # np.mod rounds -1e-17 to 2π, which was once stored and written back
+    p = read_perm("0 -> 1 phase=-1e-17\n1 -> 0 phase=-0.0\n")
+    assert p.phases.view(np.int64).tolist() == [0, 0]
+    assert dumps(write_perm, p) == "0 -> 1 phase=0\n1 -> 0 phase=0\n"
 
 
 def write_perm_per_line(p, fp):

@@ -296,14 +296,18 @@ def test_permutation_with_phases_arrays_are_read_only_copies():
 
 def test_phase_normalization_matches_python_modulo():
     # only entries outside [0, 2π) and −0.0 are reduced; the result must be
-    # np.mod's over the whole array, bit for bit
+    # the double reduction over the whole array, bit for bit: one reduction
+    # rounds −1e-20, −1e-17 and −5e-324 to 2π, the second takes them to 0.0
     edge = [-0.0, 0.0, -1e-20, 1e-20, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0),
             np.pi, -np.pi, 1e300, -1e300, 5e-324, -5e-324, 7.0, -7.0, 2.0**60,
             -1e-17, 1e6]
     edge += [0.5] * (32 - len(edge))
     p = PermutationWithPhases(5, range(32), edge)
-    for want in (np.array([x % TWO_PI for x in edge]), np.mod(edge, TWO_PI)):
+    for want in (np.array([(x % TWO_PI) % TWO_PI for x in edge]),
+                 np.mod(np.mod(edge, TWO_PI), TWO_PI)):
         assert p.phases.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert p.phases[[2, 12, 16]].tolist() == [0.0, 0.0, 0.0]
+    assert np.all((p.phases >= 0.0) & (p.phases < TWO_PI))
 
 
 def compose_reference(a, b):

@@ -183,6 +183,9 @@ def test_block_matrix_and_reconstruct_match_loop_reference(rng):
             assert np.max(np.abs(reconstruct(d) - _loop_block_matrix(n, d.coeffs.items()))) < 1e-12
             for v in range(1 << n):
                 b = block(d, v)
+                # the scan over every (u, v) key that block replaced
+                assert b.coeffs == {u: a for (u, w), a in d.coeffs.items() if w == v}
+                assert b == block(zx_decompose(G), v)  # equal rows, not the same array
                 ref = _loop_block_matrix(n, (((u, v), a) for u, a in b.coeffs.items()))
                 assert np.max(np.abs(block_matrix(b) - ref)) < 1e-12
                 for w in (0, v, (1 << n) - 1):
