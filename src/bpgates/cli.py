@@ -35,7 +35,7 @@ def _load_matrix(path: str, tol: float) -> np.ndarray:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -169,8 +169,8 @@ def cmd_css_build(args) -> int:
         "l": e.l,
         "transversal": ["".join(str(int(b)) for b in row) for row in e.transversal],
         "supports": {
-            index_to_bits(x, e.k): sorted(index_to_bits(t, e.n) for t in sup)
-            for x, sup in e.basis_support.items()
+            index_to_bits(x, e.k): sorted(index_to_bits(t, e.n) for t in row)
+            for x, row in enumerate(e.cosets.tolist())
         },
     }
     lines = [f"CSS n={e.n} k={e.k} l={e.l}"]
@@ -228,10 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, json_flag=True):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        if json_flag:
+    def add_common(p, tol=True, json=True):
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        if json:
             p.add_argument("--json", action="store_true")
+
+    def add_css(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--c1", required=True, help="classical code file for C1")
+        p.add_argument("--c2", required=True, help="classical code file for C2")
+        p.set_defaults(func=func)
+        return p
 
     p = sub.add_parser("check", help="decide bias preservation of a matrix")
     p.add_argument("--matrix", required=True)
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose-zx", help="print the ZX-decomposition")
     p.add_argument("--matrix", required=True)
     p.add_argument("--output")
-    add_common(p, json_flag=False)
+    add_common(p, json=False)
     p.set_defaults(func=cmd_decompose_zx)
 
     p = sub.add_parser("distance", help="worst-case gate-replacement error")
@@ -266,28 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--restrict", action="store_true", help="data-qubit restriction")
     p.add_argument("--output")
-    add_common(p, json_flag=False)
     p.set_defaults(func=cmd_simulate)
 
-    for name, fn, extra in (
-        ("css-build", cmd_css_build, ()),
-        ("css-check", cmd_css_check, ()),
-        ("css-lift", cmd_css_lift, ("gate",)),
-        ("css-restrict", cmd_css_restrict, ("restrict",)),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--c1", required=True, help="classical code file for C1")
-        p.add_argument("--c2", required=True, help="classical code file for C2")
-        if "gate" in extra:
-            p.add_argument("--gate", required=True, help="logical gate (perm file)")
-            p.add_argument("--output")
-        if "restrict" in extra:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--matrix", help="physical gate as dense matrix")
-            group.add_argument("--gate", help="physical gate as perm file")
-            p.add_argument("--output")
-        add_common(p)
-        p.set_defaults(func=fn)
+    add_common(add_css("css-build", cmd_css_build, "transversal and coset supports"), tol=False)
+    add_common(add_css("css-check", cmd_css_check, "check the encoding is equicoherent"))
+    p = add_css("css-lift", cmd_css_lift, "physical gate realizing a logical one")
+    p.add_argument("--gate", required=True, help="logical gate (perm file)")
+    p.add_argument("--output")
+    p = add_css("css-restrict", cmd_css_restrict, "logical gate of a physical one")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--matrix", help="physical gate as dense matrix")
+    group.add_argument("--gate", help="physical gate as perm file")
+    p.add_argument("--output")
+    add_common(p, json=False)
 
     return parser
 

@@ -7,9 +7,9 @@ to one of C2. Every logical basis image has coherence rank |C1| and the
 supports are disjoint cosets, which is exactly what lets a logical
 permutation-with-phases lift to a physical one.
 
-An encoding stores the coset supports and builds a basis state only when it
-is looked up; lifting and restriction map cosets to cosets on the
-PermutationWithPhases form, so they run beyond the dense cap.
+An encoding stores one coset table, whose row x is the support of |x>_L, and
+builds a basis state only when it is looked up; lifting and restriction map
+rows to rows on the PermutationWithPhases form, so they run beyond the dense cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from . import gf2
-from .linalg import DEFAULT_TOL, index_to_bits, num_qubits, require_monomial_cap
+from .linalg import (DEFAULT_TOL, MONOMIAL_QUBIT_CAP, index_to_bits, num_qubits,
+                     require_monomial_cap)
 from .stages import Stage
 from .verify import (
     TWO_PI,
@@ -76,25 +77,26 @@ class BinaryCode:
 
 class CosetStates(Mapping):
     """Read-only map logical x -> n-qubit state vector, the uniform
-    superposition over the support T(|x>_L); each state is built when it is
-    looked up, so an encoding holds no 2^n-entry vectors."""
+    superposition over row x of a coset table; each state is built when it
+    is looked up, so an encoding holds no 2^n-entry vectors."""
 
-    def __init__(self, n: int, supports: dict[int, frozenset[int]]):
+    def __init__(self, n: int, cosets: np.ndarray):
         self._n = n
-        self._supports = supports
+        self._cosets = cosets
 
     def __getitem__(self, x: int) -> np.ndarray:
-        support = self._supports[x]
+        if x not in range(len(self._cosets)):  # numpy would wrap x = -1
+            raise KeyError(x)
         require_monomial_cap(self._n)
         psi = np.zeros(1 << self._n, dtype=complex)
-        psi[list(support)] = 1.0 / np.sqrt(len(support))
+        psi[self._cosets[x]] = 1.0 / np.sqrt(self._cosets.shape[1])
         return psi
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._supports)
+        return iter(range(len(self._cosets)))
 
     def __len__(self) -> int:
-        return len(self._supports)
+        return len(self._cosets)
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,24 @@ class CssEncoding:
     n: int
     k: int
     transversal: np.ndarray  # k x n uint8, coset representatives B_i
-    l: int  # common coherence rank, |C1|
-    basis_support: dict[int, frozenset[int]]  # logical x -> T(|x>_L)
-    basis_states: CosetStates  # logical x -> n-qubit state vector
+    # (2^k, |C1|) int64, read-only: entry (x, j) is x·B ⊕ (word j of C1), so
+    # row x is T(|x>_L) and any two rows are aligned by C1-translation
+    cosets: np.ndarray
+
+    @property
+    def l(self) -> int:
+        """Common coherence rank, |C1|."""
+        return self.cosets.shape[1]
+
+    @property
+    def basis_support(self) -> dict[int, frozenset[int]]:
+        """Logical x -> T(|x>_L)."""
+        return {x: frozenset(row) for x, row in enumerate(self.cosets.tolist())}
+
+    @property
+    def basis_states(self) -> CosetStates:
+        """Logical x -> n-qubit state vector."""
+        return CosetStates(self.n, self.cosets)
 
 
 @dataclass(frozen=True)
@@ -137,9 +154,9 @@ class GenericEncoding:
 def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
     """Standard CSS encoding for C1 ⊂ C2.
 
-    The transversal rows extend the row-reduced basis of C1 to a basis of
-    C2 and are themselves reduced against C1, making the encoding a
-    deterministic function of the code pair."""
+    The transversal is the RREF of C2's rows reduced against C1, making the
+    encoding a deterministic function of the code pair. The coset table holds
+    all |C2| words, so more than 2^MONOMIAL_QUBIT_CAP are refused before it."""
     if c1.n != c2.n:
         raise CodeConstructionError(f"code lengths differ: {c1.n} vs {c2.n}")
     n = c1.n
@@ -151,37 +168,14 @@ def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
     k = c2.k - c1.k
     if k <= 0:
         raise CodeConstructionError(f"degenerate code: no logical qubits (k={k})")
-    # extend C1's basis to C2's, keeping only the new directions
-    new_rows = []
-    stack = c1.generator.copy()
-    for row in c2.generator:
-        R, piv = gf2.rref(stack)
-        if not gf2.in_rowspace(row, R, piv):
-            new_rows.append(gf2.reduce_against(row, R1, piv1))
-            stack = np.vstack([stack, row])
-    B, _ = gf2.rref(np.array(new_rows, dtype=np.uint8))
-    if B.shape[0] != k:
-        raise CodeConstructionError("transversal extraction lost rank")
+    if c2.k > MONOMIAL_QUBIT_CAP:
+        raise ValueError(f"C2 has 2^{c2.k} words; the coset table cap is 2^{MONOMIAL_QUBIT_CAP}")
+    # reduction modulo C1 is linear with kernel C1: the rows span rank k
+    B, _ = gf2.rref(np.array([gf2.reduce_against(row, R1, piv1) for row in c2.generator]))
     B.setflags(write=False)
-
-    cosets = _cosets(B, c1)
-    support = {x: frozenset(row) for x, row in enumerate(cosets.tolist())}
-    return CssEncoding(
-        c1=c1,
-        c2=c2,
-        n=n,
-        k=k,
-        transversal=B,
-        l=cosets.shape[1],
-        basis_support=support,
-        basis_states=CosetStates(n, support),
-    )
-
-
-def _cosets(transversal: np.ndarray, c1: BinaryCode) -> np.ndarray:
-    """(2^k, |C1|) array whose row x is the coset x·B ⊕ C1, entry (x, j)
-    being x·B ⊕ (word j of C1): any two rows are aligned by C1-translation."""
-    return gf2.codewords(transversal)[:, None] ^ gf2.codewords(c1.generator)
+    cosets = gf2.codewords(B)[:, None] ^ gf2.codewords(c1.generator)
+    cosets.setflags(write=False)
+    return CssEncoding(c1=c1, c2=c2, n=n, k=k, transversal=B, cosets=cosets)
 
 
 def check_equicoherent(
@@ -260,11 +254,10 @@ def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPha
     if g.n != e.k:
         raise ValueError(f"logical gate acts on {g.n} qubits, code has k={e.k}")
     require_monomial_cap(e.n)
-    cosets = _cosets(e.transversal, e.c1)
     perm = np.arange(1 << e.n)
     phases = np.zeros(1 << e.n)
-    perm[cosets] = cosets[g.perm]
-    phases[cosets] = g.phases[:, None]
+    perm[e.cosets] = e.cosets[g.perm]
+    phases[e.cosets] = g.phases[:, None]
     return PermutationWithPhases(e.n, perm, phases)
 
 
@@ -288,11 +281,10 @@ def restrict_physical(
         g_hat = verdict.canonical
     if g_hat.n != e.n:
         raise ValueError(f"physical gate acts on {g_hat.n} qubits, code has n={e.n}")
-    cosets = _cosets(e.transversal, e.c1)
     owner = np.full(1 << e.n, -1)  # logical index of each codespace support
-    owner[cosets] = np.arange(1 << e.k)[:, None]
-    image = owner[g_hat.perm[cosets]]
-    phase = g_hat.phases[cosets]
+    owner[e.cosets] = np.arange(1 << e.k)[:, None]
+    image = owner[g_hat.perm[e.cosets]]
+    phase = g_hat.phases[e.cosets]
     drift = (phase - phase[:, :1]) % TWO_PI
     outside = np.any(image < 0, axis=1)
     bad = outside | np.any(image != image[:, :1], axis=1)

@@ -37,10 +37,6 @@ def rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R[: len(pivots)], pivots
 
 
-def rank(A: np.ndarray) -> int:
-    return len(rref(A)[1])
-
-
 def reduce_against(v: np.ndarray, R: np.ndarray, pivots: list[int]) -> np.ndarray:
     """Canonical coset representative of v modulo rowspace(R), R in RREF."""
     w = (np.asarray(v, dtype=np.uint8) & 1).copy()
@@ -57,9 +53,14 @@ def in_rowspace(v: np.ndarray, R: np.ndarray, pivots: list[int]) -> bool:
 def codewords(G: np.ndarray) -> np.ndarray:
     """All 2^k codewords of the row space of a k x n generator matrix, as
     big-endian integers: word m is the XOR of the rows picked by the bits of
-    m, row 0 by the most significant one."""
+    m, row 0 by the most significant one. Words longer than 63 bits do not
+    fit in int64 and are refused."""
     G = as_gf2(G)
     k, n = G.shape
+    if n > 63:
+        raise ValueError(f"codewords of length {n} do not fit in 63-bit integers")
     rows = G.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-    picks = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return np.bitwise_xor.reduce(picks * rows, axis=1)
+    words = np.zeros(1, dtype=np.int64)
+    for row in rows[::-1]:  # the last row is picked by the lowest bit
+        words = np.concatenate([words, words ^ row])
+    return words

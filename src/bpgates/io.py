@@ -101,6 +101,8 @@ def read_matrix(text: str) -> np.ndarray:
 
 def write_zx(d: ZXDecomposition, fp: TextIO) -> None:
     """Lines `u-bits v-bits re im` for the nonzero coefficients, sorted by u then v."""
+    if d.n == 0:
+        raise ValueError("a 0-qubit decomposition has no bit-string labels")
     alpha, label = d.array().T, f"0{d.n}b"
     us, vs = np.nonzero(alpha)  # row-major: by u, then v
     fp.write("".join(f"{u:{label}} {v:{label}} {_fmt(a.real)} {_fmt(a.imag)}\n"
@@ -246,6 +248,8 @@ def read_code(text: str) -> BinaryCode:
 
 def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     """Lines `s-bits -> t-bits phase=<radians>` for every basis string s."""
+    if p.n == 0:
+        raise ValueError("a 0-qubit gate has no bit-string labels")
     label = f"0{p.n}b"  # index_to_bits without its per-call range check
     bits = [format(s, label) for s in range(1 << p.n)]
     # Each distinct phase is formatted once, keyed on its bit pattern: -0.0

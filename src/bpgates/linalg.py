@@ -51,10 +51,10 @@ def as_index(bits: str | Sequence[int]) -> tuple[int, int]:
 
 
 def index_to_bits(index: int, n: int) -> str:
-    """Big-endian bit-string label of a basis index."""
+    """Big-endian bit-string label of a basis index; empty for 0 qubits."""
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} qubits")
-    return format(index, f"0{n}b")
+    return format(index, f"0{n}b") if n else ""
 
 
 def parity(x: int) -> int:

@@ -96,3 +96,10 @@ def wide_pair() -> tuple[BinaryCode, BinaryCode]:
     whose encoding is small but whose 2^40-state arrays are not."""
     c1 = [1, 1] + [0] * 38
     return BinaryCode.from_rows([c1]), BinaryCode.from_rows([c1, [0, 0, 1] + [0] * 37])
+
+
+def repetition_pair(n: int) -> tuple[BinaryCode, BinaryCode]:
+    """(repetition [n, 1], even-weight [n, n-1]) for even n: k = n - 2, and
+    the coset table holds all 2^(n-1) words of the even-weight code."""
+    even = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n - 1)]
+    return BinaryCode.from_rows([[1] * n]), BinaryCode.from_rows(even)

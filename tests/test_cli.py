@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import time
@@ -16,9 +17,9 @@ from bpgates import (
     synthesize,
     to_unitary,
 )
-from bpgates.cli import main
+from bpgates.cli import build_parser, main
 from bpgates.linalg import H, tensor
-from conftest import hamming_pair, wide_pair
+from conftest import hamming_pair, repetition_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -45,6 +46,31 @@ def code_files(tmp_path):
     io.write_file(str(p1), io.write_code, c1)
     io.write_file(str(p2), io.write_code, c2)
     return str(p1), str(p2)
+
+
+# The options each command reads; one added where it is not read fails here.
+COMMAND_OPTIONS = {
+    "check": {"--matrix", "--exhaustive-normalizer", "--tol", "--json"},
+    "decompose-zx": {"--matrix", "--output", "--tol"},
+    "distance": {"--matrix", "--other", "--phase-optimized", "--tol", "--json"},
+    "synth": {"--target", "--matrix", "--eps", "--theta", "--output", "--tol", "--json"},
+    "simulate": {"--circuit", "--restrict", "--output"},
+    "css-build": {"--c1", "--c2", "--json"},
+    "css-check": {"--c1", "--c2", "--tol", "--json"},
+    "css-lift": {"--c1", "--c2", "--gate", "--output"},
+    "css-restrict": {"--c1", "--c2", "--matrix", "--gate", "--output", "--tol"},
+}
+
+
+def test_each_command_has_only_the_options_it_reads():
+    commands = next(
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in commands.items()
+    }
+    assert options == COMMAND_OPTIONS
 
 
 def test_check_cnot(cnot_file, capsys):
@@ -410,6 +436,38 @@ def test_css_refuses_forty_qubit_inputs_quickly(tmp_path, capsys, command):
     assert main(argv) == 2
     assert time.monotonic() - start < 1.0
     assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("codes, want", [
+    # 70-bit words overflowed int64: both supports once printed as {0^70}
+    ((BinaryCode.from_rows([[1, 1] + [0] * 68]),
+      BinaryCode.from_rows([[1, 1] + [0] * 68, [0, 0, 1] + [0] * 67])),
+     "error: codewords of length 70 do not fit in 63-bit integers\n"),
+    (repetition_pair(26), "error: C2 has 2^25 words; the coset table cap is 2^24\n"),
+])
+def test_css_build_refuses_codes_its_table_cannot_hold(tmp_path, capsys, codes, want):
+    c1, c2 = tmp_path / "c1.code", tmp_path / "c2.code"
+    for path, code in zip((c1, c2), codes):
+        io.write_file(str(path), io.write_code, code)
+    start = time.monotonic()
+    assert main(["css-build", "--c1", str(c1), "--c2", str(c2)]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == want
+    assert "SUPPORT" not in captured.out
+
+
+def test_zero_qubit_gate_has_empty_labels(tmp_path, capsys):
+    # a 1x1 matrix: its one basis state has the empty label, which the
+    # ZX file format cannot write (one digit would read back as 1 qubit)
+    path = tmp_path / "one.mat"
+    path.write_text("n 0\n1+0i\n")
+    assert main(["check", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == "BP yes\nPERM -> phase=0\n"
+    assert main(["decompose-zx", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a 0-qubit decomposition has no bit-string labels\n"
 
 
 def test_emitted_files_reparse_equal(tmp_path, cnot_file, capsys):

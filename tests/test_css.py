@@ -31,8 +31,10 @@ from bpgates.css import (
     NotInCodespaceError,
     NotLogicalOperatorError,
 )
+from bpgates import gf2
 from bpgates.linalg import H, tensor
-from conftest import random_state, wide_pair
+from bpgates.verify import TWO_PI
+from conftest import random_state, repetition_pair, wide_pair
 
 
 def rank13_encoding():
@@ -51,18 +53,99 @@ def test_binary_code_rejects_dependent_rows():
         BinaryCode.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
 
 
+def loop_codewords(G) -> list[int]:
+    """Word m is the XOR of the rows picked by the bits of m, row 0 by the
+    most significant one."""
+    k = len(G)
+    ref = []
+    for m in range(1 << k):
+        w = 0
+        for i, row in enumerate(G):
+            if (m >> (k - 1 - i)) & 1:
+                w ^= int("".join(str(int(b)) for b in row), 2)
+        ref.append(w)
+    return ref
+
+
 def test_codewords_match_loop_reference(steane, hamming15):
     # word order matters: lift_logical aligns cosets by the position of each C1 word
     for code in (steane.c1, steane.c2, hamming15.c1, hamming15.c2):
-        G = code.generator
-        ref = []
-        for m in range(1 << code.k):
-            w = 0
-            for i, row in enumerate(G):
-                if (m >> (code.k - 1 - i)) & 1:
-                    w ^= int("".join(str(int(b)) for b in row), 2)
-            ref.append(w)
-        assert code.words() == ref
+        assert code.words() == loop_codewords(code.generator)
+
+
+def test_codewords_refuse_words_wider_than_int64():
+    assert gf2.codewords(np.ones((1, 63), dtype=np.uint8)).tolist() == [0, (1 << 63) - 1]
+    with pytest.raises(ValueError, match="length 64 do not fit in 63-bit integers"):
+        gf2.codewords(np.ones((1, 64), dtype=np.uint8))
+
+
+def extension_loop_reference(c1: BinaryCode, c2: BinaryCode) -> tuple[np.ndarray, list[list[int]]]:
+    """(transversal, coset table) as build_css once made them: C1's basis is
+    extended by each row of C2 outside the span so far, one rref per row, the
+    new rows reduced against C1; row x of the table is x·B ⊕ (each C1 word)."""
+    R1, piv1 = gf2.rref(c1.generator)
+    new_rows = []
+    stack = c1.generator.copy()
+    for row in c2.generator:
+        R, piv = gf2.rref(stack)
+        if not gf2.in_rowspace(row, R, piv):
+            new_rows.append(gf2.reduce_against(row, R1, piv1))
+            stack = np.vstack([stack, row])
+    B, _ = gf2.rref(np.array(new_rows, dtype=np.uint8))
+    c1_words = loop_codewords(c1.generator)
+    return B, [[b ^ w for w in c1_words] for b in loop_codewords(B)]
+
+
+def random_code_pair(rng) -> tuple[BinaryCode, BinaryCode]:
+    """C1 ⊂ C2 of length n <= 12, C1 spanned by random sums of C2's rows."""
+    n = int(rng.integers(2, 13))
+    k2 = int(rng.integers(2, n + 1))
+    while True:
+        try:
+            c2 = BinaryCode.from_rows(rng.integers(0, 2, size=(k2, n)))
+            mix = rng.integers(0, 2, size=(int(rng.integers(1, k2)), k2))
+            return BinaryCode.from_rows(mix @ c2.generator % 2), c2
+        except CodeConstructionError:  # dependent rows: draw again
+            continue
+
+
+def test_build_css_matches_extension_loop_reference():
+    rng = np.random.default_rng(909)
+    for _ in range(150):
+        c1, c2 = random_code_pair(rng)
+        e = build_css(c1, c2)
+        B, table = extension_loop_reference(c1, c2)
+        assert np.array_equal(e.transversal, B)
+        assert e.cosets.tolist() == table
+        assert (e.n, e.k, e.l) == (c2.n, c2.k - c1.k, 1 << c1.k)
+        assert e.basis_support == {x: frozenset(row) for x, row in enumerate(table)}
+
+
+def test_coset_table_is_read_only(code_422):
+    assert code_422.cosets.shape == (4, 2) and code_422.cosets.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        code_422.cosets[0, 0] = 5
+
+
+def test_coset_states_refuse_logical_indices_outside_the_table(code_422):
+    states = code_422.basis_states
+    for x in (-1, 1 << code_422.k):
+        with pytest.raises(KeyError):
+            states[x]
+        assert x not in states
+    assert list(states) == [0, 1, 2, 3] and len(states) == 4
+    assert np.count_nonzero(states[3]) == 2
+
+
+def test_coset_table_past_monomial_cap_is_refused_before_allocating(monkeypatch):
+    # |C2| = 2^25: the table alone would hold 2^25 int64 words, past the cap
+    # that bounds every 2^n-entry array
+    def no_enumeration(G):
+        raise AssertionError("codewords enumerated past the cap")
+
+    monkeypatch.setattr(gf2, "codewords", no_enumeration)
+    with pytest.raises(ValueError, match=r"C2 has 2\^25 words; the coset table cap is 2\^24"):
+        build_css(*repetition_pair(26))
 
 
 def test_build_css_422(code_422):
@@ -330,6 +413,19 @@ def test_lift_logical_matches_loop_reference(code_422, steane, hamming15, rng):
         lifted = lift_logical(e, g)
         assert lifted.perm.tolist() == perm
         assert lifted.phases.tolist() == phases
+
+
+def test_repetition_20_lift_restrict_roundtrip():
+    # k = 18: a 2^18 x 2 coset table, read by lift and restriction alike
+    e = build_css(*repetition_pair(20))
+    assert (e.n, e.k, e.l) == (20, 18, 2)
+    rng = np.random.default_rng(18)
+    g = PermutationWithPhases(18, rng.permutation(1 << 18), rng.uniform(0.0, TWO_PI, 1 << 18))
+    lifted = lift_logical(e, g)
+    assert np.array_equal(lifted.perm[e.cosets], e.cosets[g.perm])
+    back = restrict_physical(e, lifted)
+    assert np.array_equal(back.perm, g.perm)
+    assert np.array_equal(back.phases, g.phases)
 
 
 def test_hamming15_lift_restrict_roundtrip(hamming15, rng):

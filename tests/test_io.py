@@ -7,6 +7,7 @@ from bpgates import (
     BinaryCode,
     Gate,
     GateSequence,
+    PermutationWithPhases,
     lift_logical,
     random_bp,
     synthesize,
@@ -265,6 +266,14 @@ def test_write_perm_matches_per_line_writer(rng, hamming15):
     for g in gates:
         assert dumps(write_perm, g) == dumps(write_perm_per_line, g)
     assert "phase=-0\n" in dumps(write_perm, gates[0])
+
+
+def test_writers_refuse_zero_qubit_objects():
+    # the line formats have no empty label: "0" would read back as 1 qubit
+    with pytest.raises(ValueError, match="0-qubit gate has no bit-string labels"):
+        dumps(write_perm, PermutationWithPhases(0, [0], [0.0]))
+    with pytest.raises(ValueError, match="0-qubit decomposition has no bit-string labels"):
+        dumps(write_zx, zx_decompose(np.ones((1, 1), dtype=complex)))
 
 
 def test_perm_parse_errors():

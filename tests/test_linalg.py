@@ -97,6 +97,7 @@ def test_as_index_roundtrip():
     assert as_index("101") == (5, 3)
     assert as_index([1, 0, 1]) == (5, 3)
     assert index_to_bits(5, 3) == "101"
+    assert index_to_bits(0, 0) == ""
     with pytest.raises(ValueError):
         as_index("10x")
 
