@@ -182,30 +182,63 @@ def check_equicoherent(
     e: CssEncoding | GenericEncoding, tol: float = DEFAULT_TOL
 ) -> tuple[bool, int | None, str | None]:
     """Verify equal coherence ranks and pairwise disjoint supports of the
-    logical basis images. Returns (ok, common rank l, violation)."""
-    # one lookup per state: its rank is the size of its support
-    supports = {
-        x: frozenset(np.flatnonzero(np.abs(v) > tol).tolist())
-        for x, v in e.basis_states.items()
-    }
-    ranks = {x: len(s) for x, s in supports.items()}
-    for x, y in combinations(sorted(ranks), 2):
-        if ranks[x] != ranks[y]:
-            return (
-                False,
-                None,
-                f"condition 1: ranks differ for ({index_to_bits(x, e.k)}, "
-                f"{index_to_bits(y, e.k)}): {ranks[x]} vs {ranks[y]}",
-            )
-        if supports[x] & supports[y]:
-            overlap = sorted(supports[x] & supports[y])[0]
-            return (
-                False,
-                None,
-                f"condition 2: supports of ({index_to_bits(x, e.k)}, "
-                f"{index_to_bits(y, e.k)}) overlap at {index_to_bits(overlap, e.n)}",
-            )
-    return True, ranks[0], None
+    logical basis images. Returns (ok, common rank l, violation), the
+    violation being that of the first failing pair (x, y) in
+    combinations order, a rank difference before an overlap.
+
+    A CssEncoding is decided from its coset table with no state built: every
+    row holds |C1| amplitudes 1/√|C1| (none if that is not above tol). A
+    GenericEncoding takes one lookup per state."""
+    if isinstance(e, CssEncoding):
+        require_monomial_cap(e.n)  # the overlap count spans all 2^n indices
+        keep = 1.0 / np.sqrt(e.l) > tol
+        ranks = np.full(1 << e.k, e.l if keep else 0)
+        flat = e.cosets.ravel() if keep else e.cosets[:, :0].ravel()
+    else:
+        supports = [np.flatnonzero(np.abs(e.basis_states[x]) > tol) for x in range(1 << e.k)]
+        ranks = np.array([s.size for s in supports])
+        flat = np.concatenate(supports)
+    differ = np.flatnonzero(ranks != ranks[0]).tolist()
+    overlap = _first_overlap(flat, np.repeat(np.arange(1 << e.k), ranks))
+    if differ and (overlap is None or (0, differ[0]) <= overlap[:2]):
+        y = differ[0]
+        return (
+            False,
+            None,
+            f"condition 1: ranks differ for ({index_to_bits(0, e.k)}, "
+            f"{index_to_bits(y, e.k)}): {ranks[0]} vs {ranks[y]}",
+        )
+    if overlap is not None:
+        x, y, t = overlap
+        return (
+            False,
+            None,
+            f"condition 2: supports of ({index_to_bits(x, e.k)}, "
+            f"{index_to_bits(y, e.k)}) overlap at {index_to_bits(t, e.n)}",
+        )
+    return True, int(ranks[0]), None
+
+
+def _first_overlap(flat: np.ndarray, owner: np.ndarray) -> tuple[int, int, int] | None:
+    """(x, y, t) for the first pair x < y in combinations order whose
+    supports share a basis index, and t the smallest index they share; None
+    if the supports are disjoint. flat lists the supports one after another
+    (each without repeats), owner[i] the state flat[i] belongs to.
+
+    A shared index t with owners o_1 < o_2 < … first brings in the pair
+    (o_1, o_2), so the first pair overall is the least such pair, and every
+    index that pair shares has it as its first two owners."""
+    shared = np.bincount(flat)[flat] > 1
+    if not shared.any():
+        return None
+    flat, owner = flat[shared], owner[shared]
+    order = np.argsort(flat, kind="stable")  # owners ascending within each index
+    flat, owner = flat[order], owner[order]
+    same = flat[1:] == flat[:-1]
+    first = np.flatnonzero(same & np.r_[True, ~same[:-1]])  # first two owners of each index
+    x, y, t = owner[first], owner[first + 1], flat[first]
+    j = np.lexsort((t, y, x))[0]
+    return int(x[j]), int(y[j]), int(t[j])
 
 
 def encode(e: CssEncoding | GenericEncoding, psi: np.ndarray) -> np.ndarray:

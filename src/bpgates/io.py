@@ -8,6 +8,7 @@ digits so that emit → parse round-trips exactly at double precision.
 
 from __future__ import annotations
 
+from io import StringIO
 from typing import TextIO
 
 import numpy as np
@@ -40,8 +41,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# A matrix entry `a{+|-}bi`, filled from (real, imag).
+_ENTRY = "%.17g%+.17gi"
+
+
 def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
+    return _ENTRY % (z.real, z.imag)
 
 
 def parse_complex(token: str, lineno: int | None = None) -> complex:
@@ -61,12 +66,30 @@ def parse_complex(token: str, lineno: int | None = None) -> complex:
 # ---------------------------------------------------------------- matrices
 
 def write_matrix(U: np.ndarray, fp: TextIO) -> None:
-    """Format: `n <qubits>` header, then 2^n rows of 2^n `a{+|-}bi` entries."""
-    U = np.asarray(U, dtype=complex)
+    """Format: `n <qubits>` header, then 2^n rows of 2^n `a{+|-}bi` entries.
+    One `%` format over the interleaved real and imaginary parts, one write."""
+    U = np.ascontiguousarray(U, dtype=complex)
     n = num_qubits(U.shape[0])
-    fp.write(f"n {n}\n")
-    for row in U:
-        fp.write(" ".join(format_complex(z) for z in row) + "\n")
+    row = " ".join([_ENTRY] * U.shape[1]) + "\n"
+    fp.write(f"n {n}\n" + (row * U.shape[0]) % tuple(U.view(np.float64).ravel().tolist()))
+
+
+def _plain_entries(body: str, count: int) -> bool:
+    """True if the tokens of body (a space before the first and after each)
+    are `count` tokens that each end in `i`, not in `+i` or `-i`, and hold
+    exactly one sign neither at their start nor after an exponent mark.
+    complex() of such a token with its `i` made `j` reads exactly what
+    parse_complex reads: the sign splits it the same way. Only the totals
+    are counted; a token with two such signs, which complex() refuses, is
+    what lets another have none."""
+    signs = body.count("+") + body.count("-")
+    leading = body.count(" +") + body.count(" -")
+    exponent = sum(body.count(e + sign) for e in "eE" for sign in "+-")
+    return (
+        body.count("i ") == count
+        and body.count("+i ") + body.count("-i ") == 0
+        and signs - leading - exponent == count
+    )
 
 
 def read_matrix(text: str) -> np.ndarray:
@@ -87,13 +110,24 @@ def read_matrix(text: str) -> np.ndarray:
     dim = 1 << n
     if len(lines) - 1 != dim:
         raise FormatError(f"expected {dim} matrix rows, found {len(lines) - 1}")
-    M = np.zeros((dim, dim), dtype=complex)
+    M = np.empty((dim, dim), dtype=complex)
     for r, (lineno, line) in enumerate(lines[1:]):
+        # one space between entries; only a row spaced otherwise is re-split
+        if "  " in line or not line.isprintable():
+            line = " ".join(line.split())
+        padded = f" {line} "
+        if line.count(" ") == dim - 1 and _plain_entries(padded, dim):
+            try:  # one C-level pass over the row
+                entries = map(complex, padded.replace("i ", "j ").split())
+                M[r] = np.fromiter(entries, dtype=complex, count=dim)
+                continue
+            except ValueError:
+                pass
+        # a bad row or entry: read entry by entry to name its line
         tokens = line.split()
         if len(tokens) != dim:
             raise FormatError(f"expected {dim} entries, found {len(tokens)}", lineno)
-        for c, tok in enumerate(tokens):
-            M[r, c] = parse_complex(tok, lineno)
+        M[r] = [parse_complex(tok, lineno) for tok in tokens]
     return M
 
 
@@ -301,5 +335,9 @@ def read_file(path: str) -> str:
 
 
 def write_file(path: str, writer, obj) -> None:
+    """Render obj in full, then open path and write it once: a writer that
+    refuses obj leaves no file, and an existing one as it was."""
+    buf = StringIO()
+    writer(obj, buf)
     with open(path, "w", encoding="utf-8") as fp:
-        writer(obj, fp)
+        fp.write(buf.getvalue())

@@ -4,7 +4,7 @@ A gate preserves Z bias iff it is a permutation of computational basis
 states with per-state phases. The three routes:
   * check_permutation — column structure of the dense matrix,
   * check_zx          — orthogonality/completeness of the ZX blocks,
-  * check_normalizer  — conjugated Z generators stay diagonal.
+  * check_normalizer  — the conjugated Z group stays diagonal.
 They must agree on every unitary; the test suite enforces that.
 """
 
@@ -158,22 +158,23 @@ def check_normalizer(
 ) -> bool:
     """Normalizer test: G Z G† must stay Z-type (diagonal) for every Z string.
 
-    Checking the n single-qubit generators Z_i suffices: conjugation is a
-    homomorphism and the diagonal unitaries are closed under products. The
-    exhaustive variant over all 2^n strings is kept for cross-validation.
-    G Z_c G† is formed as (G · diag(Z_c)) G†, scaling the columns of G.
+    One conjugation decides it. D = diag(0, 1, …, 2^n − 1) equals
+    Σ_i 2^{n−1−i}(I − Z_i)/2, so it lies in the algebra the Z strings
+    generate, and G D G† is diagonal whenever G normalizes them. Conversely
+    D's eigenvalues are distinct, so G D G† is diagonal only if each G|s⟩ is
+    an eigenvector of a diagonal matrix with distinct eigenvalues, a basis
+    state: G maps basis states to basis states and normalizes the diagonal
+    group. It is decided from the conjugate alone, not from G's columns, so
+    it stays independent of check_permutation. The exhaustive variant
+    conjugates all 2^n − 1 nontrivial strings Z_c, for cross-validation.
+    Each conjugate is formed as (G · diag) G†, scaling the columns of G.
     """
     G = require_unitary(G, tol)
     n = matrix_qubits(G)
     Gdag = G.conj().T
-    if exhaustive:
-        strings = range(1, 1 << n)
-    else:
-        strings = [1 << (n - 1 - i) for i in range(n)]
-    for c in strings:
-        if not is_z_type((G * z_signs(c, n)) @ Gdag, tol):
-            return False
-    return True
+    if not exhaustive:
+        return is_z_type((G * np.arange(1 << n)) @ Gdag, tol)
+    return all(is_z_type((G * z_signs(c, n)) @ Gdag, tol) for c in range(1, 1 << n))
 
 
 def coherence_rank(psi: np.ndarray, tol: float = DEFAULT_TOL) -> int:

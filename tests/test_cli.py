@@ -19,7 +19,7 @@ from bpgates import (
 )
 from bpgates.cli import build_parser, main
 from bpgates.linalg import H, tensor
-from conftest import hamming_pair, repetition_pair, wide_pair
+from conftest import hamming_pair, random_near_bp, repetition_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -113,6 +113,27 @@ def test_check_json_eight_qubits(tmp_path, capsys):
     assert [int(perm[format(s, "08b")], 2) for s in range(256)] == list(p.perm)
     got = np.exp(1j * np.array(payload["canonical"]["phases"]))
     assert np.max(np.abs(got - np.exp(1j * np.array(p.phases)))) < 1e-9
+
+
+@pytest.mark.parametrize("bp", [True, False])
+def test_check_json_ten_qubits(tmp_path, capsys, bp):
+    rng = np.random.default_rng(10)
+    G = to_unitary(random_bp(10, rng)) if bp else random_near_bp(10, rng)
+    path = tmp_path / "g10.mat"
+    io.write_file(str(path), io.write_matrix, G)
+    assert main(["check", "--matrix", str(path), "--json"]) == (0 if bp else 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bp"] is bp
+    assert payload["checks"] == {"permutation": bp, "zx": bp, "normalizer": bp}
+
+
+def test_check_refuses_non_unitary_matrix(tmp_path, capsys):
+    path = tmp_path / "shear.mat"
+    path.write_text("n 1\n1+0i 1+0i\n0+0i 1+0i\n")
+    assert main(["check", "--matrix", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix is not unitary within tolerance\n"
 
 
 def test_check_exhaustive_flag(cnot_file):
@@ -322,6 +343,16 @@ def test_css_check(code_files, capsys):
     assert "EQUICOHERENT yes l=2" in capsys.readouterr().out
 
 
+def test_css_check_twenty_logical_qubits(tmp_path, capsys):
+    # rep[22,1] ⊂ even[22,21]: 2^20 logical states, once O(4^k) support pairs
+    paths = []
+    for name, code in zip(("c1", "c2"), repetition_pair(22)):
+        paths.append(str(tmp_path / f"{name}.code"))
+        io.write_file(paths[-1], io.write_code, code)
+    assert main(["css-check", "--c1", paths[0], "--c2", paths[1]]) == 0
+    assert capsys.readouterr().out == "EQUICOHERENT yes l=2\n"
+
+
 def test_css_check_bad_pair(tmp_path, capsys):
     p1 = tmp_path / "a.code"
     p2 = tmp_path / "b.code"
@@ -468,6 +499,19 @@ def test_zero_qubit_gate_has_empty_labels(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a 0-qubit decomposition has no bit-string labels\n"
+
+
+def test_refused_output_leaves_no_file(tmp_path, capsys):
+    # the output file was once opened, and truncated, before the writer ran
+    path, out = tmp_path / "one.mat", tmp_path / "one.zx"
+    path.write_text("n 0\n1+0i\n")
+    argv = ["decompose-zx", "--matrix", str(path), "--output", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    out.write_text("0 0 1 0\n")
+    assert main(argv) == 2
+    assert out.read_text() == "0 0 1 0\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_emitted_files_reparse_equal(tmp_path, cnot_file, capsys):

@@ -1,5 +1,6 @@
 import logging
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from bpgates.css import (
     NotLogicalOperatorError,
 )
 from bpgates import gf2
-from bpgates.linalg import H, tensor
+from bpgates.linalg import H, index_to_bits, tensor
 from bpgates.verify import TWO_PI
 from conftest import random_state, repetition_pair, wide_pair
 
@@ -237,7 +238,8 @@ def test_css_codes_equicoherent(code_422, steane):
     assert ok and l == 8 and violation is None
 
 
-def test_equicoherent_builds_each_state_once(steane, hamming15, monkeypatch):
+def test_equicoherent_state_lookups(steane, hamming15, monkeypatch):
+    # a CSS encoding is decided from its coset table, building no state
     lookups = []
     build = CosetStates.__getitem__
 
@@ -247,9 +249,19 @@ def test_equicoherent_builds_each_state_once(steane, hamming15, monkeypatch):
 
     monkeypatch.setattr(CosetStates, "__getitem__", counted)
     for e in (steane, hamming15):
-        lookups.clear()
-        assert check_equicoherent(e)[0]
-        assert sorted(lookups) == list(range(1 << e.k))
+        assert check_equicoherent(e) == (True, e.l, None)
+    assert lookups == []
+
+    # a generic encoding looks each state up once
+    class CountedStates(dict):
+        def __getitem__(self, x):
+            lookups.append(x)
+            return super().__getitem__(x)
+
+    states = rank13_encoding().basis_states
+    e = GenericEncoding(n=2, k=1, basis_states=CountedStates(states))
+    assert not check_equicoherent(e)[0]
+    assert sorted(lookups) == [0, 1]
 
 
 def test_equicoherent_rank_violation():
@@ -266,6 +278,50 @@ def test_equicoherent_overlap_violation():
     ok, l, violation = check_equicoherent(e)
     assert not ok
     assert "condition 2" in violation and "00" in violation
+
+
+def check_equicoherent_pairwise(e, tol=1e-9):
+    """The check check_equicoherent replaced: every pair of supports, in
+    combinations order."""
+    supports = {
+        x: frozenset(np.flatnonzero(np.abs(v) > tol).tolist())
+        for x, v in e.basis_states.items()
+    }
+    for x, y in combinations(sorted(supports), 2):
+        bx, by = index_to_bits(x, e.k), index_to_bits(y, e.k)
+        if len(supports[x]) != len(supports[y]):
+            return False, None, (
+                f"condition 1: ranks differ for ({bx}, {by}): "
+                f"{len(supports[x])} vs {len(supports[y])}"
+            )
+        if supports[x] & supports[y]:
+            overlap = index_to_bits(min(supports[x] & supports[y]), e.n)
+            return False, None, f"condition 2: supports of ({bx}, {by}) overlap at {overlap}"
+    return True, len(supports[0]), None
+
+
+def test_equicoherent_matches_pairwise_reference(code_422, steane, hamming15):
+    # random supports, mostly of one size and often sharing indices, so that
+    # rank and overlap violations fall on every kind of first pair
+    rng = np.random.default_rng(7)
+    encodings = [code_422, steane, hamming15, rank13_encoding()]
+    for _ in range(300):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        states = {}
+        for x in range(1 << k):
+            size = 3 if rng.random() < 0.9 else int(rng.integers(1, 5))
+            psi = np.zeros(1 << n, dtype=complex)
+            psi[rng.choice(1 << n, size=min(size, 1 << n), replace=False)] = 0.5
+            states[x] = psi
+        encodings.append(GenericEncoding(n=n, k=k, basis_states=states))
+    # amplitudes 1/√8 at or below tol: every rank is 0, as for the reference
+    assert check_equicoherent(steane, 0.5) == check_equicoherent_pairwise(steane, 0.5) == (True, 0, None)
+    verdicts = set()
+    for e in encodings:
+        got = check_equicoherent(e)
+        assert got == check_equicoherent_pairwise(e)
+        verdicts.add(got[2][:11] if got[2] else "ok")
+    assert verdicts == {"ok", "condition 1", "condition 2"}
 
 
 def test_coset_partition(code_422, steane):

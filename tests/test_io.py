@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +90,100 @@ def test_matrix_comments_and_errors(monkeypatch):
     monkeypatch.setattr(io, "parse_complex", parse)
     with pytest.raises(ValueError, match="11 qubits exceeds dense cap 10"):
         read_matrix("n 11\n" + "1+0i\n" * 2048)
+
+
+def write_matrix_rows(U, fp):
+    """The writer write_matrix replaced: one formatted line per row."""
+    U = np.asarray(U, dtype=complex)
+    fp.write(f"n {U.shape[0].bit_length() - 1}\n")
+    for row in U:
+        fp.write(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n")
+
+
+def test_write_matrix_matches_row_writer(rng):
+    for n in range(1, 6):
+        for U in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
+            signed = U.copy()  # -0.0 and 0.0 print differently
+            signed.real[0, :2] = -0.0
+            signed.imag[-1, -2:] = -0.0
+            for M in (U, signed, U.T):
+                assert dumps(write_matrix, M) == dumps(write_matrix_rows, M)
+    assert dumps(write_matrix, np.array([[complex(-0.0, -0.0)]])) == "n 0\n-0-0i\n"
+
+
+def bits(z: complex) -> bytes:
+    return np.array([z.real, z.imag]).tobytes()
+
+
+# Entries the fast path must read as parse_complex does: the guards'
+# corners (a lone or missing sign, exponent signs, a bare `i` unit) and
+# what float() accepts beyond plain decimals.
+PARSER_CORPUS = [
+    "2i", "-1e-5i", "1+i", "1-i", "nani", "1e5+-2i", "1e+2i", "(1+2i)",
+    "1+2j", "1+2ji", "1_0+0i", "1+infi", "1-nani", "infinity+0i", "-0-0i",
+    "+1+1i", ".5-.5i", "1E5-1E-5i", "0x1+2i",
+]
+
+
+def test_read_matrix_reads_the_parse_complex_language():
+    for tok in PARSER_CORPUS:
+        try:
+            want = parse_complex(tok)
+        except FormatError:
+            want = None
+        try:
+            got = read_matrix(f"n 0\n{tok}\n")[0, 0]
+        except FormatError as exc:
+            assert want is None, tok
+            assert str(exc).startswith("line 2: "), tok
+            continue
+        assert want is not None, tok
+        assert bits(got) == bits(want), tok
+    # the same entries two to a row, so that a refused token can sit
+    # beside an accepted one whose sign count makes up for it
+    accepted = [t for t in PARSER_CORPUS if not _refused(t)]
+    for tok in PARSER_CORPUS:
+        for other in accepted:
+            text = f"n 1\n0+0i 1+0i\n{other} {tok}\n"
+            if _refused(tok):
+                with pytest.raises(FormatError, match="^line 3: "):
+                    read_matrix(text)
+            else:
+                M = read_matrix(text)
+                assert bits(M[1, 0]) == bits(parse_complex(other))
+                assert bits(M[1, 1]) == bits(parse_complex(tok))
+
+
+def _refused(tok: str) -> bool:
+    try:
+        parse_complex(tok)
+    except FormatError:
+        return True
+    return False
+
+
+def test_read_matrix_matches_entry_parser(rng):
+    def read_by_entry(text):
+        lines = text.splitlines()[1:]
+        return np.array([[parse_complex(t) for t in line.split()] for line in lines])
+
+    for n in range(1, 6):
+        for U in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
+            U = U * 10.0 ** rng.integers(-300, 300, size=U.shape)
+            U.real[0, 0] = -0.0
+            text = dumps(write_matrix, U)
+            got, want = read_matrix(text), read_by_entry(text)
+            assert got.tobytes() == want.tobytes() == U.tobytes()
+    # separators other than one space still read, by the entry parser
+    assert np.array_equal(read_matrix("n 1\n1+0i\t 0+0i\n0+0i   1+0i\n"), np.eye(2))
+
+
+def test_read_matrix_names_the_line_of_a_bad_entry():
+    rows = ["1+0i 0+0i 0+0i 0+0i"] * 4
+    for bad in ("2i", "1+i", "1e+2i", "1+2j", "1+-2i"):
+        text = "n 2\n" + "\n".join(rows[:2] + [f"0+0i {bad} 1+0i 0+0i"] + rows[3:]) + "\n"
+        with pytest.raises(FormatError, match=f"^line 4: .*{re.escape(bad)}"):
+            read_matrix(text)
 
 
 def test_zx_roundtrip(rng):

@@ -68,6 +68,18 @@ def test_normalizer_exhaustive_agrees(rng):
             assert check_normalizer(G) == check_normalizer(G, exhaustive=True)
 
 
+def test_normalizer_agrees_with_exhaustive_and_column_test():
+    # one conjugation by diag(0, ..., 2^n - 1) against every Z string
+    rng = np.random.default_rng(20261018)
+    for i in range(300):
+        n = 2 + i % 5
+        bp = i % 2 == 0
+        G = to_unitary(random_bp(n, rng)) if bp else random_near_bp(n, rng)
+        assert check_permutation(G).is_bp == bp
+        assert check_normalizer(G) == bp
+        assert check_normalizer(G, exhaustive=True) == bp
+
+
 def test_three_way_agreement(rng):
     for n, rounds in ((1, 25), (2, 25), (3, 25), (4, 8), (5, 4)):
         for _ in range(rounds):
