@@ -9,7 +9,8 @@ digits so that emit → parse round-trips exactly at double precision.
 from __future__ import annotations
 
 from io import StringIO
-from typing import TextIO
+from operator import itemgetter
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -280,51 +281,170 @@ def read_code(text: str) -> BinaryCode:
 
 # -------------------------------------------- permutation-with-phases gates
 
+# Rows of a perm file handled per whole-array step: temporaries stay O(block).
+_PERM_BLOCK = 4096
+
+
+def _label_bits(indices: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit labels of `indices`, one uint8 row of 0/1 per index."""
+    octets = np.ascontiguousarray(indices, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - n:]
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, which) for 2^n uint64 keys, n ≤ 32: the distinct keys in
+    increasing order and the place of each key among them, so that
+    values[which] == keys, as np.unique(keys, return_inverse=True) gives
+    them. The order comes from two sorts, by the low half and then stably by
+    the high half, of that half packed above each key's position: numpy
+    sorts integers several times faster than it argsorts them."""
+    position = np.arange(keys.size, dtype=np.uint64)
+    mask, shift = np.uint64(keys.size - 1), np.uint64(keys.size.bit_length() - 1)
+    order = np.sort((keys & np.uint64(0xFFFFFFFF)) << shift | position) & mask
+    order = order[np.sort((keys[order] >> np.uint64(32)) << shift | position) & mask]
+    ordered = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    which = np.empty(keys.size, dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return ordered[first], which
+
+
+# Width of `%.17g` for every double: sign, 17 digits, point and `e-308`.
+_PHASE_WIDTH = 24
+
+
 def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
-    """Lines `s-bits -> t-bits phase=<radians>` for every basis string s."""
-    if p.n == 0:
+    """Lines `s-bits -> t-bits phase=<radians>` for every basis string s,
+    built as ASCII rows one block of basis strings at a time."""
+    n = p.n
+    if n == 0:
         raise ValueError("a 0-qubit gate has no bit-string labels")
-    label = f"0{p.n}b"  # index_to_bits without its per-call range check
-    bits = [format(s, label) for s in range(1 << p.n)]
     # Each distinct phase is formatted once, keyed on its bit pattern: -0.0
-    # and 0.0 compare equal but are written differently.
-    keys, which = np.unique(
-        np.asarray(p.phases, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    text = [_fmt(x) for x in keys.view(np.float64).tolist()]
-    perm, which = np.asarray(p.perm).tolist(), which.tolist()
-    fp.write("".join(
-        f"{b} -> {bits[t]} phase={text[i]}\n" for b, t, i in zip(bits, perm, which)
-    ))
+    # and 0.0 compare equal but are written differently. The tails form a
+    # table padded with NULs, which are dropped from each block of rows.
+    keys, which = _distinct(np.asarray(p.phases, dtype=np.float64).view(np.uint64))
+    tails = (f" phase=%-{_PHASE_WIDTH}.17g\n" * keys.size) % tuple(keys.view(np.float64).tolist())
+    table = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(keys.size, -1).copy()
+    # each newline moves from after the value's space padding to its end
+    ends = len(" phase=") + np.count_nonzero(table[:, len(" phase="):-1] != ord(" "), axis=1)
+    table[np.arange(table.shape[1]) >= ends[:, None]] = 0
+    table[np.arange(keys.size), ends] = ord("\n")
+    perm = np.asarray(p.perm, dtype=np.int64)
+    # Blocks of 2^low rows start at multiples of 2^low: the low bits of a
+    # source label are its row in the block, the high bits the block's.
+    size, head = min(_PERM_BLOCK, 1 << n), 2 * n + 4
+    low = size.bit_length() - 1
+    rows = np.empty((size, head + table.shape[1]), dtype=np.uint8)
+    rows[:, n - low:n] = _label_bits(np.arange(size), low) + ord("0")
+    rows[:, n:n + 4] = np.frombuffer(b" -> ", dtype=np.uint8)
+    for start in range(0, 1 << n, size):
+        rows[:, :n - low] = _label_bits(np.array([start >> low]), n - low) + ord("0")
+        np.add(_label_bits(perm[start:start + size], n), ord("0"), out=rows[:, n + 4:head])
+        np.take(table, which[start:start + size], axis=0, out=rows[:, head:])
+        fp.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
-def read_perm(text: str) -> PermutationWithPhases:
+def _plain_lines(text: str) -> str:
+    """The content lines of text, each its tokens joined by single spaces
+    and ended by a newline: a perm file with comments, blank lines, CRLF
+    endings or odd spacing, in the layout write_perm writes."""
+    return "".join(" ".join(line.split()) + "\n" for _, line in _content_lines(text))
+
+
+def _read_plain_perm(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(n, perm, phases) of a perm file in the layout write_perm writes, by
+    whole-array passes over blocks of lines. None unless each line is
+    `s-bits -> t-bits phase=<x>` with n-bit labels, single spaces, no other
+    whitespace or control character, float(x) defined, and no source
+    repeated. So for an ASCII text, or one `_plain_lines` wrote, it reads
+    what the per-line reading reads, and refuses only what that refuses."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    n, dim = (lines[0].find(" ") if lines else -1), len(lines)
+    if not 0 < n < 63 or dim != 1 << n:  # before any array is allocated
+        return None
+    # a line's first `width` characters, with the label columns or-ed with 1
+    # so that '0' and '1' both read '1', match the template
+    width = 2 * n + 11
+    template = np.frombuffer(("1" * n + " -> " + "1" * n + " phase=").encode(), dtype=np.uint8)
+    is_label = (template == ord("1")).astype(np.uint8)
+    head = itemgetter(slice(0, width))
+    labels = np.r_[0:n, n + 4:2 * n + 4]  # the columns of the source and target labels
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    src, tgt = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    for start in range(0, dim, _PERM_BLOCK):
+        block = lines[start:start + _PERM_BLOCK]
+        if min(map(len, block)) <= width:  # a phase value has a character or more
+            return None
+        # UTF-8 writes no byte up to 32 for a character above 127
+        chars = np.frombuffer("".join(block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        if np.count_nonzero(chars <= ord(" ")) != 3 * len(block):
+            return None
+        try:
+            heads = "".join(map(head, block)).encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        rows = np.frombuffer(heads, dtype=np.uint8).reshape(len(block), width)
+        if not np.array_equal(rows | is_label, np.broadcast_to(template, rows.shape)):
+            return None
+        # integer product: no BLAS call, whose buffers would raise peak RSS
+        pairs = ((rows[:, labels] & 1).reshape(-1, n) @ weights).reshape(-1, 2)
+        src[start:start + len(block)], tgt[start:start + len(block)] = pairs.T
+    try:
+        values = np.fromiter(map(float, map(itemgetter(slice(width, None)), lines)),
+                             dtype=np.float64, count=dim)
+    except ValueError:
+        return None
+    perm, phases = np.full(dim, -1, dtype=np.int64), np.empty(dim)
+    perm[src], phases[src] = tgt, values
+    if (perm < 0).any():  # a repeated source leaves another unset
+        return None
+    return n, perm, phases
+
+
+def _raise_first_fault(text: str) -> NoReturn:
+    """Read a perm file line by line up to its first fault, and raise the
+    FormatError that names it."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty gate file")
-    n = None
+    n, seen = None, set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[1] != "->" or not parts[3].startswith("phase="):
             raise FormatError("expected 's-bits -> t-bits phase=<radians>'", lineno)
         sb, tb = parts[0], parts[2]
-        if n is None:  # the line count bounds the arrays before they exist
+        if n is None:
             n = len(sb)
             if len(lines) != 1 << n:
                 raise FormatError(f"expected all {1 << n} source strings exactly once")
-            perm, phases = np.full(1 << n, -1), np.zeros(1 << n)
         if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
             raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
         try:
-            phase = float(parts[3][len("phase="):])
+            float(parts[3][len("phase="):])
         except ValueError:
             raise FormatError("bad phase value", lineno) from None
-        s = int(sb, 2)
-        if perm[s] >= 0:
+        if sb in seen:
             raise FormatError(f"duplicate source string {sb}", lineno)
-        perm[s], phases[s] = int(tb, 2), phase
+        seen.add(sb)
+    raise AssertionError("the whole-array reading refused a perm file with no faulty line")
+
+
+def read_perm(text: str) -> PermutationWithPhases:
+    """Inverse of write_perm, lines in any order, with '#' comments and blank
+    lines. Read by whole-array passes; a file they refuse is read line by
+    line to name its first faulty line."""
+    # str.split() also splits at whitespace outside ASCII
+    read = _read_plain_perm(text) if text.isascii() else None
+    if read is None:  # comments, blank lines, CRLF, odd spacing, or a fault
+        read = _read_plain_perm(_plain_lines(text))
+    if read is None:
+        _raise_first_fault(text)
     try:
-        return PermutationWithPhases(n, perm, phases)
+        return PermutationWithPhases(*read)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -25,6 +25,7 @@ permutation gate is one integer operation however many inputs there are.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from bisect import bisect_left
@@ -214,44 +215,55 @@ def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, np.ndarray]:
     return d, p.perm
 
 
-def _mcx_pattern(
-    n: int, pattern: int, flip_qubit: int, anc_start: int
-) -> tuple[list[Gate], int]:
-    """X on flip_qubit controlled on every other qubit matching the bits of
-    `pattern` (an n-qubit basis index), built from the generating set.
-    Zero-valued controls are conjugated with X. Past two controls, a Toffoli
-    ladder ANDs them pairwise into c − 2 clean ancillas from anc_start and
-    undoes it. Returns (gates, ancillas used)."""
+def _mcx_ladder(n: int, flip_qubit: int, anc_start: int, gate) -> tuple[list[Gate], int]:
+    """X on flip_qubit controlled on every other qubit being 1, built from the
+    generating set by `gate`. Past two controls, a Toffoli ladder ANDs them
+    pairwise into c − 2 clean ancillas from anc_start and undoes it. Returns
+    (gates, ancillas used)."""
     controls = [q for q in range(n) if q != flip_qubit]
-    conj = [Gate("X", (q,)) for q in controls if not (pattern >> (n - 1 - q)) & 1]
     c = len(controls)
     if c <= 2:
-        core = Gate(("X", "CNOT", "CCNOT")[c], (*controls, flip_qubit))
-        return conj + [core] + conj[::-1], 0
+        return [gate(("X", "CNOT", "CCNOT")[c], (*controls, flip_qubit))], 0
     anc = range(anc_start, anc_start + c - 2)
-    compute = [Gate("CCNOT", (controls[0], controls[1], anc[0]))]
-    compute += [Gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])) for i in range(2, c - 1)]
-    body = [Gate("CCNOT", (controls[-1], anc[-1], flip_qubit))]
-    return conj + compute + body + compute[::-1] + conj[::-1], c - 2
+    compute = [gate("CCNOT", (controls[0], controls[1], anc[0]))]
+    compute += [gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])) for i in range(2, c - 1)]
+    body = [gate("CCNOT", (controls[-1], anc[-1], flip_qubit))]
+    return compute + body + compute[::-1], c - 2
 
 
-def _transposition(n: int, a: int, b: int, anc_start: int) -> tuple[list[Gate], int]:
+class _SharedGates:
+    """The gates of the transpositions on n qubits, each distinct one built
+    once (Gate is frozen, so circuits share them), and the ladder of each
+    flip qubit."""
+
+    def __init__(self, n: int, anc_start: int):
+        self.gate = gate = functools.cache(Gate)  # no cycle through self: freed on return
+        self.mcx = functools.cache(lambda p: _mcx_ladder(n, p, anc_start, gate))
+
+
+def _transposition(
+    n: int, a: int, b: int, anc_start: int, shared: _SharedGates | None = None
+) -> tuple[list[Gate], int]:
     """Exact swap of basis states |a⟩ ↔ |b⟩, conjugated by CNOTs.
 
     With p a qubit where a and b differ, CNOTs from p onto the other d − 1
     differing qubits map a and b to images that differ in p alone; the map
     is linear and invertible, so it moves no other pair onto them. One X on
     p controlled on the other n − 1 qubits of a's image swaps the images,
-    and the CNOTs are undone (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6),
-    2003)."""
+    its zero-valued controls conjugated with X, and the CNOTs are undone
+    (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6), 2003)."""
+    if shared is None:
+        shared = _SharedGates(n, anc_start)
+    gate = shared.gate
     diff = a ^ b
     p = n - diff.bit_length()  # the most significant differing qubit
     bit_p = a >> (n - 1 - p) & 1
-    fan = [Gate("CNOT", (p, q)) for q in range(p + 1, n) if diff >> (n - 1 - q) & 1]
+    fan = [gate("CNOT", (p, q)) for q in range(p + 1, n) if diff >> (n - 1 - q) & 1]
     # a's image: each fanned-out qubit of a flips when a holds 1 on p
     image = a ^ (diff ^ 1 << (n - 1 - p)) * bit_p
-    mcx, n_anc = _mcx_pattern(n, image, p, anc_start)
-    return fan + mcx + fan[::-1], n_anc
+    conj = [gate("X", (q,)) for q in range(n) if q != p and not image >> (n - 1 - q) & 1]
+    mcx, n_anc = shared.mcx(p)
+    return fan + conj + mcx + conj[::-1] + fan[::-1], n_anc
 
 
 def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: int) -> GateSequence:
@@ -281,8 +293,9 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
             transpositions.append((cycle[0], t))
     gates: list[Gate] = []
     n_anc = 0
+    shared = _SharedGates(n, anc_start=n)
     for a, b in transpositions:
-        g, used = _transposition(n, a, b, anc_start=n)
+        g, used = _transposition(n, a, b, anc_start=n, shared=shared)
         n_anc = max(n_anc, used)
         gates.extend(g)
     return GateSequence(n_data=n, n_anc=n_anc, gates=gates, global_phase=0.0)

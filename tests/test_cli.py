@@ -410,7 +410,7 @@ def test_css_lift_and_restrict(code_files, tmp_path, rng, capsys):
     )
 
 
-def test_css_lift_and_restrict_hamming15(tmp_path, rng):
+def test_css_lift_and_restrict_hamming15(tmp_path, rng, capsys):
     # [[15,7,3]]: the lifted gate acts on 15 qubits, past the dense cap
     c1, c2 = tmp_path / "c1.code", tmp_path / "c2.code"
     simplex, hamming = hamming_pair(4)
@@ -422,6 +422,10 @@ def test_css_lift_and_restrict_hamming15(tmp_path, rng):
     codes = ["--c1", str(c1), "--c2", str(c2)]
     assert main(["css-lift", *codes, "--gate", str(gate_file), "--output", str(lifted_file)]) == 0
     assert io.read_perm(io.read_file(str(lifted_file))).n == 15
+    # written to stdout block by block, the same bytes as the file
+    capsys.readouterr()
+    assert main(["css-lift", *codes, "--gate", str(gate_file)]) == 0
+    assert capsys.readouterr().out == lifted_file.read_text()
     assert main(["css-restrict", *codes, "--gate", str(lifted_file), "--output", str(back_file)]) == 0
     back = io.read_perm(io.read_file(str(back_file)))
     assert np.array_equal(back.perm, g.perm)

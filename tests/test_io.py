@@ -350,17 +350,32 @@ def write_perm_per_line(p, fp):
 def test_write_perm_matches_per_line_writer(rng, hamming15):
     # -0.0 and 0.0 compare equal but print differently; the phase memo must
     # keep them apart (PermutationWithPhases maps -0.0 to 0.0, so the -0.0
-    # gates are plain namespaces carrying the same three fields)
+    # gates are plain namespaces carrying the same three fields). n = 13 and
+    # 16 span two and sixteen blocks of rows.
     gates = [SimpleNamespace(n=1, perm=(1, 0), phases=(-0.0, 0.0))]
-    for n in (1, 2, 3, 4):
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, np.nextafter(2 * np.pi, 0), -1.5, 1e300]
+    for n in (1, 2, 3, 4, 12, 13, 16):
         g = random_bp(n, rng)
-        phases = list(g.phases)
-        phases[0], phases[-1] = -0.0, 0.0
-        gates += [g, SimpleNamespace(n=n, perm=g.perm, phases=tuple(phases))]
+        phases = np.array(g.phases)
+        phases[rng.choice(1 << n, min(len(special), 1 << n), replace=False)] = special[:1 << n]
+        gates += [g, SimpleNamespace(n=n, perm=g.perm, phases=phases)]
     gates.append(lift_logical(hamming15, random_bp(7, rng)))
     for g in gates:
         assert dumps(write_perm, g) == dumps(write_perm_per_line, g)
     assert "phase=-0\n" in dumps(write_perm, gates[0])
+
+
+def test_distinct_matches_unique(rng):
+    # keys that differ in either half, the sign bit included, and repeat
+    top, bottom = rng.integers(0, 4, (2, 1 << 12), dtype=np.uint64)
+    for keys in (
+        top << np.uint64(62) | bottom,
+        rng.uniform(-7, 7, 1 << 10).round(1).view(np.uint64),
+        np.array([-0.0, 0.0]).view(np.uint64),
+    ):
+        values, which = io._distinct(keys)
+        expected = np.unique(keys, return_inverse=True)
+        assert np.array_equal(values, expected[0]) and np.array_equal(which, expected[1])
 
 
 def test_writers_refuse_zero_qubit_objects():
@@ -385,3 +400,95 @@ def test_perm_parse_errors():
         read_perm(line)
     with pytest.raises(FormatError, match="line 2: duplicate source string 1"):
         read_perm("1 -> 1 phase=0\n1 -> 0 phase=0\n")
+
+
+def read_perm_per_line(text):
+    """Reference reader: one line at a time, as perm files were once read."""
+    lines = io._content_lines(text)
+    if not lines:
+        raise FormatError("empty gate file")
+    n = None
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 4 or parts[1] != "->" or not parts[3].startswith("phase="):
+            raise FormatError("expected 's-bits -> t-bits phase=<radians>'", lineno)
+        sb, tb = parts[0], parts[2]
+        if n is None:
+            n = len(sb)
+            if len(lines) != 1 << n:
+                raise FormatError(f"expected all {1 << n} source strings exactly once")
+            perm, phases = np.full(1 << n, -1), np.zeros(1 << n)
+        if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
+            raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
+        try:
+            phase = float(parts[3][len("phase="):])
+        except ValueError:
+            raise FormatError("bad phase value", lineno) from None
+        s = int(sb, 2)
+        if perm[s] >= 0:
+            raise FormatError(f"duplicate source string {sb}", lineno)
+        perm[s], phases[s] = int(tb, 2), phase
+    try:
+        return PermutationWithPhases(n, perm, phases)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+@pytest.mark.parametrize("fault", [
+    lambda s, t, x: f"{s[:-1]}2 -> {t} phase={x}",
+    lambda s, t, x: f"{s} -> {t}0 phase={x}",
+    lambda s, t, x: f"{s} => {t} phase={x}",
+    lambda s, t, x: f"{s} -> {t} phase={x}x",
+    lambda s, t, x: f"{'0' * len(s)} -> {t} phase={x}",
+    lambda s, t, x: f"{s} -> {'0' * len(t)} phase={x}",
+], ids=["bit-string", "label-width", "arrow", "phase-value", "repeated-source", "not-bijective"])
+def test_perm_fault_deep_in_file_named_as_per_line(rng, fault):
+    lines = dumps(write_perm, random_bp(13, rng)).splitlines()
+    row = 6000
+    s, _, t, x = lines[row].split()
+    lines[row] = fault(s, t, x[len("phase="):])
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as expected:
+        read_perm_per_line(text)
+    with pytest.raises(FormatError) as got:
+        read_perm(text)
+    assert str(got.value) == str(expected.value)
+    assert got.value.lineno == expected.value.lineno
+
+
+@pytest.mark.parametrize("text", [
+    "0 -> 1 phase=\t0\n1 -> 0 phase=0\n",  # float() would skip the tab
+    "0 -> 1 phase=\xa00\n1 -> 0 phase=0\n",  # and a no-break space
+    "0 -> 1 p\n1 -> 0 phase=0\n",  # a line shorter than the fixed head
+    "0 -> 1 phase=0\n1 -> 0 phase=0 0\n",
+])
+def test_perm_layout_faults_named_as_per_line(text):
+    with pytest.raises(FormatError) as expected:
+        read_perm_per_line(text)
+    with pytest.raises(FormatError) as got:
+        read_perm(text)
+    assert str(got.value) == str(expected.value)
+
+
+def test_perm_layouts_read_alike(rng):
+    p = random_bp(5, rng)
+    clean = dumps(write_perm, p)
+    lines = clean.splitlines()
+    order = rng.permutation(len(lines))
+    messy = ["# a permutation gate", ""]
+    for i in order:
+        s, arrow, t, phase = lines[i].split()
+        messy += [f"  {s}   {arrow}\t{t}  {phase}   ", "", "   # comment"]
+    for text in (
+        "\r\n".join(messy) + "\r\n",
+        "\n".join(lines[i] for i in order),  # shuffled, no final newline
+        clean.replace("\n", "\r\n"),
+    ):
+        assert read_perm(text) == p == read_perm_per_line(text)
+
+
+def test_perm_roundtrip_sixteen_qubits(rng):
+    p = random_bp(16, rng)
+    back = read_perm(dumps(write_perm, p))
+    assert np.array_equal(back.perm, p.perm)
+    assert back.phases.view(np.int64).tolist() == p.phases.view(np.int64).tolist()

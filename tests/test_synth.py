@@ -252,6 +252,12 @@ def test_transposition_is_one_mcx_conjugated_by_cnots():
             assert achieved.perm.tolist() == swap and not achieved.phases.any()
 
 
+def test_permutation_circuit_shares_equal_gates(rng):
+    # Gate is frozen: each distinct gate of one circuit is built once
+    seq = permutation_to_circuit(rng.permutation(64), 6)
+    assert len({id(g) for g in seq.gates}) == len(set(seq.gates)) < len(seq.gates)
+
+
 def test_all_two_qubit_permutations_exact():
     for perm in itertools.permutations(range(4)):
         seq = permutation_to_circuit(perm, 2)
