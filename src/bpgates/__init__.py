@@ -5,14 +5,12 @@ from .linalg import (
     DEFAULT_TOL,
     DENSE_QUBIT_CAP,
     GOLDEN_THETA,
-    basis_state,
-    pauli_x_string,
     pauli_z_string,
     phase_optimized_error,
     tensor,
     worst_case_error,
 )
-from .zx import ZXBlock, ZXDecomposition, block, block_basis_form, block_matrix, block_product_adjoint, is_z_type, reconstruct, zx_decompose
+from .zx import ZXBlock, ZXDecomposition, block, block_matrix, is_z_type, zx_decompose
 from .verify import (
     BpVerdict,
     PermutationWithPhases,
@@ -22,7 +20,6 @@ from .verify import (
     coherence_rank,
     hadamard_bound,
     random_bp,
-    support_set,
     to_unitary,
 )
 from .synth import (

@@ -42,10 +42,10 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _timed(name: str, verifier, *args, **kwargs):
+def _timed(name: str, verifier, *args):
     """(result, wall seconds) of one verifier call, logged at its start and end."""
     with Stage(log, name) as stage:
-        result = verifier(*args, **kwargs)
+        result = verifier(*args)
     return result, stage.seconds
 
 
@@ -54,10 +54,7 @@ def cmd_check(args) -> int:
     G = io.read_matrix(io.read_file(args.matrix))
     verdict, t_perm = _timed("permutation", verify.check_permutation, G, args.tol)
     agree_zx, t_zx = _timed("zx", verify.check_zx, G, args.tol)
-    agree_norm, t_norm = _timed(
-        "normalizer", verify.check_normalizer,
-        G, args.tol, exhaustive=args.exhaustive_normalizer,
-    )
+    agree_norm, t_norm = _timed("normalizer", verify.check_normalizer, G, args.tol)
     if verdict.is_bp != agree_zx or verdict.is_bp != agree_norm:
         print(
             f"error: verifier disagreement (perm={verdict.is_bp} zx={agree_zx} "
@@ -244,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide bias preservation of a matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--exhaustive-normalizer", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_check)
 

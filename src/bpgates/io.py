@@ -269,6 +269,10 @@ def read_code(text: str) -> BinaryCode:
         n, k = int(parts[1]), int(parts[3])
     except ValueError:
         raise FormatError("bad header values", lineno) from None
+    if n < 1:
+        raise FormatError(f"code length n must be at least 1, got {n}", lineno)
+    if not 0 <= k <= n:
+        raise FormatError(f"code dimension k must be in 0..{n}, got {k}", lineno)
     if len(lines) - 1 != k:
         raise FormatError(f"expected {k} generator rows, found {len(lines) - 1}")
     rows = []
@@ -276,7 +280,8 @@ def read_code(text: str) -> BinaryCode:
         if len(line) != n or set(line) - {"0", "1"}:
             raise FormatError(f"expected {n} binary characters, got {line!r}", lineno)
         rows.append([int(ch) for ch in line])
-    return BinaryCode.from_rows(rows)
+    # k = 0 is the zero code {0}, whose generator has no rows
+    return BinaryCode.from_rows(np.array(rows, dtype=np.uint8).reshape(k, n))
 
 
 # -------------------------------------------- permutation-with-phases gates
@@ -438,9 +443,12 @@ def read_perm(text: str) -> PermutationWithPhases:
     lines. Read by whole-array passes; a file they refuse is read line by
     line to name its first faulty line."""
     # str.split() also splits at whitespace outside ASCII
-    read = _read_plain_perm(text) if text.isascii() else None
+    ascii_text = text.isascii()
+    read = _read_plain_perm(text) if ascii_text else None
     if read is None:  # comments, blank lines, CRLF, odd spacing, or a fault
-        read = _read_plain_perm(_plain_lines(text))
+        plain = _plain_lines(text)
+        if plain != text or not ascii_text:  # a text already plain failed above
+            read = _read_plain_perm(plain)
     if read is None:
         _raise_first_fault(text)
     try:

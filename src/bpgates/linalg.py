@@ -30,11 +30,6 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
-def rz(angle: float) -> np.ndarray:
-    """Rotation about the z axis: diag(e^{-i a/2}, e^{i a/2})."""
-    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
-
-
 def as_index(bits: str | Sequence[int]) -> tuple[int, int]:
     """Normalize a bit string ('101' or [1,0,1]) to (integer index, length)."""
     if isinstance(bits, str):
@@ -55,10 +50,6 @@ def index_to_bits(index: int, n: int) -> str:
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} qubits")
     return format(index, f"0{n}b") if n else ""
-
-
-def parity(x: int) -> int:
-    return bin(x).count("1") & 1
 
 
 def require_dense_cap(n: int) -> None:
@@ -121,23 +112,6 @@ def pauli_z_string(c: str | Sequence[int]) -> np.ndarray:
     """Z_c = ⊗_i Z^{c_i}: diagonal with entry (-1)^{c·s} at basis index s."""
     cval, n = as_index(c)
     return np.diag(z_signs(cval, n)).astype(complex)
-
-
-def pauli_x_string(v: str | Sequence[int]) -> np.ndarray:
-    """X_v = ⊗_i X^{v_i}: permutation matrix |s⟩ ↦ |s ⊕ v⟩."""
-    vval, n = as_index(v)
-    s = np.arange(1 << n)
-    M = np.zeros((s.size, s.size), dtype=complex)
-    M[s ^ vval, s] = 1.0
-    return M
-
-
-def basis_state(bits: str | Sequence[int]) -> np.ndarray:
-    """Computational basis state |bits⟩ as a state vector."""
-    idx, n = as_index(bits)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[idx] = 1.0
-    return psi
 
 
 def worst_case_error(U: np.ndarray, V: np.ndarray) -> float:

@@ -43,10 +43,6 @@ class ZXDecomposition:
     n: int
     coeffs: CoefficientView  # (u, v) -> alpha_{u,v}
 
-    def x_parts(self) -> list[int]:
-        """Sorted list of v with at least one nonzero coefficient."""
-        return np.flatnonzero(np.any(self.array(), axis=1)).tolist()
-
     def array(self) -> np.ndarray:
         """The read-only coefficient array alpha[v, u] = α_{u,v}."""
         return self.coeffs.array
@@ -97,20 +93,6 @@ def basis_forms(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parts, walsh_hadamard_rows(alpha[parts])
 
 
-def _from_basis_forms(parts: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Dense Σ_i Σ_s beta[i, s]|s⟩⟨s⊕v| with v = parts[i]."""
-    dim = beta.shape[1]
-    s = np.arange(dim)
-    M = np.zeros((dim, dim), dtype=complex)
-    # Distinct X-parts put each entry (s, s⊕v) in a distinct place.
-    M[s, s ^ parts[:, None]] = beta
-    return M
-
-
-def reconstruct(d: ZXDecomposition) -> np.ndarray:
-    return _from_basis_forms(*basis_forms(d.array()))
-
-
 def block(d: ZXDecomposition, v: int | str) -> ZXBlock:
     """The block A_v; an all-absent block is the valid zero operator."""
     if isinstance(v, str):
@@ -121,28 +103,10 @@ def block(d: ZXDecomposition, v: int | str) -> ZXBlock:
 
 
 def block_matrix(b: ZXBlock) -> np.ndarray:
-    """Dense A_v = Σ_s β_{s,v}|s⟩⟨s⊕v|."""
-    return _from_basis_forms(np.array([b.v]), walsh_hadamard(b.alpha)[None, :])
-
-
-def block_basis_form(
-    b: ZXBlock, tol: float = DEFAULT_TOL
-) -> tuple[set[int], dict[int, complex]]:
-    """(S_v, β) with A_v = Σ_{s∈S_v} β_{s,v}|s⟩⟨s ⊕ v| and β_{s,v} = Σ_u (-1)^{u·s} α_{u,v}."""
-    beta = walsh_hadamard(b.alpha)
-    diag = {int(s): complex(beta[s]) for s in np.flatnonzero(np.abs(beta) > tol)}
-    return set(diag), diag
-
-
-def block_product_adjoint(a: ZXBlock, b: ZXBlock) -> np.ndarray:
-    """Dense A_v A_w†: the only nonzero entries are β_{s,v}·conj(β_{s⊕v⊕w,w})
-    at (s, s⊕v⊕w)."""
-    if a.n != b.n:
-        raise ValueError("block qubit counts differ")
-    s = np.arange(1 << a.n)
-    t = s ^ a.v ^ b.v
+    """Dense A_v = Σ_s β_{s,v}|s⟩⟨s⊕v|, β_{s,v} = Σ_u (-1)^{u·s} α_{u,v}."""
+    s = np.arange(1 << b.n)
     M = np.zeros((s.size, s.size), dtype=complex)
-    M[s, t] = walsh_hadamard(a.alpha) * walsh_hadamard(b.alpha)[t].conj()
+    M[s, s ^ b.v] = walsh_hadamard(b.alpha)
     return M
 
 

@@ -4,6 +4,56 @@ import pytest
 from bpgates import BinaryCode, build_css, random_bp, to_unitary
 
 
+# ---------------------------------------------- dense references
+# Definitions by the per-entry loops, for the tests to check the library by.
+
+def parity(x: int) -> int:
+    return bin(x).count("1") & 1
+
+
+def rz(angle: float) -> np.ndarray:
+    """Rotation about the z axis: diag(e^{-i a/2}, e^{i a/2})."""
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+
+def basis_state(bits: str) -> np.ndarray:
+    """Computational basis state |bits⟩ as a state vector."""
+    psi = np.zeros(1 << len(bits), dtype=complex)
+    psi[int(bits, 2)] = 1.0
+    return psi
+
+
+def x_string(bits: str) -> np.ndarray:
+    """X_v = ⊗_i X^{v_i}: the permutation matrix |s⟩ ↦ |s ⊕ v⟩."""
+    v, dim = int(bits, 2), 1 << len(bits)
+    M = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        M[s ^ v, s] = 1.0
+    return M
+
+
+def zx_sum(n: int, items) -> np.ndarray:
+    """Dense Σ α_{u,v} Z_u X_v over ((u, v), α) items, entry by entry:
+    Z_u X_v has (-1)^{u·s} at (s, s⊕v)."""
+    M = np.zeros((1 << n, 1 << n), dtype=complex)
+    for (u, v), alpha in items:
+        for s in range(1 << n):
+            M[s, s ^ v] += alpha * (-1.0) ** parity(u & s)
+    return M
+
+
+def normalizer_reference(G: np.ndarray, tol: float = 1e-9) -> bool:
+    """The normalizer test by its definition: G Z_c G† has no off-diagonal
+    entry above tol, for each of the 2^n − 1 nontrivial Z strings Z_c."""
+    dim = G.shape[0]
+    for c in range(1, dim):
+        Zc = np.diag([(-1.0) ** parity(c & s) for s in range(dim)])
+        C = G @ Zc @ G.conj().T
+        if np.max(np.abs(C - np.diag(np.diagonal(C)))) > tol:
+            return False
+    return True
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like random unitary from the QR decomposition of a Ginibre matrix."""
     dim = 1 << n

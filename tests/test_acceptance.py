@@ -14,7 +14,6 @@ from bpgates import (
     BinaryCode,
     GenericEncoding,
     PermutationWithPhases,
-    basis_state,
     build_css,
     check_equicoherent,
     check_normalizer,
@@ -38,7 +37,7 @@ from bpgates import (
     zx_decompose,
 )
 from bpgates.linalg import H
-from conftest import random_state, random_unitary
+from conftest import basis_state, random_state, random_unitary
 
 TOL = 1e-9
 SEED = 424242

@@ -50,7 +50,7 @@ def code_files(tmp_path):
 
 # The options each command reads; one added where it is not read fails here.
 COMMAND_OPTIONS = {
-    "check": {"--matrix", "--exhaustive-normalizer", "--tol", "--json"},
+    "check": {"--matrix", "--tol", "--json"},
     "decompose-zx": {"--matrix", "--output", "--tol"},
     "distance": {"--matrix", "--other", "--phase-optimized", "--tol", "--json"},
     "synth": {"--target", "--matrix", "--eps", "--theta", "--output", "--tol", "--json"},
@@ -136,8 +136,11 @@ def test_check_refuses_non_unitary_matrix(tmp_path, capsys):
     assert captured.err == "error: matrix is not unitary within tolerance\n"
 
 
-def test_check_exhaustive_flag(cnot_file):
-    assert main(["check", "--matrix", cnot_file, "--exhaustive-normalizer"]) == 0
+def test_check_exhaustive_flag_is_refused(cnot_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--matrix", cnot_file, "--exhaustive-normalizer"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exhaustive-normalizer" in capsys.readouterr().err
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -341,6 +344,21 @@ def test_css_check(code_files, capsys):
     c1, c2 = code_files
     assert main(["css-check", "--c1", c1, "--c2", c2]) == 0
     assert "EQUICOHERENT yes l=2" in capsys.readouterr().out
+
+
+def test_css_zero_code_in_even_weight(tmp_path, capsys):
+    # C1 = {0} ⊂ even[3, 2]: its file is the header `n 3 k 0` alone
+    zero = BinaryCode.from_rows(np.zeros((0, 3), dtype=np.uint8))
+    even = BinaryCode.from_rows([[1, 1, 0], [0, 1, 1]])
+    c1, c2 = str(tmp_path / "zero.code"), str(tmp_path / "even.code")
+    io.write_file(c1, io.write_code, zero)
+    io.write_file(c2, io.write_code, even)
+    assert main(["css-build", "--c1", c1, "--c2", c2, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["k"], payload["l"]) == (3, 2, 1)
+    assert sorted(w for ws in payload["supports"].values() for w in ws) == ["000", "011", "101", "110"]
+    assert main(["css-check", "--c1", c1, "--c2", c2]) == 0
+    assert capsys.readouterr().out == "EQUICOHERENT yes l=1\n"
 
 
 def test_css_check_twenty_logical_qubits(tmp_path, capsys):

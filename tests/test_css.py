@@ -9,7 +9,6 @@ from bpgates import (
     BinaryCode,
     GenericEncoding,
     PermutationWithPhases,
-    basis_state,
     build_css,
     check_equicoherent,
     check_normalizer,
@@ -35,7 +34,7 @@ from bpgates.css import (
 from bpgates import gf2
 from bpgates.linalg import H, index_to_bits, tensor
 from bpgates.verify import TWO_PI
-from conftest import random_state, repetition_pair, wide_pair
+from conftest import basis_state, random_state, repetition_pair, wide_pair
 
 
 def rank13_encoding():

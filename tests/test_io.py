@@ -242,7 +242,6 @@ def test_zx_parse_errors():
 def test_zx_explicit_zero_reads_as_absent():
     d = read_zx("0 0 0 0\n1 1 1 0\n")
     assert dict(d.coeffs) == {(1, 1): 1 + 0j}
-    assert d.x_parts() == [1]
     assert dumps(write_zx, d) == "1 1 1 0\n"
 
 
@@ -320,6 +319,27 @@ def test_code_parse_errors():
         read_code("n 4 k 1\n112\n")
     with pytest.raises(FormatError):
         read_code("n 4 k 2\n1100\n")  # row count mismatch
+
+
+def test_zero_code_roundtrip():
+    # C = {0}: the header alone, with no generator row
+    zero = BinaryCode.from_rows(np.zeros((0, 3), dtype=np.uint8))
+    text = dumps(write_code, zero)
+    assert text == "n 3 k 0\n"
+    back = read_code(text)
+    assert (back.n, back.k, back.generator.shape) == (3, 0, (0, 3))
+    assert back.words() == [0]
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("n 0 k 0\n", "line 1: code length n must be at least 1, got 0"),
+    ("n -3 k 0\n", "line 1: code length n must be at least 1, got -3"),
+    ("n 3 k -1\n", "line 1: code dimension k must be in 0..3, got -1"),
+    ("n 3 k 4\n100\n010\n001\n111\n", "line 1: code dimension k must be in 0..3, got 4"),
+], ids=["zero-length", "negative-length", "negative-dimension", "dimension-above-length"])
+def test_code_header_faults_named(text, cause):
+    with pytest.raises(FormatError, match=f"^{re.escape(cause)}$"):
+        read_code(text)
 
 
 def test_perm_roundtrip(rng):
@@ -492,3 +512,28 @@ def test_perm_roundtrip_sixteen_qubits(rng):
     back = read_perm(dumps(write_perm, p))
     assert np.array_equal(back.perm, p.perm)
     assert back.phases.view(np.int64).tolist() == p.phases.view(np.int64).tolist()
+
+
+def test_perm_fault_in_written_layout_read_once(rng, monkeypatch):
+    # a faulty file already in the written layout is not rebuilt and passed
+    # over a second time; one in another layout is, once
+    calls = []
+    whole_array = io._read_plain_perm
+
+    def counted(text):
+        calls.append(len(text))
+        return whole_array(text)
+
+    monkeypatch.setattr(io, "_read_plain_perm", counted)
+    lines = dumps(write_perm, random_bp(13, rng)).splitlines()
+    lines[-1] = lines[-1] + "x"  # a bad last phase
+    text = "\n".join(lines) + "\n"
+    for layout, passes in ((text, 1), (text.replace("\n", "\r\n"), 2)):
+        calls.clear()
+        with pytest.raises(FormatError) as expected:
+            read_perm_per_line(layout)
+        with pytest.raises(FormatError) as got:
+            read_perm(layout)
+        assert len(calls) == passes
+        assert str(got.value) == str(expected.value) == "line 8192: bad phase value"
+        assert got.value.lineno == expected.value.lineno == 8192

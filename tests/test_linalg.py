@@ -11,12 +11,12 @@ from bpgates.linalg import (
     Z,
     as_index,
     index_to_bits,
-    pauli_x_string,
     pauli_z_string,
     phase_optimized_error,
     tensor,
     worst_case_error,
 )
+from conftest import parity
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=6)
 
@@ -58,25 +58,12 @@ def test_pauli_z_string_101():
         assert diag[s] == (-1.0) ** (s0 ^ s2)
 
 
-def test_pauli_x_string_cases():
-    assert np.array_equal(pauli_x_string("00"), np.eye(4))
-    assert np.array_equal(pauli_x_string("1"), [[0, 1], [1, 0]])
-    psi = np.zeros(4)
-    psi[1] = 1.0  # |01>
-    assert np.allclose(pauli_x_string("11") @ psi, [0, 0, 1, 0])  # |10>
-
-
 def test_pauli_strings_match_entrywise_reference():
-    # the per-entry loops these helpers were first written as
+    # the per-entry loop pauli_z_string was first written as
     for n in range(1, 5):
         for c in range(1 << n):
-            bits = format(c, f"0{n}b")
-            Xc = np.zeros((1 << n, 1 << n), dtype=complex)
-            for s in range(1 << n):
-                Xc[s ^ c, s] = 1.0
-            Zc = np.diag([(-1.0) ** linalg.parity(c & s) for s in range(1 << n)])
-            assert np.array_equal(pauli_x_string(bits), Xc)
-            assert np.array_equal(pauli_z_string(bits), Zc)
+            Zc = np.diag([(-1.0) ** parity(c & s) for s in range(1 << n)])
+            assert np.array_equal(pauli_z_string(format(c, f"0{n}b")), Zc)
 
 
 @given(bitstrings, bitstrings)
@@ -87,9 +74,6 @@ def test_pauli_string_group_law(a, b):
     c = format(int(a, 2) ^ int(b, 2), f"0{n}b")
     assert np.array_equal(
         pauli_z_string(a) @ pauli_z_string(b), pauli_z_string(c)
-    )
-    assert np.array_equal(
-        pauli_x_string(a) @ pauli_x_string(b), pauli_x_string(c)
     )
 
 
@@ -166,7 +150,7 @@ def test_walsh_hadamard_rows_matches_definition():
         dim = 1 << n
         a = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
         signs = np.array(
-            [[(-1.0) ** linalg.parity(u & s) for s in range(dim)] for u in range(dim)]
+            [[(-1.0) ** parity(u & s) for s in range(dim)] for u in range(dim)]
         )
         direct = a @ signs.T
         out = linalg.walsh_hadamard_rows(a.copy())
@@ -188,5 +172,5 @@ def test_walsh_hadamard_matches_definition():
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     out = linalg.walsh_hadamard(v)
     for u in range(8):
-        direct = sum((-1.0) ** linalg.parity(u & s) * v[s] for s in range(8))
+        direct = sum((-1.0) ** parity(u & s) * v[s] for s in range(8))
         assert abs(out[u] - direct) < 1e-10

@@ -3,7 +3,6 @@ import pytest
 
 from bpgates import (
     PermutationWithPhases,
-    basis_state,
     check_normalizer,
     check_permutation,
     check_zx,
@@ -11,13 +10,20 @@ from bpgates import (
     hadamard_bound,
     pauli_z_string,
     random_bp,
-    support_set,
     tensor,
     to_unitary,
     worst_case_error,
 )
-from bpgates.linalg import H, I2, index_to_bits, parity, rz
-from conftest import random_near_bp, random_state, random_unitary
+from bpgates.linalg import H, I2, index_to_bits
+from conftest import (
+    basis_state,
+    normalizer_reference,
+    parity,
+    random_near_bp,
+    random_state,
+    random_unitary,
+    rz,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,7 +71,7 @@ def test_check_normalizer_examples():
 def test_normalizer_exhaustive_agrees(rng):
     for n in (1, 2, 3):
         for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng)):
-            assert check_normalizer(G) == check_normalizer(G, exhaustive=True)
+            assert check_normalizer(G) == normalizer_reference(G)
 
 
 def test_normalizer_agrees_with_exhaustive_and_column_test():
@@ -77,7 +83,7 @@ def test_normalizer_agrees_with_exhaustive_and_column_test():
         G = to_unitary(random_bp(n, rng)) if bp else random_near_bp(n, rng)
         assert check_permutation(G).is_bp == bp
         assert check_normalizer(G) == bp
-        assert check_normalizer(G, exhaustive=True) == bp
+        assert normalizer_reference(G) == bp
 
 
 def test_three_way_agreement(rng):
@@ -149,13 +155,7 @@ def test_coherence_rank_examples():
     for s in (0b000, 0b011, 0b101, 0b110):
         psi[s] = 0.5
     assert coherence_rank(psi) == 4
-    assert support_set(psi) == {"000", "011", "101", "110"}
     assert coherence_rank(np.zeros(8)) == 0
-    assert support_set(np.zeros(4)) == set()
-
-
-def test_support_set_examples():
-    assert support_set(basis_state("01")) == {"01"}
 
 
 def test_rank_preservation(rng):

@@ -1,22 +1,18 @@
 import numpy as np
-import pytest
 
 from bpgates import (
     PermutationWithPhases,
     block,
-    block_basis_form,
     block_matrix,
-    block_product_adjoint,
     is_z_type,
-    pauli_x_string,
     pauli_z_string,
     random_bp,
-    reconstruct,
     to_unitary,
     zx_decompose,
 )
-from bpgates.linalg import H, X, Z, parity, rz
-from conftest import random_unitary
+from bpgates.linalg import H, X, Z
+from bpgates.zx import basis_forms
+from conftest import parity, random_unitary, rz, x_string, zx_sum
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -55,9 +51,7 @@ def test_decompose_matches_trace_oracle(rng):
         d = zx_decompose(G, tol=1e-13)
         for u in range(1 << n):
             for v in range(1 << n):
-                P = pauli_z_string(format(u, f"0{n}b")) @ pauli_x_string(
-                    format(v, f"0{n}b")
-                )
+                P = pauli_z_string(format(u, f"0{n}b")) @ x_string(format(v, f"0{n}b"))
                 alpha = np.trace(P.conj().T @ G) / (1 << n)
                 assert abs(d.coeffs.get((u, v), 0.0) - alpha) < 1e-10
 
@@ -66,7 +60,7 @@ def test_roundtrip_random(rng):
     for n in (1, 2, 3):
         for _ in range(100):
             G = random_unitary(n, rng)
-            assert np.max(np.abs(reconstruct(zx_decompose(G)) - G)) < 1e-9
+            assert np.max(np.abs(zx_sum(n, zx_decompose(G).coeffs.items()) - G)) < 1e-9
 
 
 def test_parseval(rng):
@@ -87,21 +81,32 @@ def test_block_of_hadamard():
     assert np.allclose(block_matrix(block(d, 0)), Z / np.sqrt(2))
 
 
+def _basis_form(d, v):
+    """(S_v, β) of block A_v from zx.basis_forms: the s with β_{s,v} above
+    1e-9 and β_{·,v}; an absent X-part has the empty form."""
+    parts, beta = basis_forms(d.array())
+    if v not in parts:
+        return set(), {}
+    row = beta[parts.tolist().index(v)]
+    support = set(np.flatnonzero(np.abs(row) > 1e-9).tolist())
+    return support, {s: complex(row[s]) for s in support}
+
+
 def test_block_basis_form_x():
     d = zx_decompose(X)
-    support, diag = block_basis_form(block(d, 1))
+    support, diag = _basis_form(d, 1)
     assert support == {0, 1}
     assert all(abs(diag[s] - 1.0) < 1e-12 for s in (0, 1))
 
 
 def test_block_basis_form_zero_block():
-    support, diag = block_basis_form(block(zx_decompose(X), 0))
+    support, diag = _basis_form(zx_decompose(X), 0)
     assert support == set()
     assert diag == {}
 
 
 def test_block_basis_form_cnot():
-    support, diag = block_basis_form(block(zx_decompose(CNOT), "01"))
+    support, diag = _basis_form(zx_decompose(CNOT), 0b01)
     assert support == {0b10, 0b11}
     assert all(abs(diag[s] - 1.0) < 1e-12 for s in support)
 
@@ -111,30 +116,15 @@ def test_block_basis_form_consistency(rng):
     for n in (1, 2, 3):
         G = random_unitary(n, rng)
         d = zx_decompose(G)
-        for v in d.x_parts():
-            b = block(d, v)
-            support, diag = block_basis_form(b)
+        parts, _ = basis_forms(d.array())
+        assert parts.tolist() == sorted({v for _, v in d.coeffs})
+        for v in parts.tolist():
+            support, diag = _basis_form(d, v)
             M = np.zeros((1 << n, 1 << n), dtype=complex)
             for s in support:
                 M[s, s ^ v] = diag[s]
-            assert np.max(np.abs(M - block_matrix(b))) < 1e-9
+            assert np.max(np.abs(M - block_matrix(block(d, v)))) < 1e-9
             assert len({s ^ v for s in support}) == len(support)
-
-
-def test_block_product_adjoint():
-    dX = zx_decompose(X)
-    assert np.allclose(block_product_adjoint(block(dX, 1), block(dX, 1)), np.eye(2))
-    dC = zx_decompose(CNOT)
-    assert np.max(np.abs(block_product_adjoint(block(dC, 0), block(dC, 1)))) < 1e-12
-    dH = zx_decompose(H)
-    assert np.allclose(
-        block_product_adjoint(block(dH, 0), block(dH, 1)), Z @ X / 2
-    )
-
-
-def test_block_product_dim_mismatch():
-    with pytest.raises(ValueError):
-        block_product_adjoint(block(zx_decompose(X), 1), block(zx_decompose(CNOT), 1))
 
 
 def test_is_z_type():
@@ -156,7 +146,7 @@ def test_conjugation_identity(rng):
     for n in (1, 2):
         G = random_unitary(n, rng)
         d = zx_decompose(G)
-        mats = {v: block_matrix(block(d, v)) for v in d.x_parts()}
+        mats = {v: block_matrix(block(d, v)) for v in basis_forms(d.array())[0].tolist()}
         for x in range(1 << n):
             Zx = pauli_z_string(format(x, f"0{n}b"))
             rhs = np.zeros((1 << n, 1 << n), dtype=complex)
@@ -167,29 +157,18 @@ def test_conjugation_identity(rng):
             assert np.max(np.abs(lhs - Zx @ rhs)) < 1e-8
 
 
-def _loop_block_matrix(n, items):
-    # the per-entry loop block_matrix and reconstruct were first written as
-    M = np.zeros((1 << n, 1 << n), dtype=complex)
-    for (u, v), alpha in items:
-        for s in range(1 << n):
-            M[s, s ^ v] += alpha * (-1.0) ** parity(u & s)
-    return M
-
-
 def test_block_matrix_and_reconstruct_match_loop_reference(rng):
+    # the blocks, and their sum, against the per-entry loop they replaced
     for n in (1, 2, 3, 4):
         for G in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
             d = zx_decompose(G)
-            assert np.max(np.abs(reconstruct(d) - _loop_block_matrix(n, d.coeffs.items()))) < 1e-12
+            total = np.zeros((1 << n, 1 << n), dtype=complex)
             for v in range(1 << n):
                 b = block(d, v)
                 # the scan over every (u, v) key that block replaced
                 assert b.coeffs == {u: a for (u, w), a in d.coeffs.items() if w == v}
                 assert b == block(zx_decompose(G), v)  # equal rows, not the same array
-                ref = _loop_block_matrix(n, (((u, v), a) for u, a in b.coeffs.items()))
+                ref = zx_sum(n, (((u, v), a) for u, a in b.coeffs.items()))
                 assert np.max(np.abs(block_matrix(b) - ref)) < 1e-12
-                for w in (0, v, (1 << n) - 1):
-                    other = block(d, w)
-                    ref_w = _loop_block_matrix(n, (((u, w), a) for u, a in other.coeffs.items()))
-                    prod = block_product_adjoint(b, other)
-                    assert np.max(np.abs(prod - ref @ ref_w.conj().T)) < 1e-12
+                total += block_matrix(b)
+            assert np.max(np.abs(total - zx_sum(n, d.coeffs.items()))) < 1e-12
