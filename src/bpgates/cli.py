@@ -8,6 +8,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -219,7 +220,10 @@ def cmd_css_restrict(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between
+    calls, so in-process callers of main share it."""
     parser = argparse.ArgumentParser(
         prog="bpgates",
         description="Verify, decompose, synthesize and CSS-lift Z-bias-preserving gates.",

@@ -8,7 +8,7 @@ digits so that emit → parse round-trips exactly at double precision.
 
 from __future__ import annotations
 
-from io import StringIO
+import re
 from operator import itemgetter
 from typing import NoReturn, TextIO
 
@@ -36,6 +36,13 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
         if line and not line.startswith("#"):
             out.append((i, line))
     return out
+
+
+def _plain_lines(text: str) -> str:
+    """The content lines of text, each its tokens joined by single spaces
+    and ended by a newline: a file with comments, blank lines, CRLF endings
+    or odd spacing, in the layout its writer writes."""
+    return "".join(" ".join(line.split()) + "\n" for _, line in _content_lines(text))
 
 
 def _fmt(x: float) -> str:
@@ -75,25 +82,89 @@ def write_matrix(U: np.ndarray, fp: TextIO) -> None:
     fp.write(f"n {n}\n" + (row * U.shape[0]) % tuple(U.view(np.float64).ravel().tolist()))
 
 
-def _plain_entries(body: str, count: int) -> bool:
-    """True if the tokens of body (a space before the first and after each)
-    are `count` tokens that each end in `i`, not in `+i` or `-i`, and hold
-    exactly one sign neither at their start nor after an exponent mark.
-    complex() of such a token with its `i` made `j` reads exactly what
-    parse_complex reads: the sign splits it the same way. Only the totals
-    are counted; a token with two such signs, which complex() refuses, is
-    what lets another have none."""
-    signs = body.count("+") + body.count("-")
-    leading = body.count(" +") + body.count(" -")
-    exponent = sum(body.count(e + sign) for e in "eE" for sign in "+-")
-    return (
-        body.count("i ") == count
-        and body.count("+i ") + body.count("-i ") == 0
-        and signs - leading - exponent == count
-    )
+# Text of a matrix file handled per whole-array step: temporaries stay O(block).
+_MATRIX_BLOCK = 1 << 16
+
+# The class of each byte, as a translate table: 0 for a byte no written row holds.
+_SEP, _UNIT, _SIGN, _EXP, _DIGIT = 1, 2, 4, 8, 16
+_BYTE_CLASS = bytes(
+    _SEP if b in b" \n" else _UNIT if b == ord("i") else _SIGN if b in b"+-"
+    else _EXP if b in b"eE" else _DIGIT if b in b"0123456789." else 0
+    for b in range(256)
+)
+_UNIT_TO_SPACE = bytes.maketrans(b"i", b" ")
+
+_WRITTEN_HEADER = re.compile(r"n ([0-9]+)\n")
 
 
-def read_matrix(text: str) -> np.ndarray:
+def _row_values(block: bytes, dim: int) -> np.ndarray | None:
+    """The entries of a block of whole rows, each ended by a newline, of
+    `dim` tokens `a{+|-}bi` made of `0-9 . e E + - i` and separated by single
+    spaces; None for any other block. A token's split sign, the `+`/`-` that
+    is neither its first byte nor after `e`/`E`, must be its only one: that
+    is where parse_complex splits it, so float() of the halves reads what
+    parse_complex reads."""
+    classes = block.translate(_BYTE_CLASS)
+    if b"\0" in classes or classes[0] == _SEP:
+        return None
+    chars, cls = np.frombuffer(block, dtype=np.uint8), np.frombuffer(classes, dtype=np.uint8)
+    # every token ends in `i`, and one space or the row's newline follows each `i`
+    unit = cls == _UNIT
+    if not np.array_equal(cls[1:] == _SEP, unit[:-1]):
+        return None
+    ends = np.flatnonzero(unit)
+    # `dim` tokens a row: the newlines follow exactly tokens dim, 2 dim, ...
+    newline = chars[ends + 1] == ord("\n")
+    if np.count_nonzero(newline) * dim != ends.size or not newline[dim - 1::dim].all():
+        return None
+    # the k-th split sign lies between the ends of tokens k - 1 and k
+    splits = np.flatnonzero((cls[1:] == _SIGN) & ((cls[:-1] & (_SEP | _EXP)) == 0)) + 1
+    if (splits.size != ends.size or not (splits < ends).all()
+            or not (splits[1:] > ends[:-1]).all()):
+        return None
+    spaced = np.insert(np.frombuffer(block.translate(_UNIT_TO_SPACE), dtype=np.uint8), splits, ord(" "))
+    try:
+        values = np.fromiter(map(float, spaced.tobytes().split()), dtype=np.float64,
+                             count=2 * ends.size)
+    except ValueError:  # a half float() refuses, such as `+` or `1.2.3`
+        return None
+    return values.view(complex)
+
+
+def _read_plain_matrix(text: str) -> tuple[np.ndarray | None, int]:
+    """(M, rows): the matrix of a file in the layout write_matrix writes,
+    read by whole-array passes over blocks of rows, and how many of its
+    leading rows the passes read, all 2^n unless a block is refused. M is
+    None for a text whose header or line count is not in that layout. The
+    header is checked against the dense cap before any row is read."""
+    header = _WRITTEN_HEADER.match(text)
+    if header is None:
+        return None, 0
+    n = int(header[1])
+    require_dense_cap(n)
+    dim = 1 << n
+    if text.count("\n") != dim + 1 or not text.endswith("\n"):
+        return None, 0
+    M = np.empty((dim, dim), dtype=complex)
+    start, rows = header.end(), 0
+    while start < len(text):
+        end = text.find("\n", min(start + _MATRIX_BLOCK, len(text)) - 1) + 1
+        try:
+            block = text[start:end].encode("ascii")
+        except UnicodeEncodeError:
+            break
+        values = _row_values(block, dim)
+        if values is None:
+            break
+        M[rows:rows + values.size // dim] = values.reshape(-1, dim)
+        start, rows = end, rows + values.size // dim
+    return M, rows
+
+
+def _read_matrix_by_entry(text: str, M: np.ndarray | None = None, rows: int = 0) -> np.ndarray:
+    """read_matrix entry by entry with parse_complex: the reading that names
+    the line of a fault. Given M, its first `rows` rows already hold the
+    first `rows` rows of the text, which are not read again."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty matrix file")
@@ -111,25 +182,30 @@ def read_matrix(text: str) -> np.ndarray:
     dim = 1 << n
     if len(lines) - 1 != dim:
         raise FormatError(f"expected {dim} matrix rows, found {len(lines) - 1}")
-    M = np.empty((dim, dim), dtype=complex)
-    for r, (lineno, line) in enumerate(lines[1:]):
-        # one space between entries; only a row spaced otherwise is re-split
-        if "  " in line or not line.isprintable():
-            line = " ".join(line.split())
-        padded = f" {line} "
-        if line.count(" ") == dim - 1 and _plain_entries(padded, dim):
-            try:  # one C-level pass over the row
-                entries = map(complex, padded.replace("i ", "j ").split())
-                M[r] = np.fromiter(entries, dtype=complex, count=dim)
-                continue
-            except ValueError:
-                pass
-        # a bad row or entry: read entry by entry to name its line
+    if M is None:
+        M = np.empty((dim, dim), dtype=complex)
+    for r, (lineno, line) in enumerate(lines[1 + rows:], start=rows):
         tokens = line.split()
         if len(tokens) != dim:
             raise FormatError(f"expected {dim} entries, found {len(tokens)}", lineno)
         M[r] = [parse_complex(tok, lineno) for tok in tokens]
     return M
+
+
+def read_matrix(text: str) -> np.ndarray:
+    """Inverse of write_matrix, with '#' comments, blank lines and any
+    spacing. Read by whole-array passes over blocks of rows; any other text
+    is rebuilt once into the written layout (one row per content line), and
+    the rows the passes still refuse are read entry by entry, which reads
+    nan, inf or `1_0` entries and names the line of a fault."""
+    M, rows = _read_plain_matrix(text)
+    if M is None or rows < len(M):  # comments, blank lines, CRLF, odd spacing, or a fault
+        plain = _plain_lines(text)
+        if plain != text:
+            M, rows = _read_plain_matrix(plain)
+    if M is not None and rows == len(M):
+        return M
+    return _read_matrix_by_entry(text, M, rows)
 
 
 # ------------------------------------------------- ZX decompositions
@@ -351,13 +427,6 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
         fp.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
-def _plain_lines(text: str) -> str:
-    """The content lines of text, each its tokens joined by single spaces
-    and ended by a newline: a perm file with comments, blank lines, CRLF
-    endings or odd spacing, in the layout write_perm writes."""
-    return "".join(" ".join(line.split()) + "\n" for _, line in _content_lines(text))
-
-
 def _read_plain_perm(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
     """(n, perm, phases) of a perm file in the layout write_perm writes, by
     whole-array passes over blocks of lines. None unless each line is
@@ -462,10 +531,25 @@ def read_file(path: str) -> str:
         return fp.read()
 
 
+class _OpenOnWrite:
+    """A text sink that opens path for writing at its first write."""
+
+    def __init__(self, path: str):
+        self.path, self.fp = path, None
+
+    def write(self, text: str) -> int:
+        if self.fp is None:
+            self.fp = open(self.path, "w", encoding="utf-8")
+        return self.fp.write(text)
+
+
 def write_file(path: str, writer, obj) -> None:
-    """Render obj in full, then open path and write it once: a writer that
-    refuses obj leaves no file, and an existing one as it was."""
-    buf = StringIO()
-    writer(obj, buf)
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(buf.getvalue())
+    """Stream obj to path as writer renders it. The file is opened at the
+    first write, and every writer refuses obj before it writes: a refused obj
+    leaves no file, and an existing one as it was."""
+    sink = _OpenOnWrite(path)
+    try:
+        writer(obj, sink)
+    finally:
+        if sink.fp is not None:
+            sink.fp.close()

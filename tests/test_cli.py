@@ -1,6 +1,9 @@
 import argparse
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -543,3 +546,70 @@ def test_emitted_files_reparse_equal(tmp_path, cnot_file, capsys):
     d1 = io.read_zx(io.read_file(str(out_file)))
     d2 = io.read_zx(io.read_file(str(out_file)))
     assert d1.coeffs == d2.coeffs
+
+
+@pytest.fixture
+def fresh_parser():
+    """build_parser's cache emptied before and after the test."""
+    build_parser.cache_clear()
+    yield build_parser
+    build_parser.cache_clear()
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call; the per-verifier
+    wall seconds of `check --json` are left out."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # an argparse error
+        rc = exc.code
+    out, err = capsys.readouterr()
+    if "--json" in argv:
+        payload = json.loads(out)
+        payload.pop("seconds", None)
+        out = json.dumps(payload, sort_keys=True)
+    return rc, out, err
+
+
+def test_one_parser_serves_a_sequence_of_calls(
+    cnot_file, hadamard_file, tmp_path, capsys, monkeypatch, fresh_parser
+):
+    target, circuit = tmp_path / "t.perm", tmp_path / "t.circ"
+    io.write_file(str(target), io.write_perm, PermutationWithPhases(2, (1, 0, 3, 2), (0.0, 0.5, 1.0, 1.5)))
+    calls = [
+        ["check", "--matrix", cnot_file, "--json"],
+        ["check", "--matrix", hadamard_file],
+        ["check", "--matrix", cnot_file, "--no-such-flag"],
+        ["synth", "--target", str(target), "--output", str(circuit)],
+        ["synth", "--target", str(target)],
+    ]
+    alone = []
+    for argv in calls:
+        fresh_parser.cache_clear()
+        alone.append(run_main(argv, capsys))
+    written = circuit.read_text()
+    circuit.unlink()
+    assert [rc for rc, _, _ in alone] == [0, 1, 2, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in alone[2][2]
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    fresh_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert [run_main(argv, capsys) for argv in calls] == alone
+    assert circuit.read_text() == written
+    assert built.count("bpgates") == 1  # the subcommands' parsers are built with it, once
+
+
+def test_module_entry_point_prints_as_in_process(cnot_file, tmp_path, capsys):
+    target = tmp_path / "t.perm"
+    io.write_file(str(target), io.write_perm, PermutationWithPhases(2, (0, 1, 3, 2), (0.0, 0.25, 0.5, 0.75)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(io.__file__)))
+    for argv in (["check", "--matrix", cnot_file], ["synth", "--target", str(target)]):
+        proc = subprocess.run([sys.executable, "-m", "bpgates.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_main(argv, capsys)

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpgates import (
     BinaryCode,
@@ -121,11 +123,11 @@ def bits(z: complex) -> bytes:
 PARSER_CORPUS = [
     "2i", "-1e-5i", "1+i", "1-i", "nani", "1e5+-2i", "1e+2i", "(1+2i)",
     "1+2j", "1+2ji", "1_0+0i", "1+infi", "1-nani", "infinity+0i", "-0-0i",
-    "+1+1i", ".5-.5i", "1E5-1E-5i", "0x1+2i",
+    "+1+1i", ".5-.5i", "1E5-1E-5i", "0x1+2i", "-nan+1i", "1_0-infi",
 ]
 
 
-def test_read_matrix_reads_the_parse_complex_language():
+def test_read_matrix_reads_the_parse_complex_language(rng):
     for tok in PARSER_CORPUS:
         try:
             want = parse_complex(tok)
@@ -152,6 +154,12 @@ def test_read_matrix_reads_the_parse_complex_language():
                 M = read_matrix(text)
                 assert bits(M[1, 0]) == bits(parse_complex(other))
                 assert bits(M[1, 1]) == bits(parse_complex(tok))
+    # the accepted entries in the last row of a 7-qubit file: the blocks
+    # before it are read by the whole-block passes, its own rows entry by entry
+    lines = dumps(write_matrix, random_unitary(7, rng)).splitlines()
+    lines[-1] = " ".join(accepted + lines[-1].split()[len(accepted):])
+    text = "\n".join(lines) + "\n"
+    assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
 
 
 def _refused(tok: str) -> bool:
@@ -162,28 +170,131 @@ def _refused(tok: str) -> bool:
     return False
 
 
-def test_read_matrix_matches_entry_parser(rng):
-    def read_by_entry(text):
-        lines = text.splitlines()[1:]
-        return np.array([[parse_complex(t) for t in line.split()] for line in lines])
+def read_matrix_by_entry(text):
+    """Reference reader: parse_complex on each token of each row."""
+    lines = text.splitlines()[1:]
+    return np.array([[parse_complex(t) for t in line.split()] for line in lines])
 
+
+# Entries whose reading tests correct rounding: ±0, subnormals, the largest
+# subnormal, 17-digit values on either side of a halfway point between two
+# doubles (1 + 2^-53, 2^53 + 1, half the least subnormal), and an overflow.
+EDGE_ENTRIES = [
+    "0+0i", "-0-0i", "-0+0i", "5e-324-4.9406564584124654e-324i",
+    "2.2250738585072009e-308+2.2250738585072014e-308i",
+    "1.0000000000000001+1.0000000000000002i", "9007199254740993-9007199254740995i",
+    "2.4703282292062327e-324-2.4703282292062328e-324i",
+    "1.7976931348623157e308+1e309i", "-1.0000000000000000000001e-5+.5i",
+]
+
+
+def test_read_matrix_matches_entry_parser(rng, monkeypatch):
+    # every text here is read by the whole-block passes
+    def by_entry(text, *read):
+        raise AssertionError("a matrix in the written layout was read entry by entry")
+
+    monkeypatch.setattr(io, "_read_matrix_by_entry", by_entry)
     for n in range(1, 6):
         for U in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
             U = U * 10.0 ** rng.integers(-300, 300, size=U.shape)
             U.real[0, 0] = -0.0
             text = dumps(write_matrix, U)
-            got, want = read_matrix(text), read_by_entry(text)
+            got, want = read_matrix(text), read_matrix_by_entry(text)
             assert got.tobytes() == want.tobytes() == U.tobytes()
-    # separators other than one space still read, by the entry parser
+    # several blocks of rows, with tokens of mixed lengths and the edge
+    # entries at random places
+    for n in (7, 8):
+        U = random_unitary(n, rng) * 10.0 ** rng.integers(-320, 300, size=(1 << n, 1 << n))
+        rows = [line.split() for line in dumps(write_matrix, U).splitlines()[1:]]
+        for entry in EDGE_ENTRIES * 8:
+            rows[rng.integers(1 << n)][rng.integers(1 << n)] = entry
+        text = f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        assert len(text) > 4 * io._MATRIX_BLOCK
+        assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
+    # separators other than one space are rebuilt into the written layout
     assert np.array_equal(read_matrix("n 1\n1+0i\t 0+0i\n0+0i   1+0i\n"), np.eye(2))
 
 
-def test_read_matrix_names_the_line_of_a_bad_entry():
+def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
     rows = ["1+0i 0+0i 0+0i 0+0i"] * 4
     for bad in ("2i", "1+i", "1e+2i", "1+2j", "1+-2i"):
         text = "n 2\n" + "\n".join(rows[:2] + [f"0+0i {bad} 1+0i 0+0i"] + rows[3:]) + "\n"
         with pytest.raises(FormatError, match=f"^line 4: .*{re.escape(bad)}"):
             read_matrix(text)
+    # faults whose counts balance over a block: a token with two split signs
+    # beside one with none, rows of 3 and 1 entries, an empty line counted
+    # in place of a row
+    for text, message in (
+        ("n 1\n1+2+3i 2i\n0+0i 1+0i\n", "line 2: cannot parse complex entry '1+2+3i'"),
+        ("n 1\n2i 1+2+3i\n0+0i 1+0i\n", "line 2: cannot parse complex entry '2i'"),
+        ("n 1\n1+0i 0+0i 0+0i\n1+0i\n", "line 2: expected 2 entries, found 3"),
+        ("n 1\n\n1+0i 0+0i\n", "expected 2 matrix rows, found 1"),
+    ):
+        with pytest.raises(FormatError) as got:
+            read_matrix(text)
+        assert str(got.value) == message
+    # a fault in the last row, so the last block, of an 8-qubit file: the
+    # rows of the blocks before it are not read again entry by entry
+    lines = dumps(write_matrix, random_unitary(8, rng)).splitlines()
+    assert sum(map(len, lines)) > 40 * io._MATRIX_BLOCK
+    parsed = []
+
+    def counted(token, lineno=None):
+        parsed.append(lineno)
+        return parse_complex(token, lineno)
+
+    monkeypatch.setattr(io, "parse_complex", counted)
+    for bad in ("1.2.3+0i", "1+2+3i", "1e5i"):
+        row = lines[-1].split()
+        row[100] = bad
+        for text in ("\n".join(lines[:-1] + [" ".join(row)]) + "\n",
+                     "\r\n".join(lines[:-1] + [" ".join(row)])):
+            parsed.clear()
+            with pytest.raises(FormatError, match=f"^line 257: cannot parse complex entry '{re.escape(bad)}'"):
+                read_matrix(text)
+            assert 0 < len(parsed) < 16 * 256
+
+
+# The bytes a row of the written layout is made of.
+ROW_BYTES = "0123456789.eE+-i"
+
+
+# Tokens over the row bytes: written entries, entries of drawn parts with
+# near misses among them, and any text.
+_number = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.text("0123456789.eE+-", min_size=1, max_size=8),
+)
+ROW_TOKENS = st.one_of(
+    st.tuples(st.sampled_from(["", "+", "-"]), _number, st.sampled_from("+-"), _number)
+    .map(lambda parts: "".join(parts) + "i"),
+    st.text(ROW_BYTES, min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_matrix_agrees_with_entry_reader(data):
+    # any text over the row bytes reads as the per-entry reader reads it, or
+    # is refused with that reader's error and line: a written matrix with
+    # up to three of its tokens replaced
+    n = data.draw(st.integers(0, 3))
+    dim = 1 << n
+    values = data.draw(st.lists(st.floats(allow_infinity=False, allow_nan=False),
+                                min_size=2 * dim * dim, max_size=2 * dim * dim))
+    rows = [line.split() for line in dumps(write_matrix, np.reshape(values, (dim, -1)).view(complex))
+            .splitlines()[1:]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows[data.draw(st.integers(0, dim - 1))][data.draw(st.integers(0, dim - 1))] = data.draw(ROW_TOKENS)
+    text = f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+    try:
+        want = io._read_matrix_by_entry(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            read_matrix(text)
+        assert (str(got.value), got.value.lineno) == (str(exc), exc.lineno)
+    else:
+        assert read_matrix(text).tobytes() == want.tobytes()
 
 
 def test_zx_roundtrip(rng):
@@ -512,6 +623,29 @@ def test_perm_roundtrip_sixteen_qubits(rng):
     back = read_perm(dumps(write_perm, p))
     assert np.array_equal(back.perm, p.perm)
     assert back.phases.view(np.int64).tolist() == p.phases.view(np.int64).tolist()
+
+
+def test_write_file_streams(rng, tmp_path):
+    # the file holds no second copy of the text: write_file's peak is that
+    # of write_perm into a sink that keeps nothing, within 10% of the file
+    import tracemalloc
+
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    p, path = random_bp(16, rng), tmp_path / "g16.perm"
+    tracemalloc.start()
+    try:
+        write_perm(p, Discard())
+        _, sink_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        io.write_file(str(path), write_perm, p)
+        _, file_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert file_peak - sink_peak <= 0.1 * path.stat().st_size
+    assert read_perm(path.read_text()) == p
 
 
 def test_perm_fault_in_written_layout_read_once(rng, monkeypatch):
