@@ -220,6 +220,17 @@ def cmd_css_restrict(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float ≥ 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parse_args keeps no state between
@@ -232,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, tol=True, json=True):
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         if json:
             p.add_argument("--json", action="store_true")
 

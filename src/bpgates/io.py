@@ -4,13 +4,18 @@ codes, and permutation-with-phases gates.
 All formats share the conventions: '#' starts a comment line, blank lines
 are ignored, and floating-point values are written with 17 significant
 digits so that emit → parse round-trips exactly at double precision.
+
+Matrix and perm files, the large ones, are read by two paths: text in the
+layout their writer writes by whole-array passes, and any other text, or
+the part of it those passes refuse, by a per-line reader, which names the
+line of a fault.
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import NoReturn, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -36,13 +41,6 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
         if line and not line.startswith("#"):
             out.append((i, line))
     return out
-
-
-def _plain_lines(text: str) -> str:
-    """The content lines of text, each its tokens joined by single spaces
-    and ended by a newline: a file with comments, blank lines, CRLF endings
-    or odd spacing, in the layout its writer writes."""
-    return "".join(" ".join(line.split()) + "\n" for _, line in _content_lines(text))
 
 
 def _fmt(x: float) -> str:
@@ -194,15 +192,9 @@ def _read_matrix_by_entry(text: str, M: np.ndarray | None = None, rows: int = 0)
 
 def read_matrix(text: str) -> np.ndarray:
     """Inverse of write_matrix, with '#' comments, blank lines and any
-    spacing. Read by whole-array passes over blocks of rows; any other text
-    is rebuilt once into the written layout (one row per content line), and
-    the rows the passes still refuse are read entry by entry, which reads
-    nan, inf or `1_0` entries and names the line of a fault."""
+    spacing. Rows from the first block the whole-array passes refuse are
+    read entry by entry, which also reads nan, inf or `1_0` entries."""
     M, rows = _read_plain_matrix(text)
-    if M is None or rows < len(M):  # comments, blank lines, CRLF, odd spacing, or a fault
-        plain = _plain_lines(text)
-        if plain != text:
-            M, rows = _read_plain_matrix(plain)
     if M is not None and rows == len(M):
         return M
     return _read_matrix_by_entry(text, M, rows)
@@ -428,12 +420,11 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
 
 
 def _read_plain_perm(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """(n, perm, phases) of a perm file in the layout write_perm writes, by
-    whole-array passes over blocks of lines. None unless each line is
-    `s-bits -> t-bits phase=<x>` with n-bit labels, single spaces, no other
-    whitespace or control character, float(x) defined, and no source
-    repeated. So for an ASCII text, or one `_plain_lines` wrote, it reads
-    what the per-line reading reads, and refuses only what that refuses."""
+    """(n, perm, phases) of an ASCII perm file in the layout write_perm
+    writes, by whole-array passes over blocks of lines. None unless each line
+    is `s-bits -> t-bits phase=<x>` with n-bit labels, single spaces, no
+    other whitespace or control character, float(x) defined, and no source
+    repeated: what it reads, the per-line reading reads alike."""
     lines = text.split("\n")
     if lines[-1] == "":
         del lines[-1]
@@ -453,14 +444,10 @@ def _read_plain_perm(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
         block = lines[start:start + _PERM_BLOCK]
         if min(map(len, block)) <= width:  # a phase value has a character or more
             return None
-        # UTF-8 writes no byte up to 32 for a character above 127
-        chars = np.frombuffer("".join(block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        chars = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8)
         if np.count_nonzero(chars <= ord(" ")) != 3 * len(block):
             return None
-        try:
-            heads = "".join(map(head, block)).encode("ascii")
-        except UnicodeEncodeError:
-            return None
+        heads = "".join(map(head, block)).encode("ascii")
         rows = np.frombuffer(heads, dtype=np.uint8).reshape(len(block), width)
         if not np.array_equal(rows | is_label, np.broadcast_to(template, rows.shape)):
             return None
@@ -479,13 +466,13 @@ def _read_plain_perm(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
     return n, perm, phases
 
 
-def _raise_first_fault(text: str) -> NoReturn:
-    """Read a perm file line by line up to its first fault, and raise the
-    FormatError that names it."""
+def _read_perm_by_line(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, perm, phases) of a perm file read line by line, which names the
+    first faulty line."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty gate file")
-    n, seen = None, set()
+    n = None
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[1] != "->" or not parts[3].startswith("phase="):
@@ -493,33 +480,29 @@ def _raise_first_fault(text: str) -> NoReturn:
         sb, tb = parts[0], parts[2]
         if n is None:
             n = len(sb)
-            if len(lines) != 1 << n:
+            if len(lines) != 1 << n:  # before any array is allocated
                 raise FormatError(f"expected all {1 << n} source strings exactly once")
+            perm, phases = np.full(1 << n, -1, dtype=np.int64), np.empty(1 << n)
         if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
             raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
         try:
-            float(parts[3][len("phase="):])
+            phase = float(parts[3][len("phase="):])
         except ValueError:
             raise FormatError("bad phase value", lineno) from None
-        if sb in seen:
+        s = int(sb, 2)
+        if perm[s] >= 0:
             raise FormatError(f"duplicate source string {sb}", lineno)
-        seen.add(sb)
-    raise AssertionError("the whole-array reading refused a perm file with no faulty line")
+        perm[s], phases[s] = int(tb, 2), phase
+    return n, perm, phases
 
 
 def read_perm(text: str) -> PermutationWithPhases:
     """Inverse of write_perm, lines in any order, with '#' comments and blank
-    lines. Read by whole-array passes; a file they refuse is read line by
-    line to name its first faulty line."""
+    lines. The whole-array passes read only ASCII text."""
     # str.split() also splits at whitespace outside ASCII
-    ascii_text = text.isascii()
-    read = _read_plain_perm(text) if ascii_text else None
-    if read is None:  # comments, blank lines, CRLF, odd spacing, or a fault
-        plain = _plain_lines(text)
-        if plain != text or not ascii_text:  # a text already plain failed above
-            read = _read_plain_perm(plain)
+    read = _read_plain_perm(text) if text.isascii() else None
     if read is None:
-        _raise_first_fault(text)
+        read = _read_perm_by_line(text)
     try:
         return PermutationWithPhases(*read)
     except ValueError as exc:

@@ -143,12 +143,15 @@ def shortest_arc_chord(angles) -> float:
 
     The best φ centres the shortest arc of the circle holding every a_j, that
     is the circle minus its largest angular gap; the error is the chord
-    2 sin(arc/4) to that arc's ends.
+    2 sin(arc/4) to that arc's ends. When the gap across 2π is the largest,
+    the arc is the span of the sorted angles, taken by one subtraction:
+    equal angles give exactly 0, never a rounding error of either sign.
     """
     angles = np.sort(np.mod(angles, 2.0 * np.pi))
-    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    arc = 2.0 * np.pi - float(np.max(gaps))
-    return float(2.0 * np.sin(min(arc / 2.0, np.pi) / 2.0))
+    span = float(angles[-1] - angles[0])
+    gap = float(np.max(np.diff(angles), initial=0.0))
+    arc = span if gap <= 2.0 * np.pi - span else 2.0 * np.pi - gap
+    return float(2.0 * np.sin(arc / 4.0))
 
 
 def walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:

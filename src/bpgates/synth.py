@@ -440,6 +440,9 @@ def diagonal_to_circuit(
         raise ValueError("phase list length must be a power of two")
     nontrivial = [j for j in range(dim) if circular_distance(phases[j], 0.0) > PHASE_TRIVIAL]
     seq = GateSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
+    if n == 0:  # a global phase, exact
+        seq.global_phase = phases[0]
+        return seq
     if not nontrivial:
         return seq
     reps = [approximate_phase(phases[j], eps, theta) for j in nontrivial]

@@ -157,6 +157,29 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [c for c, opts in COMMAND_OPTIONS.items() if "--tol" in opts])
+def test_tol_must_be_finite_and_nonnegative(command, value, cnot_file, code_files, capsys):
+    # on the [[4,2,2]] pair, `css-check --tol nan` once printed
+    # `EQUICOHERENT yes l=0` (l is 2), and `check --tol inf` exited 2 with
+    # `verifier disagreement`
+    c1, c2 = code_files
+    inputs = {
+        "check": ["--matrix", cnot_file],
+        "decompose-zx": ["--matrix", cnot_file],
+        "distance": ["--matrix", cnot_file, "--other", cnot_file],
+        "synth": ["--matrix", cnot_file],
+        "css-check": ["--c1", c1, "--c2", c2],
+        "css-restrict": ["--c1", c1, "--c2", c2, "--matrix", cnot_file],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], "--tol", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --tol: must be a finite number >= 0, got '{value}'" in err
+
+
 def test_unknown_flag_is_error(cnot_file):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--matrix", cnot_file, "--frobnicate"])
@@ -524,6 +547,16 @@ def test_zero_qubit_gate_has_empty_labels(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a 0-qubit decomposition has no bit-string labels\n"
+    # a global phase: synthesized by no gate, exactly (once "negative shift count")
+    path.write_text("n 0\n0.54030230586813977+0.8414709848078965i\n")
+    assert main(["check", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == "BP yes\nPERM -> phase=1\n"
+    assert main(["synth", "--matrix", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["achieved_error"] == report["max_phase_residual"] == 0.0
+    assert report["ancillas"] == 0 and not any(report["gate_counts"].values())
+    assert main(["synth", "--matrix", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("qubits 0\nancillas 0\ntheta 3.8832220774509332\nglobalphase 1\n")
 
 
 def test_refused_output_leaves_no_file(tmp_path, capsys):

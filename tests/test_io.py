@@ -74,6 +74,14 @@ def test_matrix_roundtrip(rng):
 def test_matrix_comments_and_errors(monkeypatch):
     text = "# a comment\nn 1\n1+0i 0+0i\n0+0i 1+0i\n"
     assert np.array_equal(read_matrix(text), np.eye(2))
+    # CRLF endings, tabs and runs of spaces: read entry by entry
+    for text in (
+        "n 1\n1+0i\t 0+0i\n0+0i   1+0i\n",
+        "n 1\r\n1+0i 0+0i\r\n0+0i 1+0i\r\n",
+        "n\t1\n1+0i\t0+0i\n\t0+0i 1+0i\t\n",
+        "n   1\n  1+0i    0+0i\n0+0i  1+0i  \n",
+    ):
+        assert np.array_equal(read_matrix(text), np.eye(2))
     with pytest.raises(FormatError, match="line 1"):
         read_matrix("bogus header\n")
     with pytest.raises(FormatError):
@@ -211,8 +219,6 @@ def test_read_matrix_matches_entry_parser(rng, monkeypatch):
         text = f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
         assert len(text) > 4 * io._MATRIX_BLOCK
         assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
-    # separators other than one space are rebuilt into the written layout
-    assert np.array_equal(read_matrix("n 1\n1+0i\t 0+0i\n0+0i   1+0i\n"), np.eye(2))
 
 
 def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
@@ -252,7 +258,9 @@ def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
             parsed.clear()
             with pytest.raises(FormatError, match=f"^line 257: cannot parse complex entry '{re.escape(bad)}'"):
                 read_matrix(text)
-            assert 0 < len(parsed) < 16 * 256
+            assert len(parsed) > 0
+            if "\r" not in text:  # CRLF text is read entry by entry from row 0
+                assert len(parsed) < 16 * 256
 
 
 # The bytes a row of the written layout is made of.
@@ -649,8 +657,8 @@ def test_write_file_streams(rng, tmp_path):
 
 
 def test_perm_fault_in_written_layout_read_once(rng, monkeypatch):
-    # a faulty file already in the written layout is not rebuilt and passed
-    # over a second time; one in another layout is, once
+    # one whole-array pass over a faulty file, in the written layout or
+    # with CRLF endings, before the per-line reader names the fault
     calls = []
     whole_array = io._read_plain_perm
 
@@ -662,7 +670,7 @@ def test_perm_fault_in_written_layout_read_once(rng, monkeypatch):
     lines = dumps(write_perm, random_bp(13, rng)).splitlines()
     lines[-1] = lines[-1] + "x"  # a bad last phase
     text = "\n".join(lines) + "\n"
-    for layout, passes in ((text, 1), (text.replace("\n", "\r\n"), 2)):
+    for layout, passes in ((text, 1), (text.replace("\n", "\r\n"), 1)):
         calls.clear()
         with pytest.raises(FormatError) as expected:
             read_perm_per_line(layout)

@@ -442,6 +442,25 @@ def test_synthesize_cnot_exact():
     assert report.gate_counts == {"X": 0, "RZ": 0, "CNOT": 1, "CCNOT": 0}
 
 
+def test_synthesize_zero_qubit_target_is_a_global_phase():
+    # once `1 << (n - 1)` in the diagonal stage: "negative shift count"
+    for phi in (0.0, 1.0, 0.47345596139997853, np.pi, np.nextafter(2 * np.pi, 0)):
+        report = synthesize(PermutationWithPhases(0, (0,), (phi,)), eps=1e-3)
+        assert report.sequence.gates == [] and report.sequence.n_anc == 0
+        assert report.sequence.global_phase == phi
+        assert report.achieved_error == 0.0 and report.max_phase_residual == 0.0
+        assert report.factor_reps == ()
+
+
+def test_equal_residuals_give_zero_error_not_rounding():
+    # the gap across 2π was once formed as (a + 2π) − a, so equal angles
+    # gave an error of ±4.4e-16, negative for some a
+    for a in (0.47345596139997853, 1.1499660883984457, 2.9400614345516773):
+        assert shortest_arc_chord([a]) == shortest_arc_chord([a, a, a]) == 0.0
+        report = synthesize(PermutationWithPhases(1, (1, 0), (a, a)), eps=1e-3)
+        assert report.achieved_error >= 0.0
+
+
 def test_synthesize_z():
     g = PermutationWithPhases(1, (0, 1), (0.0, np.pi))
     report = synthesize(g, eps=1e-2)
