@@ -51,8 +51,7 @@ def _timed(name: str, verifier, *args):
 
 
 def cmd_check(args) -> int:
-    # each verifier refuses a non-unitary G itself
-    G = io.read_matrix(io.read_file(args.matrix))
+    G = _load_matrix(args.matrix, args.tol)
     verdict, t_perm = _timed("permutation", verify.check_permutation, G, args.tol)
     agree_zx, t_zx = _timed("zx", verify.check_zx, G, args.tol)
     agree_norm, t_norm = _timed("normalizer", verify.check_normalizer, G, args.tol)

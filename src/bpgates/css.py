@@ -302,7 +302,7 @@ def restrict_physical(
     and a logical operator; the result is guaranteed to be a permutation
     with phases.
 
-    A dense matrix is first brought to its canonical form by
+    A dense matrix must be unitary; it is first brought to its canonical form by
     check_permutation. The gate is a logical operator iff it maps each coset
     T(|x>_L) onto one coset T(|y>_L) with a constant phase φ; the logical
     gate then sends x to y with phase φ. Beyond reading the gate, the check

@@ -14,6 +14,7 @@ line of a fault.
 from __future__ import annotations
 
 import re
+import sys
 from operator import itemgetter
 from typing import TextIO
 
@@ -262,16 +263,18 @@ def write_circuit(seq: GateSequence, fp: TextIO) -> None:
 
 
 def read_circuit(text: str) -> GateSequence:
-    lines = _content_lines(text)
-    headers: dict[str, str] = {}
+    headers: dict[str, tuple[int, str]] = {}
     gates: list[Gate] = []
-    for lineno, line in lines:
+    top_reps, top_line = 0, None  # the largest RZ count, whose angle reps·theta/2 is largest
+    for lineno, line in _content_lines(text):
         parts = line.split()
         key = parts[0]
         if key in ("qubits", "ancillas", "theta", "globalphase"):
             if len(parts) != 2:
                 raise FormatError(f"header {key} takes one value", lineno)
-            headers[key] = parts[1]
+            if key in headers:
+                raise FormatError(f"repeated header {key}", lineno)
+            headers[key] = (lineno, parts[1])
         elif key in ("X", "CNOT", "CCNOT", "RZ"):
             try:
                 args = [int(p) for p in parts[1:]]
@@ -282,33 +285,36 @@ def read_circuit(text: str) -> GateSequence:
                     if len(args) != 2:
                         raise ValueError("RZ takes qubit and repetition count")
                     gates.append(Gate("RZ", (args[0],), reps=args[1]))
+                    if args[1] > top_reps:
+                        top_reps, top_line = args[1], lineno
                 else:
                     gates.append(Gate(key, tuple(args)))
             except ValueError as exc:
                 raise FormatError(str(exc), lineno) from None
         else:
             raise FormatError(f"unknown line {line!r}", lineno)
-    for required in ("qubits", "ancillas"):
-        if required not in headers:
-            raise FormatError(f"missing header '{required}'")
     sizes = {}
     for key in ("qubits", "ancillas"):
+        if key not in headers:
+            raise FormatError(f"missing header '{key}'")
         try:
-            sizes[key] = int(headers[key])
+            sizes[key] = int(headers[key][1])
         except ValueError:
-            raise FormatError(f"bad header value: header {key} {headers[key]!r}") from None
+            raise FormatError(f"bad header value: header {key} {headers[key][1]!r}") from None
         if sizes[key] < 0:
             raise FormatError(f"header {key} must be nonnegative, got {sizes[key]}")
-    try:
-        seq = GateSequence(
-            n_data=sizes["qubits"],
-            n_anc=sizes["ancillas"],
-            gates=gates,
-            theta=float(headers["theta"]) if "theta" in headers else GOLDEN_THETA,
-            global_phase=float(headers.get("globalphase", "0")),
-        )
-    except ValueError as exc:
-        raise FormatError(f"bad header value: {exc}") from None
+    angles = {"theta": GOLDEN_THETA, "globalphase": 0.0}  # in GateSequence's order
+    for key in [k for k in angles if k in headers]:
+        lineno, value = headers[key]
+        try:
+            angles[key] = float(value)
+        except ValueError as exc:
+            raise FormatError(f"bad header value: {exc}") from None
+        if not np.isfinite(angles[key]):
+            raise FormatError(f"header {key} must be finite, got {value}", lineno)
+    if top_reps > sys.float_info.max or not np.isfinite(0.5 * top_reps * angles["theta"]):
+        raise FormatError("RZ count too large: reps·theta/2 is not a finite float", top_line)
+    seq = GateSequence(sizes["qubits"], sizes["ancillas"], gates, *angles.values())
     try:
         seq.validate()
     except ValueError as exc:

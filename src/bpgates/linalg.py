@@ -80,17 +80,12 @@ def matrix_qubits(U: np.ndarray) -> int:
     return num_qubits(U.shape[0])
 
 
-def is_unitary(U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        return False
-    return bool(np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) <= tol)
-
-
 def require_unitary(U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """U as a complex array, refused unless max |U U† − I| ≤ tol (NaN is
+    refused): the one unitarity check, made where a dense gate is read."""
     U = np.asarray(U, dtype=complex)
     matrix_qubits(U)
-    if not is_unitary(U, tol):
+    if not np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) <= tol:
         raise ValueError("matrix is not unitary within tolerance")
     return U
 

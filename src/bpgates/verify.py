@@ -5,7 +5,8 @@ states with per-state phases. The three routes:
   * check_permutation — column structure of the dense matrix,
   * check_zx          — orthogonality/completeness of the ZX blocks,
   * check_normalizer  — the conjugated Z group stays diagonal.
-They must agree on every unitary; the test suite enforces that.
+Each takes a unitary G unchecked (linalg.require_unitary checks a dense gate
+once, where it is read); they agree on every unitary, as the tests enforce.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .linalg import (
     index_to_bits,
     matrix_qubits,
     require_dense_cap,
-    require_unitary,
 )
 from .zx import basis_forms, is_z_type, zx_decompose
 
@@ -100,13 +100,13 @@ def to_unitary(p: PermutationWithPhases) -> np.ndarray:
 
 
 def check_permutation(G: np.ndarray, tol: float = DEFAULT_TOL) -> BpVerdict:
-    """Column test: each column must hold exactly one unit-magnitude entry.
+    """Column test of a unitary G: each column holds exactly one unit-magnitude entry.
 
     Entries in the open band (tol, 1 - tol) are immediately diagnostic of a
     genuine superposition; all columns are tested at once, the first failing
     one being reported as witness.
     """
-    G = require_unitary(G, tol)
+    G = np.asarray(G, dtype=complex)
     n = matrix_qubits(G)
     mags = np.abs(G)
     unit = np.abs(mags - 1.0) <= tol
@@ -126,7 +126,7 @@ def check_permutation(G: np.ndarray, tol: float = DEFAULT_TOL) -> BpVerdict:
 
 
 def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Block test: A_v A_w† = 0 for v ≠ w and Σ_v A_v A_v† = I.
+    """Block test of a unitary G: A_v A_w† = 0 for v ≠ w and Σ_v A_v A_v† = I.
 
     Decided from the block basis forms A_v = Σ_s β_{s,v}|s⟩⟨s⊕v| of the
     ZX-decomposition, where β_{s,v} = Σ_u (-1)^{u·s} α_{u,v} comes from the
@@ -139,7 +139,6 @@ def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         product entry above tol.
       * Σ_v A_v A_v† is diagonal with entry Σ_v |β_{s,v}|² at s.
     """
-    G = require_unitary(G, tol)
     parts, beta = basis_forms(zx_decompose(G, tol).array())
     for i in range(len(parts) - 1):
         s = np.flatnonzero(beta[i])
@@ -152,7 +151,7 @@ def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def check_normalizer(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Normalizer test: G Z G† must stay Z-type (diagonal) for every Z string.
+    """Normalizer test of a unitary G: G Z G† stays Z-type (diagonal) for every Z string.
 
     One conjugation decides it. D = diag(0, 1, …, 2^n − 1) equals
     Σ_i 2^{n−1−i}(I − Z_i)/2, so it lies in the algebra the Z strings
@@ -164,7 +163,7 @@ def check_normalizer(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     it stays independent of check_permutation. The conjugate is formed as
     (G · D) G†, scaling the columns of G.
     """
-    G = require_unitary(G, tol)
+    G = np.asarray(G, dtype=complex)
     n = matrix_qubits(G)
     return is_z_type((G * np.arange(1 << n)) @ G.conj().T, tol)
 

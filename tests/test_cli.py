@@ -15,6 +15,7 @@ from bpgates import (
     GateSequence,
     PermutationWithPhases,
     io,
+    linalg,
     random_bp,
     synth,
     synthesize,
@@ -130,13 +131,56 @@ def test_check_json_ten_qubits(tmp_path, capsys, bp):
     assert payload["checks"] == {"permutation": bp, "zx": bp, "normalizer": bp}
 
 
-def test_check_refuses_non_unitary_matrix(tmp_path, capsys):
+def test_check_refuses_non_unitary_matrix(tmp_path, capsys, hadamard_file, code_files):
+    # every command that reads --matrix refuses it, each matrix of distance
     path = tmp_path / "shear.mat"
     path.write_text("n 1\n1+0i 1+0i\n0+0i 1+0i\n")
-    assert main(["check", "--matrix", str(path), "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: matrix is not unitary within tolerance\n"
+    shear = str(path)
+    for argv in (
+        ["check", "--matrix", shear, "--json"],
+        ["decompose-zx", "--matrix", shear],
+        ["distance", "--matrix", shear, "--other", hadamard_file],
+        ["distance", "--matrix", hadamard_file, "--other", shear],
+        ["synth", "--matrix", shear],
+        ["css-restrict", "--c1", code_files[0], "--c2", code_files[1], "--matrix", shear],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: matrix is not unitary within tolerance\n", argv
+
+
+def test_each_matrix_is_checked_unitary_once(
+    tmp_path, monkeypatch, cnot_file, hadamard_file, code_files, capsys
+):
+    # the CLI checks each matrix it reads; the verifiers take a unitary, so
+    # check once formed G G† in each of its three verifiers
+    identity4 = str(tmp_path / "id4.mat")
+    io.write_file(identity4, io.write_matrix, np.eye(16))
+    calls = []
+    original = linalg.require_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bpgates" or name.startswith("bpgates."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    for argv, rc, want in (
+        (["check", "--matrix", cnot_file], 0, 1),
+        (["check", "--matrix", hadamard_file], 1, 1),
+        (["decompose-zx", "--matrix", cnot_file], 0, 1),
+        (["distance", "--matrix", cnot_file, "--other", cnot_file], 0, 2),
+        (["synth", "--matrix", cnot_file], 0, 1),
+        (["css-restrict", "--c1", code_files[0], "--c2", code_files[1], "--matrix", identity4], 0, 1),
+    ):
+        calls.clear()
+        assert main(argv) == rc, argv
+        assert len(calls) == want, argv
+    capsys.readouterr()
 
 
 def test_check_exhaustive_flag_is_refused(cnot_file, capsys):
@@ -307,6 +351,32 @@ def test_simulate_refuses_register_wider_than_basis_index(tmp_path, capsys):
     circ_file.write_text("qubits 2\nancillas 70\nCNOT 0 71\nCNOT 0 71\n")
     assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 2
     assert capsys.readouterr().err == "error: 72 qubits exceeds the 63-qubit basis-index width\n"
+
+
+TOO_LARGE = "RZ count too large: reps·theta/2 is not a finite float"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("qubits 1\nancillas 0\nRZ 0 " + "9" * 400 + "\n", f"line 3: {TOO_LARGE}"),
+        ("qubits 1\nancillas 0\ntheta 1e300\nRZ 0 1\nRZ 0 " + "9" * 20 + "\n", f"line 5: {TOO_LARGE}"),
+        ("qubits 1\nancillas 0\ntheta nan\nRZ 0 3\n", "line 3: header theta must be finite, got nan"),
+        ("qubits 1\nqubits 2\nancillas 0\n", "line 2: repeated header qubits"),
+        ("qubits 1\nancillas 0\nglobalphase inf\n", "line 3: header globalphase must be finite, got inf"),
+    ],
+    ids=["count-overflows-float", "angle-overflows", "theta-nan", "repeated-header", "globalphase-inf"],
+)
+def test_simulate_refuses_circuit_header_or_count_at_its_line(tmp_path, capsys, text, err):
+    # the 400-digit count once died with an OverflowError traceback and exit 1,
+    # theta nan and the overflowing angle with `phases must be finite`, which
+    # names no line, and the repeated header and infinite global phase passed
+    circ_file = tmp_path / "bad.circ"
+    circ_file.write_text(text)
+    assert main(["simulate", "--circuit", str(circ_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_synth_rejects_non_bp(hadamard_file, capsys):
