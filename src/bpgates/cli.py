@@ -35,6 +35,22 @@ def _load_matrix(path: str, tol: float) -> np.ndarray:
     return require_unitary(io.read_matrix(io.read_file(path)), tol)
 
 
+def _load_gate(perm_path: str | None, matrix_path: str | None, tol: float) -> verify.BpVerdict:
+    """The verdict on a gate handed in as a perm file or as a dense matrix:
+    the one place where a file becomes the PermutationWithPhases form."""
+    if matrix_path is None:
+        return verify.BpVerdict(is_bp=True, canonical=io.read_perm(io.read_file(perm_path)))
+    return verify.check_permutation(_load_matrix(matrix_path, tol), tol)
+
+
+def _write(path: str | None, writer, obj) -> None:
+    """obj rendered by writer to the file at path, or to stdout without one."""
+    if path:
+        io.write_file(path, writer, obj)
+    else:
+        writer(obj, sys.stdout)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -87,11 +103,7 @@ def cmd_check(args) -> int:
 
 def cmd_decompose_zx(args) -> int:
     G = _load_matrix(args.matrix, args.tol)
-    d = zx.zx_decompose(G, args.tol)
-    if args.output:
-        io.write_file(args.output, io.write_zx, d)
-    else:
-        io.write_zx(d, sys.stdout)
+    _write(args.output, io.write_zx, zx.zx_decompose(G, args.tol))
     return 0
 
 
@@ -106,16 +118,11 @@ def cmd_distance(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.target:
-        p = io.read_perm(io.read_file(args.target))
-    else:
-        G = _load_matrix(args.matrix, args.tol)
-        verdict = verify.check_permutation(G, args.tol)
-        if not verdict.is_bp:
-            print(f"not bias-preserving: {verdict.witness}", file=sys.stderr)
-            return 1
-        p = verdict.canonical
-    report = synth.synthesize(p, eps=args.eps, theta=args.theta)
+    verdict = _load_gate(args.target, args.matrix, args.tol)
+    if not verdict.is_bp:
+        print(f"not bias-preserving: {verdict.witness}", file=sys.stderr)
+        return 1
+    report = synth.synthesize(verdict.canonical, eps=args.eps, theta=args.theta)
     if args.output:
         io.write_file(args.output, io.write_circuit, report.sequence)
     payload = {
@@ -146,10 +153,7 @@ def cmd_simulate(args) -> int:
     n = seq.n_data if args.restrict else seq.n_total
     require_dense_cap(n)
     U = verify.to_unitary(synth.simulate_restricted(seq) if args.restrict else synth.simulate(seq))
-    if args.output:
-        io.write_file(args.output, io.write_matrix, U)
-    else:
-        io.write_matrix(U, sys.stdout)
+    _write(args.output, io.write_matrix, U)
     return 0
 
 
@@ -193,29 +197,22 @@ def cmd_css_check(args) -> int:
 def cmd_css_lift(args) -> int:
     e = _load_css(args)
     g = io.read_perm(io.read_file(args.gate))
-    lifted = css.lift_logical(e, g)
-    if args.output:
-        io.write_file(args.output, io.write_perm, lifted)
-    else:
-        io.write_perm(lifted, sys.stdout)
+    _write(args.output, io.write_perm, css.lift_logical(e, g))
     return 0
 
 
 def cmd_css_restrict(args) -> int:
     e = _load_css(args)
-    if args.matrix:
-        G = _load_matrix(args.matrix, args.tol)
-    else:
-        G = io.read_perm(io.read_file(args.gate))
+    verdict = _load_gate(args.gate, args.matrix, args.tol)
+    if not verdict.is_bp:
+        print(f"REJECTED {verdict.witness}", file=sys.stderr)
+        return 1
     try:
-        logical = css.restrict_physical(e, G, args.tol)
-    except (css.NotBiasPreservingError, css.NotLogicalOperatorError) as exc:
+        logical = css.restrict_physical(e, verdict.canonical, args.tol)
+    except css.NotLogicalOperatorError as exc:
         print(f"REJECTED {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        io.write_file(args.output, io.write_perm, logical)
-    else:
-        io.write_perm(logical, sys.stdout)
+    _write(args.output, io.write_perm, logical)
     return 0
 
 

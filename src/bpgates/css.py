@@ -25,12 +25,7 @@ from . import gf2
 from .linalg import (DEFAULT_TOL, MONOMIAL_QUBIT_CAP, index_to_bits, num_qubits,
                      require_monomial_cap)
 from .stages import Stage
-from .verify import (
-    TWO_PI,
-    PermutationWithPhases,
-    check_permutation,
-    coherence_rank,
-)
+from .verify import TWO_PI, PermutationWithPhases, coherence_rank
 
 log = logging.getLogger(__name__)
 
@@ -45,10 +40,6 @@ class NotInCodespaceError(ValueError):
 
 class NotLogicalOperatorError(ValueError):
     """Physical gate does not map the codespace to itself."""
-
-
-class NotBiasPreservingError(ValueError):
-    """Physical gate fails the bias-preservation checks."""
 
 
 @dataclass(frozen=True)
@@ -296,22 +287,15 @@ def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPha
 
 @Stage(log, "restrict_physical")
 def restrict_physical(
-    e: CssEncoding, g_hat: PermutationWithPhases | np.ndarray, tol: float = DEFAULT_TOL
+    e: CssEncoding, g_hat: PermutationWithPhases, tol: float = DEFAULT_TOL
 ) -> PermutationWithPhases:
-    """Logical gate induced by a physical gate that is both bias-preserving
-    and a logical operator; the result is guaranteed to be a permutation
-    with phases.
+    """Logical gate induced by a physical bias-preserving gate that is a
+    logical operator.
 
-    A dense matrix must be unitary; it is first brought to its canonical form by
-    check_permutation. The gate is a logical operator iff it maps each coset
-    T(|x>_L) onto one coset T(|y>_L) with a constant phase φ; the logical
-    gate then sends x to y with phase φ. Beyond reading the gate, the check
-    looks only at the 2^k·|C1| codespace states and builds no state vector."""
-    if not isinstance(g_hat, PermutationWithPhases):
-        verdict = check_permutation(g_hat, tol)
-        if not verdict.is_bp:
-            raise NotBiasPreservingError(verdict.witness or "gate is not bias-preserving")
-        g_hat = verdict.canonical
+    The gate is a logical operator iff it maps each coset T(|x>_L) onto one
+    coset T(|y>_L) with a constant phase φ; the logical gate then sends x to
+    y with phase φ. Beyond reading the gate, the check looks only at the
+    2^k·|C1| codespace states and builds no state vector."""
     if g_hat.n != e.n:
         raise ValueError(f"physical gate acts on {g_hat.n} qubits, code has n={e.n}")
     owner = np.full(1 << e.n, -1)  # logical index of each codespace support

@@ -52,10 +52,6 @@ def _fmt(x: float) -> str:
 _ENTRY = "%.17g%+.17gi"
 
 
-def format_complex(z: complex) -> str:
-    return _ENTRY % (z.real, z.imag)
-
-
 def parse_complex(token: str, lineno: int | None = None) -> complex:
     if not token.endswith("i"):
         raise FormatError(f"complex entry {token!r} missing 'i' suffix", lineno)
@@ -425,92 +421,100 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
         fp.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
-def _read_plain_perm(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """(n, perm, phases) of an ASCII perm file in the layout write_perm
-    writes, by whole-array passes over blocks of lines. None unless each line
-    is `s-bits -> t-bits phase=<x>` with n-bit labels, single spaces, no
-    other whitespace or control character, float(x) defined, and no source
-    repeated: what it reads, the per-line reading reads alike."""
+def _read_plain_perm(text: str) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """(perm, phases, rows) of an ASCII perm file in the layout write_perm
+    writes, read by whole-array passes over blocks of lines: perm and phases
+    hold what its first `rows` lines say, all 2^n unless a block is refused,
+    none if they repeat a source. perm is None for a text of other than 2^n
+    lines, n the width of its first label. A block is read only if each line
+    is `s-bits -> t-bits phase=<x>` with n-bit labels, single spaces, no other
+    whitespace or control character, and float(x) defined: what the passes
+    read, the per-line reading reads alike."""
     lines = text.split("\n")
     if lines[-1] == "":
         del lines[-1]
     n, dim = (lines[0].find(" ") if lines else -1), len(lines)
     if not 0 < n < 63 or dim != 1 << n:  # before any array is allocated
-        return None
+        return None, None, 0
     # a line's first `width` characters, with the label columns or-ed with 1
     # so that '0' and '1' both read '1', match the template
     width = 2 * n + 11
     template = np.frombuffer(("1" * n + " -> " + "1" * n + " phase=").encode(), dtype=np.uint8)
     is_label = (template == ord("1")).astype(np.uint8)
-    head = itemgetter(slice(0, width))
+    head, tail = itemgetter(slice(0, width)), itemgetter(slice(width, None))
     labels = np.r_[0:n, n + 4:2 * n + 4]  # the columns of the source and target labels
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    src, tgt = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    perm, phases = np.full(dim, -1, dtype=np.int64), np.empty(dim)
+    rows = 0
     for start in range(0, dim, _PERM_BLOCK):
         block = lines[start:start + _PERM_BLOCK]
         if min(map(len, block)) <= width:  # a phase value has a character or more
-            return None
+            break
         chars = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8)
         if np.count_nonzero(chars <= ord(" ")) != 3 * len(block):
-            return None
+            break
         heads = "".join(map(head, block)).encode("ascii")
-        rows = np.frombuffer(heads, dtype=np.uint8).reshape(len(block), width)
-        if not np.array_equal(rows | is_label, np.broadcast_to(template, rows.shape)):
-            return None
+        grid = np.frombuffer(heads, dtype=np.uint8).reshape(len(block), width)
+        if not np.array_equal(grid | is_label, np.broadcast_to(template, grid.shape)):
+            break
+        try:
+            values = np.fromiter(map(float, map(tail, block)), dtype=np.float64, count=len(block))
+        except ValueError:
+            break
         # integer product: no BLAS call, whose buffers would raise peak RSS
-        pairs = ((rows[:, labels] & 1).reshape(-1, n) @ weights).reshape(-1, 2)
-        src[start:start + len(block)], tgt[start:start + len(block)] = pairs.T
-    try:
-        values = np.fromiter(map(float, map(itemgetter(slice(width, None)), lines)),
-                             dtype=np.float64, count=dim)
-    except ValueError:
-        return None
-    perm, phases = np.full(dim, -1, dtype=np.int64), np.empty(dim)
-    perm[src], phases[src] = tgt, values
-    if (perm < 0).any():  # a repeated source leaves another unset
-        return None
-    return n, perm, phases
+        src, tgt = ((grid[:, labels] & 1).reshape(-1, n) @ weights).reshape(-1, 2).T
+        perm[src], phases[src] = tgt, values
+        rows = start + len(block)
+    if np.count_nonzero(perm >= 0) != rows:  # a repeated source sets fewer than it reads
+        rows = 0
+    return perm, phases, rows
 
 
-def _read_perm_by_line(text: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, perm, phases) of a perm file read line by line, which names the
-    first faulty line."""
+def _perm_fields(lineno: int, line: str) -> tuple[str, str, str]:
+    """The source bits, target bits and phase text of one perm line."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != "->" or not parts[3].startswith("phase="):
+        raise FormatError("expected 's-bits -> t-bits phase=<radians>'", lineno)
+    return parts[0], parts[2], parts[3][len("phase="):]
+
+
+def _read_perm_by_line(text: str, perm: np.ndarray | None = None,
+                       phases: np.ndarray | None = None, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phases) of a perm file read line by line, which names the
+    first faulty line. Given rows > 0, perm and phases already hold what the
+    first `rows` lines of the text say, and those lines are not read again."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty gate file")
-    n = None
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 4 or parts[1] != "->" or not parts[3].startswith("phase="):
-            raise FormatError("expected 's-bits -> t-bits phase=<radians>'", lineno)
-        sb, tb = parts[0], parts[2]
-        if n is None:
-            n = len(sb)
-            if len(lines) != 1 << n:  # before any array is allocated
-                raise FormatError(f"expected all {1 << n} source strings exactly once")
-            perm, phases = np.full(1 << n, -1, dtype=np.int64), np.empty(1 << n)
+    n = perm.size.bit_length() - 1 if rows else len(_perm_fields(*lines[0])[0])
+    if len(lines) != 1 << n:  # before any array is allocated
+        raise FormatError(f"expected all {1 << n} source strings exactly once")
+    if not rows:
+        perm, phases = np.full(1 << n, -1, dtype=np.int64), np.empty(1 << n)
+    for lineno, line in lines[rows:]:
+        sb, tb, value = _perm_fields(lineno, line)
         if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
             raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
         try:
-            phase = float(parts[3][len("phase="):])
+            phase = float(value)
         except ValueError:
             raise FormatError("bad phase value", lineno) from None
         s = int(sb, 2)
         if perm[s] >= 0:
             raise FormatError(f"duplicate source string {sb}", lineno)
         perm[s], phases[s] = int(tb, 2), phase
-    return n, perm, phases
+    return perm, phases
 
 
 def read_perm(text: str) -> PermutationWithPhases:
     """Inverse of write_perm, lines in any order, with '#' comments and blank
     lines. The whole-array passes read only ASCII text."""
     # str.split() also splits at whitespace outside ASCII
-    read = _read_plain_perm(text) if text.isascii() else None
-    if read is None:
-        read = _read_perm_by_line(text)
+    perm, phases, rows = _read_plain_perm(text) if text.isascii() else (None, None, 0)
+    if perm is None or rows < perm.size:
+        perm, phases = _read_perm_by_line(text, perm, phases, rows)
     try:
-        return PermutationWithPhases(*read)
+        return PermutationWithPhases(perm.size.bit_length() - 1, perm, phases)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -30,6 +30,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -46,6 +47,10 @@ PHASE_TRIVIAL = 1e-12
 
 # Widest register whose basis indices fit the simulator's int64 arrays.
 INDEX_QUBITS = 63
+
+# Unpacked bytes of RZ snapshots the simulator holds at a time: its memory
+# stays O(this + qubits·inputs), not O(#RZ·inputs).
+_UNPACK_BYTES = 1 << 20
 
 log = logging.getLogger(__name__)
 
@@ -137,9 +142,10 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Bit-sliced: planes[q] is one Python integer whose bit j is qubit q of
     input j, so each X, CNOT or CCNOT is one integer operation on all inputs
-    at once. An RZ keeps its angle and planes[q], a snapshot since integers
+    at once. An RZ yields its angle and planes[q], a snapshot since integers
     are immutable, and the phases are summed from the snapshots in gate
-    order, as a per-gate loop would sum them."""
+    order, as a per-gate loop would sum them, about _UNPACK_BYTES unpacked
+    bytes of snapshots at a time."""
     seq.validate()
     m = seq.n_total
     if m > INDEX_QUBITS:
@@ -155,32 +161,35 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
         for row in np.packbits(bits, axis=1, bitorder="little")
     ]
     ones = (1 << size) - 1
-    angles, snapshots = [], []
-    for g in seq.gates:
-        q = g.qubits
-        kind = g.kind
-        if kind == "CCNOT":
-            planes[q[2]] ^= planes[q[0]] & planes[q[1]]
-        elif kind == "CNOT":
-            planes[q[1]] ^= planes[q[0]]
-        elif kind == "X":
-            planes[q[0]] ^= ones
-        else:  # RZ: diag(e^{-i k θ/2}, e^{+i k θ/2}) on the qubit
-            # reduced mod 2π first: summing large angles would lose precision
-            angles.append(0.5 * g.reps * seq.theta % TWO_PI)
-            snapshots.append(planes[q[0]])
 
-    def unpack(values: list[int]) -> np.ndarray:
+    def unpack(values: list[int] | tuple[int, ...]) -> np.ndarray:
         packed = b"".join(v.to_bytes(nbytes, "little") for v in values)
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(values), nbytes)
         return np.unpackbits(rows, axis=1, count=size, bitorder="little")
 
-    target = np.zeros(size, dtype=np.int64)
+    def walk():  # the gates, run as the RZ snapshots are drawn
+        for g in seq.gates:
+            q = g.qubits
+            kind = g.kind
+            if kind == "CCNOT":
+                planes[q[2]] ^= planes[q[0]] & planes[q[1]]
+            elif kind == "CNOT":
+                planes[q[1]] ^= planes[q[0]]
+            elif kind == "X":
+                planes[q[0]] ^= ones
+            else:  # RZ: diag(e^{-i k θ/2}, e^{+i k θ/2}) on the qubit
+                # reduced mod 2π first: summing large angles would lose precision
+                yield 0.5 * g.reps * seq.theta % TWO_PI, planes[q[0]]
+
+    phase = np.zeros(size)
+    snapshots = walk()
+    while chunk := list(islice(snapshots, max(1, _UNPACK_BYTES // max(size, 1)))):
+        angles, taken = zip(*chunk)
+        for angle, row in zip(angles, unpack(taken)):
+            phase += angle * (2.0 * row - 1.0)
+    target = np.zeros(size, dtype=np.int64)  # planes hold the outputs: the walk has run
     for shift, row in zip(shifts.tolist(), unpack(planes)):
         target |= row.astype(np.int64) << shift
-    phase = np.zeros(size)
-    for angle, row in zip(angles, unpack(snapshots)):
-        phase += angle * (2.0 * row - 1.0)
     return target, phase
 
 
@@ -308,10 +317,13 @@ def circular_distance(a: float, b: float) -> float:
 
 
 def _check_eps_theta(eps: float, theta: float) -> None:
+    """Refuse an eps or theta the certificate cannot vouch for. k·θ is reduced
+    modulo the double TWO_PI, 2.4e-16 off 2π, which shifts the true phase by
+    about (k·θ/2π)·2.4e-16 unseen: |θ| < 2π keeps that below k·2.4e-16."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    if not abs(theta) < TWO_PI:  # also refuses nan and inf
+        raise ValueError(f"theta must lie in (-2*pi, 2*pi), got {theta}")
 
 
 def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:

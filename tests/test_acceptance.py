@@ -187,7 +187,7 @@ def test_criterion_7_css_lifting(codes):
             assert check_permutation(Ghat, TOL).is_bp
             assert check_zx(Ghat, TOL)
             assert check_normalizer(Ghat, TOL)
-            back = restrict_physical(e, Ghat, TOL)
+            back = restrict_physical(e, check_permutation(Ghat, TOL).canonical, TOL)
             assert np.array_equal(back.perm, g.perm)
             assert np.allclose(
                 np.exp(1j * np.array(back.phases)),

@@ -414,9 +414,13 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
         (np.pi / 3, ["--eps", "0"]),
         (np.pi / 3, ["--theta", "nan"]),
         (np.pi / 3, ["--theta", "inf"]),
+        (np.pi / 3, ["--theta", "1e12"]),  # k·θ mod 2π would drift past eps
         (float("nan"), []),
     ],
-    ids=["rational-theta", "eps-nan", "eps-inf", "eps-zero", "theta-nan", "theta-inf", "phase-nan"],
+    ids=[
+        "rational-theta", "eps-nan", "eps-inf", "eps-zero", "theta-nan", "theta-inf",
+        "theta-huge", "phase-nan",
+    ],
 )
 def test_synth_input_errors_exit_2(tmp_path, capsys, phase, flags):
     gate_file = tmp_path / "t.perm"
@@ -557,6 +561,20 @@ def test_css_restrict_rejects_non_logical(code_files, tmp_path, capsys):
         main(["css-restrict", "--c1", c1, "--c2", c2, "--gate", str(gate_file)]) == 1
     )
     assert "REJECTED" in capsys.readouterr().err
+
+
+def test_css_restrict_rejects_non_bp_matrix(code_files, tmp_path, capsys):
+    # H⊗4 is unitary but not bias-preserving: the column test refuses it,
+    # naming the first column that holds a superposition
+    c1, c2 = code_files
+    H4 = tensor(tensor(H, H), tensor(H, H))
+    matrix_file, out_file = tmp_path / "h4.mat", tmp_path / "out.perm"
+    io.write_file(str(matrix_file), io.write_matrix, H4)
+    argv = ["css-restrict", "--c1", c1, "--c2", c2, "--matrix", str(matrix_file)]
+    assert main(argv + ["--output", str(out_file)]) == 1
+    entries = ", ".join(f"|{s:04b}⟩: 0.250000" for s in range(16))
+    assert capsys.readouterr() == ("", f"REJECTED column 0000 has entries {entries}\n")
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("command", ["css-lift", "css-check", "css-restrict"])

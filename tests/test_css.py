@@ -27,12 +27,11 @@ from bpgates import (
 from bpgates.css import (
     CodeConstructionError,
     CosetStates,
-    NotBiasPreservingError,
     NotInCodespaceError,
     NotLogicalOperatorError,
 )
 from bpgates import gf2
-from bpgates.linalg import H, index_to_bits, tensor
+from bpgates.linalg import index_to_bits
 from bpgates.verify import TWO_PI
 from conftest import basis_state, random_state, repetition_pair, wide_pair
 
@@ -440,7 +439,8 @@ def test_restriction_roundtrip(code_422, steane, rng):
     for e in (code_422, steane):
         for _ in range(20):
             g = random_bp(e.k, rng)
-            back = restrict_physical(e, to_unitary(lift_logical(e, g)))
+            Ghat = to_unitary(lift_logical(e, g))
+            back = restrict_physical(e, check_permutation(Ghat).canonical)
             assert np.array_equal(back.perm, g.perm)
             assert np.allclose(
                 np.exp(1j * np.array(back.phases)), np.exp(1j * np.array(g.phases))
@@ -558,24 +558,16 @@ def test_restrict_x7_steane(steane):
     X7 = to_unitary(
         PermutationWithPhases(7, tuple(s ^ 0b1111111 for s in range(128)), (0.0,) * 128)
     )
-    logical = restrict_physical(steane, X7)
+    logical = restrict_physical(steane, check_permutation(X7).canonical)
     assert np.array_equal(logical.perm, (1, 0))
     assert np.allclose(logical.phases, 0.0)
-
-
-def test_restrict_rejects_hadamard(steane):
-    Hn = H
-    for _ in range(6):
-        Hn = tensor(Hn, H)
-    with pytest.raises(NotBiasPreservingError):
-        restrict_physical(steane, Hn)
 
 
 def test_restrict_rejects_non_logical(code_422):
     # X on physical qubit 0 alone maps |0000> to |1000>, outside the codespace
     flip = PermutationWithPhases(4, tuple(s ^ 0b1000 for s in range(16)), (0.0,) * 16)
     with pytest.raises(NotLogicalOperatorError):
-        restrict_physical(code_422, to_unitary(flip))
+        restrict_physical(code_422, check_permutation(to_unitary(flip)).canonical)
 
 
 def test_css_stages_log_start_and_end(code_422, rng, caplog):

@@ -19,7 +19,6 @@ from bpgates import (
 from bpgates import io
 from bpgates.io import (
     FormatError,
-    format_complex,
     parse_complex,
     read_circuit,
     read_code,
@@ -54,7 +53,7 @@ def test_complex_entry_roundtrip():
         complex(-7.1e300, 3e-300),
     ]
     for z in values:
-        assert parse_complex(format_complex(z)) == z
+        assert parse_complex(io._ENTRY % (z.real, z.imag)) == z
 
 
 def test_parse_complex_errors():
@@ -679,3 +678,46 @@ def test_perm_fault_in_written_layout_read_once(rng, monkeypatch):
         assert len(calls) == passes
         assert str(got.value) == str(expected.value) == "line 8192: bad phase value"
         assert got.value.lineno == expected.value.lineno == 8192
+
+
+def test_perm_reader_resumes_at_the_refused_block(rng, monkeypatch):
+    # the whole-array passes read the first block of a 2^13-line file; the
+    # per-line reader parses only the lines of the block they refuse
+    parsed, fields = [], io._perm_fields
+
+    def recorded(lineno, line):
+        parsed.append(lineno)
+        return fields(lineno, line)
+
+    monkeypatch.setattr(io, "_perm_fields", recorded)
+    lines = dumps(write_perm, random_bp(13, rng)).splitlines()
+    lines[-1] = lines[-1] + "x"  # a bad last phase
+    with pytest.raises(FormatError, match="^line 8192: bad phase value$"):
+        read_perm("\n".join(lines) + "\n")
+    assert parsed == list(range(io._PERM_BLOCK + 1, 8193))
+
+
+# Faults of a 2^13-line written file, as {line index: new text}.
+LATE_PERM_FAULTS = {
+    "bits": lambda lines: {5000: "2" + lines[5000][1:]},
+    "phase": lambda lines: {4096: lines[4096].replace("phase=", "phase=0x")},
+    "comment": lambda lines: {7000: "# one source short"},
+    # repeats that only the end of the passes finds, in the first block or
+    # across blocks, and one ahead of a refused block
+    "repeat-first-block": lambda lines: {10: lines[20]},
+    "repeat-across-blocks": lambda lines: {6000: lines[30]},
+    "repeat-then-bits": lambda lines: {10: lines[20], 5000: "2" + lines[5000][1:]},
+}
+
+
+@pytest.mark.parametrize("fault", LATE_PERM_FAULTS)
+def test_perm_fault_past_first_block_named_as_per_line(rng, fault):
+    lines = dumps(write_perm, random_bp(13, rng)).splitlines()
+    for i, line in LATE_PERM_FAULTS[fault](lines).items():
+        lines[i] = line
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as expected:
+        read_perm_per_line(text)
+    with pytest.raises(FormatError) as got:
+        read_perm(text)
+    assert (str(got.value), got.value.lineno) == (str(expected.value), expected.value.lineno)

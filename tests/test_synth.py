@@ -145,6 +145,36 @@ def test_bit_sliced_push_matches_reference_on_synthesized(rng):
         assert_same_push(seq, np.arange(1 << seq.n_data) << seq.n_anc)
 
 
+def test_push_in_chunks_sums_phases_alike(rng, monkeypatch):
+    # snapshots unpacked a few at a time, or one at a time, give the bits of
+    # the default chunk, which holds all of these
+    seqs = [synthesize(random_bp(n, rng), eps=1e-3).sequence for n in (3, 6)]
+    seqs.append(random_sequence(4, 3, 400, rng))
+    whole = [synth._monomial(seq, np.arange(1 << seq.n_total)) for seq in seqs]
+    for unpack_bytes in (1, 1000):
+        monkeypatch.setattr(synth, "_UNPACK_BYTES", unpack_bytes)
+        for seq, (target, phase) in zip(seqs, whole):
+            got_target, got_phase = synth._monomial(seq, np.arange(1 << seq.n_total))
+            assert np.array_equal(got_target, target)
+            assert got_phase.tobytes() == phase.tobytes()
+
+
+def test_push_memory_is_bounded_by_the_chunk():
+    # the RZ snapshots were once unpacked at once, a (#RZ x 2^n) uint8 array:
+    # a 20.9 MB peak at n = 12, and 4.3 GB by the same count at n = 16
+    import tracemalloc
+
+    seq = synthesize(random_bp(12, np.random.default_rng(12)), eps=1e-3).sequence
+    assert seq.gate_counts()["RZ"] > 4000
+    tracemalloc.start()
+    try:
+        simulate_restricted(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * synth._UNPACK_BYTES
+
+
 def test_sequence_refuses_qubit_outside_register():
     # a Python list index of -1 would wrap to the last qubit plane; the
     # message names the first bad gate, not the later X on qubit 4
@@ -362,6 +392,20 @@ def test_approximate_phase_cap():
     ):
         with pytest.raises(ValueError):
             approximate_phase(phi, eps, theta)
+
+
+@pytest.mark.parametrize("theta", [TWO_PI, -7.0, 1e300])
+def test_theta_outside_one_turn_is_refused(theta):
+    # k·θ reduced mod the double 2π drifts from the true phase by about
+    # (k·θ/2π)·2.4e-16: at θ = 1e12 the certified error read 1e-3 while the
+    # true one was 1e-2, and at θ = 1e300 the certificate itself failed
+    g = PermutationWithPhases(1, (0, 1), (0.0, np.pi / 3))
+    with pytest.raises(ValueError, match=re.escape(f"theta must lie in (-2*pi, 2*pi), got {theta}")):
+        approximate_phase(np.pi / 3, 1e-3, theta)
+    with pytest.raises(ValueError, match="theta must lie in"):
+        synthesize(g, eps=1e-3, theta=theta)
+    # the largest double below 2π is still taken
+    assert approximate_phase(0.0, 1e-3, np.nextafter(TWO_PI, 0.0)) == 0
 
 
 @given(st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9))
