@@ -308,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         io.FormatError,
         css.CodeConstructionError,
         synth.PhaseApproximationError,
+        synth.AncillaNotRestoredError,
         ValueError,
         OSError,
     ) as exc:

@@ -181,7 +181,6 @@ def check_equicoherent(
     row holds |C1| amplitudes 1/√|C1| (none if that is not above tol). A
     GenericEncoding takes one lookup per state."""
     if isinstance(e, CssEncoding):
-        require_monomial_cap(e.n)  # the overlap count spans all 2^n indices
         keep = 1.0 / np.sqrt(e.l) > tol
         ranks = np.full(1 << e.k, e.l if keep else 0)
         flat = e.cosets.ravel() if keep else e.cosets[:, :0].ravel()
@@ -190,7 +189,7 @@ def check_equicoherent(
         ranks = np.array([s.size for s in supports])
         flat = np.concatenate(supports)
     differ = np.flatnonzero(ranks != ranks[0]).tolist()
-    overlap = _first_overlap(flat, np.repeat(np.arange(1 << e.k), ranks))
+    overlap = _first_overlap(flat, ranks)
     if differ and (overlap is None or (0, differ[0]) <= overlap[:2]):
         y = differ[0]
         return (
@@ -210,21 +209,20 @@ def check_equicoherent(
     return True, int(ranks[0]), None
 
 
-def _first_overlap(flat: np.ndarray, owner: np.ndarray) -> tuple[int, int, int] | None:
+def _first_overlap(flat: np.ndarray, sizes: np.ndarray) -> tuple[int, int, int] | None:
     """(x, y, t) for the first pair x < y in combinations order whose
     supports share a basis index, and t the smallest index they share; None
     if the supports are disjoint. flat lists the supports one after another
-    (each without repeats), owner[i] the state flat[i] belongs to.
+    (each without repeats), sizes[x] the size of support x.
 
     A shared index t with owners o_1 < o_2 < … first brings in the pair
     (o_1, o_2), so the first pair overall is the least such pair, and every
     index that pair shares has it as its first two owners."""
-    shared = np.bincount(flat)[flat] > 1
-    if not shared.any():
+    ordered = np.sort(flat)
+    if not (ordered[1:] == ordered[:-1]).any():
         return None
-    flat, owner = flat[shared], owner[shared]
     order = np.argsort(flat, kind="stable")  # owners ascending within each index
-    flat, owner = flat[order], owner[order]
+    flat, owner = flat[order], np.repeat(np.arange(sizes.size), sizes)[order]
     same = flat[1:] == flat[:-1]
     first = np.flatnonzero(same & np.r_[True, ~same[:-1]])  # first two owners of each index
     x, y, t = owner[first], owner[first + 1], flat[first]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .css import BinaryCode
 from .linalg import GOLDEN_THETA, num_qubits, require_dense_cap
-from .synth import Gate, GateSequence
+from .synth import Gate, GateSequence, check_theta
 from .verify import PermutationWithPhases
 from .zx import CoefficientView, ZXDecomposition
 
@@ -308,6 +308,11 @@ def read_circuit(text: str) -> GateSequence:
             raise FormatError(f"bad header value: {exc}") from None
         if not np.isfinite(angles[key]):
             raise FormatError(f"header {key} must be finite, got {value}", lineno)
+        if key == "theta":
+            try:
+                check_theta(angles[key])
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
     if top_reps > sys.float_info.max or not np.isfinite(0.5 * top_reps * angles["theta"]):
         raise FormatError("RZ count too large: reps·theta/2 is not a finite float", top_line)
     seq = GateSequence(sizes["qubits"], sizes["ancillas"], gates, *angles.values())
@@ -366,30 +371,6 @@ def _label_bits(indices: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1)[:, 64 - n:]
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, which) for 2^n uint64 keys, n ≤ 32: the distinct keys in
-    increasing order and the place of each key among them, so that
-    values[which] == keys, as np.unique(keys, return_inverse=True) gives
-    them. The order comes from two sorts, by the low half and then stably by
-    the high half, of that half packed above each key's position: numpy
-    sorts integers several times faster than it argsorts them."""
-    position = np.arange(keys.size, dtype=np.uint64)
-    mask, shift = np.uint64(keys.size - 1), np.uint64(keys.size.bit_length() - 1)
-    order = np.sort((keys & np.uint64(0xFFFFFFFF)) << shift | position) & mask
-    order = order[np.sort((keys[order] >> np.uint64(32)) << shift | position) & mask]
-    ordered = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    which = np.empty(keys.size, dtype=np.intp)
-    which[order] = np.cumsum(first) - 1
-    return ordered[first], which
-
-
-# Width of `%.17g` for every double: sign, 17 digits, point and `e-308`.
-_PHASE_WIDTH = 24
-
-
 def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     """Lines `s-bits -> t-bits phase=<radians>` for every basis string s,
     built as ASCII rows one block of basis strings at a time."""
@@ -399,13 +380,11 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     # Each distinct phase is formatted once, keyed on its bit pattern: -0.0
     # and 0.0 compare equal but are written differently. The tails form a
     # table padded with NULs, which are dropped from each block of rows.
-    keys, which = _distinct(np.asarray(p.phases, dtype=np.float64).view(np.uint64))
-    tails = (f" phase=%-{_PHASE_WIDTH}.17g\n" * keys.size) % tuple(keys.view(np.float64).tolist())
-    table = np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(keys.size, -1).copy()
-    # each newline moves from after the value's space padding to its end
-    ends = len(" phase=") + np.count_nonzero(table[:, len(" phase="):-1] != ord(" "), axis=1)
-    table[np.arange(table.shape[1]) >= ends[:, None]] = 0
-    table[np.arange(keys.size), ends] = ord("\n")
+    keys, which = np.unique(np.asarray(p.phases, dtype=np.float64).view(np.uint64),
+                            return_inverse=True)
+    tails = (" phase=%.17g\n" * keys.size) % tuple(keys.view(np.float64).tolist())
+    table = np.array(tails.encode("ascii").splitlines(keepends=True))
+    table = table.view(np.uint8).reshape(keys.size, -1)
     perm = np.asarray(p.perm, dtype=np.int64)
     # Blocks of 2^low rows start at multiples of 2^low: the low bits of a
     # source label are its row in the block, the high bits the block's.

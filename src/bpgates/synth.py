@@ -316,14 +316,19 @@ def circular_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _check_eps_theta(eps: float, theta: float) -> None:
-    """Refuse an eps or theta the certificate cannot vouch for. k·θ is reduced
-    modulo the double TWO_PI, 2.4e-16 off 2π, which shifts the true phase by
-    about (k·θ/2π)·2.4e-16 unseen: |θ| < 2π keeps that below k·2.4e-16."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+def check_theta(theta: float) -> None:
+    """Refuse a theta the certificate cannot vouch for. k·θ is reduced modulo
+    the double TWO_PI, 2.4e-16 off 2π, which shifts the true phase by about
+    (k·θ/2π)·2.4e-16 unseen: |θ| < 2π keeps that below k·2.4e-16."""
     if not abs(theta) < TWO_PI:  # also refuses nan and inf
         raise ValueError(f"theta must lie in (-2*pi, 2*pi), got {theta}")
+
+
+def _check_eps_theta(eps: float, theta: float) -> None:
+    """Refuse an eps or theta the certificate cannot vouch for."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    check_theta(theta)
 
 
 def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:

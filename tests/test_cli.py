@@ -343,6 +343,17 @@ def test_simulate_restrict_ignores_ancilla_width(tmp_path, capsys):
     assert np.array_equal(M, to_unitary(PermutationWithPhases(4, tuple(s ^ 1 for s in range(16)), (0.0,) * 16)))
 
 
+def test_simulate_restrict_refuses_excited_ancilla(tmp_path, capsys):
+    # CNOT 0 1 leaves the ancilla at |1> for data |1>: this once died with an
+    # AncillaNotRestoredError traceback and exit 1, the negative-verdict code
+    circ_file, out_file = tmp_path / "dirty.circ", tmp_path / "out.mat"
+    circ_file.write_text("qubits 1\nancillas 1\nCNOT 0 1\n")
+    argv = ["simulate", "--circuit", str(circ_file), "--restrict", "--output", str(out_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: input 1 leaves ancillas at 1\n")
+    assert not out_file.exists()
+
+
 def test_simulate_refuses_register_wider_than_basis_index(tmp_path, capsys):
     # 2 data + 70 ancilla qubits: the restriction is narrow, but basis
     # indices of 72 qubits do not fit int64; this once overflowed with a
@@ -360,17 +371,22 @@ TOO_LARGE = "RZ count too large: reps·theta/2 is not a finite float"
     "text, err",
     [
         ("qubits 1\nancillas 0\nRZ 0 " + "9" * 400 + "\n", f"line 3: {TOO_LARGE}"),
-        ("qubits 1\nancillas 0\ntheta 1e300\nRZ 0 1\nRZ 0 " + "9" * 20 + "\n", f"line 5: {TOO_LARGE}"),
+        ("qubits 1\nancillas 0\ntheta 6\nRZ 0 1\nRZ 0 1" + "0" * 308 + "\n", f"line 5: {TOO_LARGE}"),
+        ("qubits 1\nancillas 0\ntheta 1e300\nRZ 0 1\n", "line 3: theta must lie in (-2*pi, 2*pi), got 1e+300"),
         ("qubits 1\nancillas 0\ntheta nan\nRZ 0 3\n", "line 3: header theta must be finite, got nan"),
         ("qubits 1\nqubits 2\nancillas 0\n", "line 2: repeated header qubits"),
         ("qubits 1\nancillas 0\nglobalphase inf\n", "line 3: header globalphase must be finite, got inf"),
     ],
-    ids=["count-overflows-float", "angle-overflows", "theta-nan", "repeated-header", "globalphase-inf"],
+    ids=[
+        "count-overflows-float", "angle-overflows", "theta-huge", "theta-nan", "repeated-header",
+        "globalphase-inf",
+    ],
 )
 def test_simulate_refuses_circuit_header_or_count_at_its_line(tmp_path, capsys, text, err):
     # the 400-digit count once died with an OverflowError traceback and exit 1,
     # theta nan and the overflowing angle with `phases must be finite`, which
-    # names no line, and the repeated header and infinite global phase passed
+    # names no line, and the repeated header, infinite global phase and a
+    # theta whose reduction mod 2π drifts passed
     circ_file = tmp_path / "bad.circ"
     circ_file.write_text(text)
     assert main(["simulate", "--circuit", str(circ_file)]) == 2
@@ -577,11 +593,11 @@ def test_css_restrict_rejects_non_bp_matrix(code_files, tmp_path, capsys):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("command", ["css-lift", "css-check", "css-restrict"])
+@pytest.mark.parametrize("command", ["css-lift", "css-restrict"])
 def test_css_refuses_forty_qubit_inputs_quickly(tmp_path, capsys, command):
-    # n = 40: css-lift and css-check once died allocating 8 and 16 TiB
-    # (exit 1), and css-restrict on a one-line perm file of 40-bit strings
-    # built a 2^40-entry set of sources
+    # n = 40: css-lift once died allocating 8 TiB (exit 1), and css-restrict
+    # on a one-line perm file of 40-bit strings built a 2^40-entry set of
+    # sources
     c1, c2 = tmp_path / "c1.code", tmp_path / "c2.code"
     for path, code in zip((c1, c2), wide_pair()):
         io.write_file(str(path), io.write_code, code)
@@ -593,8 +609,6 @@ def test_css_refuses_forty_qubit_inputs_quickly(tmp_path, capsys, command):
         io.write_file(str(gate_file), io.write_perm, PermutationWithPhases(1, (1, 0), (0.0, 0.5)))
         argv += ["--gate", str(gate_file)]
         want = "error: 40 qubits exceeds monomial cap 24\n"
-    elif command == "css-check":
-        want = "error: 40 qubits exceeds monomial cap 24\n"
     else:
         gate_file.write_text(f"{'0' * 40} -> {'0' * 40} phase=0\n")
         argv += ["--gate", str(gate_file)]
@@ -603,6 +617,28 @@ def test_css_refuses_forty_qubit_inputs_quickly(tmp_path, capsys, command):
     assert main(argv) == 2
     assert time.monotonic() - start < 1.0
     assert capsys.readouterr().err == want
+
+
+def simplex_pair(r: int) -> tuple[BinaryCode, BinaryCode]:
+    """(simplex [2^r-1, r], simplex + the all-ones word): k = 1, l = 2^r."""
+    simplex = hamming_pair(r)[0]
+    return simplex, BinaryCode.from_rows([*simplex.generator, [1] * simplex.n])
+
+
+@pytest.mark.parametrize(
+    "codes, l", [(wide_pair(), 2), (simplex_pair(5), 32), (simplex_pair(6), 64)], ids=["n40", "n31", "n63"]
+)
+def test_css_check_answers_past_the_monomial_cap_quickly(tmp_path, capsys, codes, l):
+    # n = 40, 31 and 63 exceed the 24-qubit cap of the 2^n-wide arrays:
+    # css-check once died allocating 16 TiB at n = 40 (exit 1), then was
+    # refused at the cap; it now sorts the 2^k·|C1| coset table alone
+    c1, c2 = tmp_path / "c1.code", tmp_path / "c2.code"
+    for path, code in zip((c1, c2), codes):
+        io.write_file(str(path), io.write_code, code)
+    start = time.monotonic()
+    assert main(["css-check", "--c1", str(c1), "--c2", str(c2)]) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr() == (f"EQUICOHERENT yes l={l}\n", "")
 
 
 @pytest.mark.parametrize("codes, want", [

@@ -503,19 +503,6 @@ def test_write_perm_matches_per_line_writer(rng, hamming15):
     assert "phase=-0\n" in dumps(write_perm, gates[0])
 
 
-def test_distinct_matches_unique(rng):
-    # keys that differ in either half, the sign bit included, and repeat
-    top, bottom = rng.integers(0, 4, (2, 1 << 12), dtype=np.uint64)
-    for keys in (
-        top << np.uint64(62) | bottom,
-        rng.uniform(-7, 7, 1 << 10).round(1).view(np.uint64),
-        np.array([-0.0, 0.0]).view(np.uint64),
-    ):
-        values, which = io._distinct(keys)
-        expected = np.unique(keys, return_inverse=True)
-        assert np.array_equal(values, expected[0]) and np.array_equal(which, expected[1])
-
-
 def test_writers_refuse_zero_qubit_objects():
     # the line formats have no empty label: "0" would read back as 1 qubit
     with pytest.raises(ValueError, match="0-qubit gate has no bit-string labels"):
