@@ -20,7 +20,7 @@ from . import css, io, synth, verify, zx
 from .linalg import (
     DEFAULT_TOL,
     GOLDEN_THETA,
-    index_to_bits,
+    index_labels,
     phase_optimized_error,
     require_dense_cap,
     require_unitary,
@@ -90,8 +90,8 @@ def cmd_check(args) -> int:
     }
     if verdict.is_bp:
         p = verdict.canonical
-        targets, phases = p.perm.tolist(), p.phases.tolist()
-        perm = {index_to_bits(s, p.n): index_to_bits(t, p.n) for s, t in enumerate(targets)}
+        phases = p.phases.tolist()
+        perm = dict(zip(index_labels(np.arange(1 << p.n), p.n), index_labels(p.perm, p.n)))
         payload["canonical"] = {"perm": perm, "phases": phases}
         lines = [f"PERM {s}->{t} phase={x:.17g}" for (s, t), x in zip(perm.items(), phases)]
         _emit(args, payload, ["BP yes"] + lines)
@@ -170,15 +170,13 @@ def cmd_css_build(args) -> int:
         "k": e.k,
         "l": e.l,
         "transversal": ["".join(str(int(b)) for b in row) for row in e.transversal],
-        "supports": {
-            index_to_bits(x, e.k): sorted(index_to_bits(t, e.n) for t in row)
-            for x, row in enumerate(e.cosets.tolist())
-        },
+        # equal-width labels sort as their indices do
+        "supports": dict(zip(index_labels(np.arange(len(e.cosets)), e.k),
+                             index_labels(np.sort(e.cosets, axis=1), e.n))),
     }
     lines = [f"CSS n={e.n} k={e.k} l={e.l}"]
     lines += [f"TRANSVERSAL {row}" for row in payload["transversal"]]
-    for x in sorted(payload["supports"]):
-        lines.append(f"SUPPORT {x} {{{', '.join(payload['supports'][x])}}}")
+    lines += [f"SUPPORT {x} {{{', '.join(support)}}}" for x, support in payload["supports"].items()]
     _emit(args, payload, lines)
     return 0
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import INDEX_QUBITS, bits_index
+
 
 def as_gf2(rows) -> np.ndarray:
     A = np.asarray(rows, dtype=np.uint8) & 1
@@ -53,14 +55,13 @@ def in_rowspace(v: np.ndarray, R: np.ndarray, pivots: list[int]) -> bool:
 def codewords(G: np.ndarray) -> np.ndarray:
     """All 2^k codewords of the row space of a k x n generator matrix, as
     big-endian integers: word m is the XOR of the rows picked by the bits of
-    m, row 0 by the most significant one. Words longer than 63 bits do not
-    fit in int64 and are refused."""
+    m, row 0 by the most significant one. Words longer than INDEX_QUBITS bits
+    do not fit in int64 and are refused."""
     G = as_gf2(G)
     k, n = G.shape
-    if n > 63:
-        raise ValueError(f"codewords of length {n} do not fit in 63-bit integers")
-    rows = G.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    if n > INDEX_QUBITS:
+        raise ValueError(f"codewords of length {n} do not fit in {INDEX_QUBITS}-bit integers")
     words = np.zeros(1, dtype=np.int64)
-    for row in rows[::-1]:  # the last row is picked by the lowest bit
+    for row in bits_index(G)[::-1]:  # the last row is picked by the lowest bit
         words = np.concatenate([words, words ^ row])
     return words

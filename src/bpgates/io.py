@@ -21,7 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from .css import BinaryCode
-from .linalg import GOLDEN_THETA, num_qubits, require_dense_cap
+from .linalg import GOLDEN_THETA, bits_index, index_bits, index_labels, num_qubits, require_dense_cap
 from .synth import Gate, GateSequence, check_theta
 from .verify import PermutationWithPhases
 from .zx import CoefficientView, ZXDecomposition
@@ -203,9 +203,11 @@ def write_zx(d: ZXDecomposition, fp: TextIO) -> None:
     """Lines `u-bits v-bits re im` for the nonzero coefficients, sorted by u then v."""
     if d.n == 0:
         raise ValueError("a 0-qubit decomposition has no bit-string labels")
-    alpha, label = d.array().T, f"0{d.n}b"
+    alpha, labels = d.array().T, index_labels(np.arange(1 << d.n), d.n)
     us, vs = np.nonzero(alpha)  # row-major: by u, then v
-    fp.write("".join(f"{u:{label}} {v:{label}} {_fmt(a.real)} {_fmt(a.imag)}\n"
+    if not us.size:  # read_zx refuses a file with no line
+        raise ValueError("a decomposition with no coefficient above the tolerance has no lines")
+    fp.write("".join(f"{labels[u]} {labels[v]} {_fmt(a.real)} {_fmt(a.imag)}\n"
                      for u, v, a in zip(us.tolist(), vs.tolist(), alpha[us, vs].tolist())))
 
 
@@ -365,12 +367,6 @@ def read_code(text: str) -> BinaryCode:
 _PERM_BLOCK = 4096
 
 
-def _label_bits(indices: np.ndarray, n: int) -> np.ndarray:
-    """The n-bit labels of `indices`, one uint8 row of 0/1 per index."""
-    octets = np.ascontiguousarray(indices, dtype=">u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1)[:, 64 - n:]
-
-
 def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     """Lines `s-bits -> t-bits phase=<radians>` for every basis string s,
     built as ASCII rows one block of basis strings at a time."""
@@ -385,17 +381,15 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     tails = (" phase=%.17g\n" * keys.size) % tuple(keys.view(np.float64).tolist())
     table = np.array(tails.encode("ascii").splitlines(keepends=True))
     table = table.view(np.uint8).reshape(keys.size, -1)
-    perm = np.asarray(p.perm, dtype=np.int64)
-    # Blocks of 2^low rows start at multiples of 2^low: the low bits of a
-    # source label are its row in the block, the high bits the block's.
+    # blocks start at multiples of 2^low: a source label is the block's bits, then the row's
     size, head = min(_PERM_BLOCK, 1 << n), 2 * n + 4
     low = size.bit_length() - 1
     rows = np.empty((size, head + table.shape[1]), dtype=np.uint8)
-    rows[:, n - low:n] = _label_bits(np.arange(size), low) + ord("0")
+    rows[:, n - low:n] = index_bits(np.arange(size), low) + ord("0")
     rows[:, n:n + 4] = np.frombuffer(b" -> ", dtype=np.uint8)
     for start in range(0, 1 << n, size):
-        rows[:, :n - low] = _label_bits(np.array([start >> low]), n - low) + ord("0")
-        np.add(_label_bits(perm[start:start + size], n), ord("0"), out=rows[:, n + 4:head])
+        rows[:, :n - low] = index_bits(start >> low, n - low) + ord("0")
+        np.add(index_bits(p.perm[start:start + size], n), ord("0"), out=rows[:, n + 4:head])
         np.take(table, which[start:start + size], axis=0, out=rows[:, head:])
         fp.write(rows[rows != 0].tobytes().decode("ascii"))
 
@@ -413,7 +407,7 @@ def _read_plain_perm(text: str) -> tuple[np.ndarray | None, np.ndarray | None, i
     if lines[-1] == "":
         del lines[-1]
     n, dim = (lines[0].find(" ") if lines else -1), len(lines)
-    if not 0 < n < 63 or dim != 1 << n:  # before any array is allocated
+    if n <= 0 or dim != 1 << n:  # before any array is allocated; 2^n lines bound n
         return None, None, 0
     # a line's first `width` characters, with the label columns or-ed with 1
     # so that '0' and '1' both read '1', match the template
@@ -422,7 +416,6 @@ def _read_plain_perm(text: str) -> tuple[np.ndarray | None, np.ndarray | None, i
     is_label = (template == ord("1")).astype(np.uint8)
     head, tail = itemgetter(slice(0, width)), itemgetter(slice(width, None))
     labels = np.r_[0:n, n + 4:2 * n + 4]  # the columns of the source and target labels
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     perm, phases = np.full(dim, -1, dtype=np.int64), np.empty(dim)
     rows = 0
     for start in range(0, dim, _PERM_BLOCK):
@@ -440,8 +433,7 @@ def _read_plain_perm(text: str) -> tuple[np.ndarray | None, np.ndarray | None, i
             values = np.fromiter(map(float, map(tail, block)), dtype=np.float64, count=len(block))
         except ValueError:
             break
-        # integer product: no BLAS call, whose buffers would raise peak RSS
-        src, tgt = ((grid[:, labels] & 1).reshape(-1, n) @ weights).reshape(-1, 2).T
+        src, tgt = bits_index((grid[:, labels] & 1).reshape(-1, n)).reshape(-1, 2).T
         perm[src], phases[src] = tgt, values
         rows = start + len(block)
     if np.count_nonzero(perm >= 0) != rows:  # a repeated source sets fewer than it reads

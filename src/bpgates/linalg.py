@@ -3,6 +3,7 @@
 Global convention: big-endian qubit ordering. Qubit 0 is the leftmost bit
 of a basis label and the most significant bit of its integer index, so
 |s⟩ sits at index int(s, 2) and tensor(A, B) puts A on the high bits.
+index_bits, bits_index and index_labels convert between indices and labels in bulk.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ DENSE_QUBIT_CAP = 10
 
 # Widest 2^n-entry array past the dense edge: 16·2^n bytes, 256 MB at 24.
 MONOMIAL_QUBIT_CAP = 24
+
+# Widest register whose basis indices fit int64 arrays.
+INDEX_QUBITS = 63
 
 # Default synthesis rotation angle: 2*pi*(sqrt(5)-1)/2. Its continued
 # fraction is all 1s, which keeps phase-approximation repetition counts small.
@@ -39,10 +43,7 @@ def as_index(bits: str | Sequence[int]) -> tuple[int, int]:
     seq = list(bits)
     if not seq or any(b not in (0, 1) for b in seq):
         raise ValueError(f"invalid bit sequence {bits!r}")
-    value = 0
-    for b in seq:
-        value = (value << 1) | b
-    return value, len(seq)
+    return int(bits_index([seq])[0]), len(seq)
 
 
 def index_to_bits(index: int, n: int) -> str:
@@ -50,6 +51,33 @@ def index_to_bits(index: int, n: int) -> str:
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} qubits")
     return format(index, f"0{n}b") if n else ""
+
+
+def index_bits(indices, n: int) -> np.ndarray:
+    """One uint8 row of the n 0/1 label bits per index, qubit 0 first; unpacks only their bytes."""
+    nbytes = (n + 7) // 8
+    octets = np.ascontiguousarray(indices, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets[:, 8 - nbytes:], axis=1)[:, 8 * nbytes - n:]
+
+
+def bits_index(bits) -> np.ndarray:
+    """Inverse of index_bits for rows of at most INDEX_QUBITS bits, padded to whole bytes
+    and packed as one flat array: a BLAS product's buffers would raise peak RSS."""
+    rows, n = np.shape(bits)
+    nbytes = (n + 7) // 8
+    aligned = np.zeros((rows, 8 * nbytes), dtype=np.uint8)
+    aligned[:, 8 * nbytes - n:] = bits
+    octets = np.zeros((rows, 8), dtype=np.uint8)
+    octets[:, 8 - nbytes:] = np.packbits(aligned).reshape(rows, nbytes)
+    return octets.view(">u8").ravel().astype(np.int64)
+
+
+def index_labels(indices, n: int) -> list:
+    """index_to_bits of every index, as nested lists in the shape of indices."""
+    if n == 0:
+        return np.full(np.shape(indices), "").tolist()
+    chars = (index_bits(indices, n) + ord("0")).view(f"S{n}")
+    return chars.astype(f"U{n}").reshape(np.shape(indices)).tolist()
 
 
 def require_dense_cap(n: int) -> None:
@@ -97,10 +125,7 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def z_signs(c: int, n: int) -> np.ndarray:
     """The diagonal of Z_c as a float vector: (-1)^{c·s} at basis index s."""
-    bits = np.arange(1 << n, dtype=np.int64) & c
-    for shift in (32, 16, 8, 4, 2, 1):
-        bits ^= bits >> shift
-    return 1.0 - 2.0 * (bits & 1)
+    return 1.0 - 2.0 * np.bitwise_xor.reduce(index_bits(np.arange(1 << n) & c, n), axis=1)
 
 
 def pauli_z_string(c: str | Sequence[int]) -> np.ndarray:

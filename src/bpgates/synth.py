@@ -34,7 +34,8 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import GOLDEN_THETA, require_monomial_cap, shortest_arc_chord
+from .linalg import (GOLDEN_THETA, INDEX_QUBITS, bits_index, index_bits, index_to_bits,
+                     require_monomial_cap, shortest_arc_chord)
 from .stages import Stage
 from .verify import TWO_PI, PermutationWithPhases
 
@@ -44,9 +45,6 @@ GATE_KINDS = tuple(ARITY)
 # Phases closer to 0 (mod 2pi) than this are treated as trivial diagonal
 # factors and emit no gates.
 PHASE_TRIVIAL = 1e-12
-
-# Widest register whose basis indices fit the simulator's int64 arrays.
-INDEX_QUBITS = 63
 
 # Unpacked bytes of RZ snapshots the simulator holds at a time: its memory
 # stays O(this + qubits·inputs), not O(#RZ·inputs).
@@ -150,16 +148,10 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
     m = seq.n_total
     if m > INDEX_QUBITS:
         raise ValueError(f"{m} qubits exceeds the {INDEX_QUBITS}-qubit basis-index width")
-    inputs = np.asarray(inputs, dtype=np.int64)
-    size = inputs.size
+    size = np.size(inputs)
     nbytes = (size + 7) // 8
-    # big-endian: qubit q is integer bit position m-1-q
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    bits = ((inputs >> shifts[:, None]) & 1).astype(np.uint8)
-    planes = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(bits, axis=1, bitorder="little")
-    ]
+    planes = [int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(index_bits(inputs, m).T, axis=1, bitorder="little")]
     ones = (1 << size) - 1
 
     def unpack(values: list[int] | tuple[int, ...]) -> np.ndarray:
@@ -187,10 +179,8 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
         angles, taken = zip(*chunk)
         for angle, row in zip(angles, unpack(taken)):
             phase += angle * (2.0 * row - 1.0)
-    target = np.zeros(size, dtype=np.int64)  # planes hold the outputs: the walk has run
-    for shift, row in zip(shifts.tolist(), unpack(planes)):
-        target |= row.astype(np.int64) << shift
-    return target, phase
+    # planes hold the outputs: the walk has run
+    return bits_index(unpack(planes).T), phase
 
 
 def simulate(seq: GateSequence) -> PermutationWithPhases:
@@ -207,12 +197,10 @@ def simulate_restricted(seq: GateSequence) -> PermutationWithPhases:
     require_monomial_cap(seq.n_data)
     target, phase = _monomial(seq, np.arange(1 << seq.n_data) << seq.n_anc)
     left = target & ((1 << seq.n_anc) - 1)
-    bad = np.flatnonzero(left)
-    if bad.size:
-        d = int(bad[0])
-        raise AncillaNotRestoredError(
-            f"input {d:0{seq.n_data}b} leaves ancillas at {int(left[d]):0{seq.n_anc}b}"
-        )
+    if left.any():
+        d = int(np.flatnonzero(left)[0])
+        raise AncillaNotRestoredError(f"input {index_to_bits(d, seq.n_data)} leaves ancillas at "
+                                      f"{index_to_bits(int(left[d]), seq.n_anc)}")
     return PermutationWithPhases(seq.n_data, target >> seq.n_anc, phase)
 
 
@@ -224,16 +212,16 @@ def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, np.ndarray]:
     return d, p.perm
 
 
-def _mcx_ladder(n: int, flip_qubit: int, anc_start: int, gate) -> tuple[list[Gate], int]:
+def _mcx_ladder(n: int, flip_qubit: int, gate) -> tuple[list[Gate], int]:
     """X on flip_qubit controlled on every other qubit being 1, built from the
     generating set by `gate`. Past two controls, a Toffoli ladder ANDs them
-    pairwise into c − 2 clean ancillas from anc_start and undoes it. Returns
+    pairwise into c − 2 clean ancillas from qubit n and undoes it. Returns
     (gates, ancillas used)."""
     controls = [q for q in range(n) if q != flip_qubit]
     c = len(controls)
     if c <= 2:
         return [gate(("X", "CNOT", "CCNOT")[c], (*controls, flip_qubit))], 0
-    anc = range(anc_start, anc_start + c - 2)
+    anc = range(n, n + c - 2)
     compute = [gate("CCNOT", (controls[0], controls[1], anc[0]))]
     compute += [gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])) for i in range(2, c - 1)]
     body = [gate("CCNOT", (controls[-1], anc[-1], flip_qubit))]
@@ -245,14 +233,12 @@ class _SharedGates:
     once (Gate is frozen, so circuits share them), and the ladder of each
     flip qubit."""
 
-    def __init__(self, n: int, anc_start: int):
+    def __init__(self, n: int):
         self.gate = gate = functools.cache(Gate)  # no cycle through self: freed on return
-        self.mcx = functools.cache(lambda p: _mcx_ladder(n, p, anc_start, gate))
+        self.mcx = functools.cache(lambda p: _mcx_ladder(n, p, gate))
 
 
-def _transposition(
-    n: int, a: int, b: int, anc_start: int, shared: _SharedGates | None = None
-) -> tuple[list[Gate], int]:
+def _transposition(n: int, a: int, b: int, shared: _SharedGates) -> tuple[list[Gate], int]:
     """Exact swap of basis states |a⟩ ↔ |b⟩, conjugated by CNOTs.
 
     With p a qubit where a and b differ, CNOTs from p onto the other d − 1
@@ -261,8 +247,6 @@ def _transposition(
     p controlled on the other n − 1 qubits of a's image swaps the images,
     its zero-valued controls conjugated with X, and the CNOTs are undone
     (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6), 2003)."""
-    if shared is None:
-        shared = _SharedGates(n, anc_start)
     gate = shared.gate
     diff = a ^ b
     p = n - diff.bit_length()  # the most significant differing qubit
@@ -302,9 +286,9 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
             transpositions.append((cycle[0], t))
     gates: list[Gate] = []
     n_anc = 0
-    shared = _SharedGates(n, anc_start=n)
+    shared = _SharedGates(n)
     for a, b in transpositions:
-        g, used = _transposition(n, a, b, anc_start=n, shared=shared)
+        g, used = _transposition(n, a, b, shared)
         n_anc = max(n_anc, used)
         gates.extend(g)
     return GateSequence(n_data=n, n_anc=n_anc, gates=gates, global_phase=0.0)
@@ -405,6 +389,8 @@ def _unary_iteration(n: int, indices: list[int], reps: list[int]) -> list[Gate]:
     rotations follow `indices`, and skips a subtree holding no index, found
     by bisection."""
     flag = [0, *range(n, 2 * n - 1)]
+    switch = [Gate("CNOT", (flag[j], flag[j + 1])) for j in range(n - 1)]
+    toggle = [Gate("CCNOT", (flag[j], j + 1, flag[j + 1])) for j in range(n - 1)]
     gates: list[Gate] = []
 
     def walk(lo: int, hi: int, j: int) -> None:
@@ -412,19 +398,17 @@ def _unary_iteration(n: int, indices: list[int], reps: list[int]) -> list[Gate]:
         if j == n - 1:
             gates.append(Gate("RZ", (flag[j],), reps=reps[lo]))
             return
-        c, shift = j + 1, n - 2 - j
-        mid = bisect_left(indices, (indices[lo] >> shift | 1) << shift, lo, hi)
-        switch = Gate("CNOT", (flag[j], flag[c]))
-        toggle = Gate("CCNOT", (flag[j], c, flag[c]))
+        low = n - 2 - j  # the index bits below qubit j + 1
+        mid = bisect_left(indices, (indices[lo] >> low | 1) << low, lo, hi)
         if lo < mid:
-            gates.extend((switch, toggle))
-            walk(lo, mid, c)
-            gates.append(switch)
+            gates.extend((switch[j], toggle[j]))
+            walk(lo, mid, j + 1)
+            gates.append(switch[j])
         else:
-            gates.append(toggle)
+            gates.append(toggle[j])
         if mid < hi:
-            walk(mid, hi, c)
-        gates.append(toggle)
+            walk(mid, hi, j + 1)
+        gates.append(toggle[j])
 
     half = bisect_left(indices, 1 << (n - 1))
     if half:

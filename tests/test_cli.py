@@ -14,6 +14,7 @@ from bpgates import (
     Gate,
     GateSequence,
     PermutationWithPhases,
+    check_permutation,
     io,
     linalg,
     random_bp,
@@ -22,7 +23,8 @@ from bpgates import (
     to_unitary,
 )
 from bpgates.cli import build_parser, main
-from bpgates.linalg import H, tensor
+from bpgates.css import build_css
+from bpgates.linalg import H, index_to_bits, tensor
 from conftest import hamming_pair, random_near_bp, repetition_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
@@ -131,6 +133,28 @@ def test_check_json_ten_qubits(tmp_path, capsys, bp):
     assert payload["checks"] == {"permutation": bp, "zx": bp, "normalizer": bp}
 
 
+def check_bp_reference(p: PermutationWithPhases) -> tuple[str, dict]:
+    """`check`'s text for a BP gate and its canonical labels, formatted entry
+    by entry as the CLI once did."""
+    perm = {index_to_bits(s, p.n): index_to_bits(t, p.n) for s, t in enumerate(p.perm.tolist())}
+    lines = [f"PERM {s}->{t} phase={x:.17g}" for (s, t), x in zip(perm.items(), p.phases.tolist())]
+    return "\n".join(["BP yes"] + lines) + "\n", perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7])
+def test_check_labels_match_per_entry_reference(tmp_path, capsys, n):
+    path = tmp_path / "g.mat"
+    io.write_file(str(path), io.write_matrix, to_unitary(random_bp(n, np.random.default_rng(n))))
+    # the canonical form is read back from the file, as check reads it
+    p = check_permutation(io.read_matrix(path.read_text())).canonical
+    text, perm = check_bp_reference(p)
+    assert main(["check", "--matrix", str(path)]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["check", "--matrix", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["canonical"] == {"perm": perm, "phases": p.phases.tolist()}
+
+
 def test_check_refuses_non_unitary_matrix(tmp_path, capsys, hadamard_file, code_files):
     # every command that reads --matrix refuses it, each matrix of distance
     path = tmp_path / "shear.mat"
@@ -235,6 +259,18 @@ def test_decompose_zx_roundtrip(cnot_file, capsys):
     text = capsys.readouterr().out
     d = io.read_zx(text)
     assert set(d.coeffs) == {(0, 0), (0, 1), (2, 0), (2, 1)}
+
+
+def test_decompose_zx_with_no_coefficient_writes_no_file(tmp_path, capsys):
+    # every |α| is at most 1, so --tol 1 drops them all: the empty file this
+    # once wrote with exit 0 is one read_zx refuses
+    path, out = tmp_path / "g.mat", tmp_path / "z.zx"
+    path.write_text("n 1\n0.6+0.8i 0+0i\n0+0i 1+0i\n")
+    for argv in (["--output", str(out)], []):
+        assert main(["decompose-zx", "--matrix", str(path), "--tol", "1", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", "error: a decomposition with no coefficient above the tolerance has no lines\n")
+    assert not out.exists()
 
 
 def test_distance(cnot_file, hadamard_file, capsys):
@@ -354,6 +390,14 @@ def test_simulate_restrict_refuses_excited_ancilla(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_simulate_restrict_names_zero_data_qubits_by_the_empty_label(tmp_path, capsys):
+    # the one input of 0 data qubits has the empty label, as `check` prints it
+    circ_file = tmp_path / "dirty.circ"
+    circ_file.write_text("qubits 0\nancillas 2\nX 1\n")
+    assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 2
+    assert capsys.readouterr() == ("", "error: input  leaves ancillas at 01\n")
+
+
 def test_simulate_refuses_register_wider_than_basis_index(tmp_path, capsys):
     # 2 data + 70 ancilla qubits: the restriction is narrow, but basis
     # indices of 72 qubits do not fit int64; this once overflowed with a
@@ -454,6 +498,40 @@ def test_css_build(code_files, capsys):
     assert main(["css-build", "--c1", c1, "--c2", c2]) == 0
     out = capsys.readouterr().out
     assert "CSS n=4 k=2 l=2" in out
+
+
+def css_build_reference(e) -> tuple[str, str]:
+    """`css-build`'s text and JSON output, each label formatted and each
+    support sorted entry by entry as the CLI once did."""
+    payload = {
+        "n": e.n,
+        "k": e.k,
+        "l": e.l,
+        "transversal": ["".join(str(int(b)) for b in row) for row in e.transversal],
+        "supports": {
+            index_to_bits(x, e.k): sorted(index_to_bits(t, e.n) for t in row)
+            for x, row in enumerate(e.cosets.tolist())
+        },
+    }
+    lines = [f"CSS n={e.n} k={e.k} l={e.l}"]
+    lines += [f"TRANSVERSAL {row}" for row in payload["transversal"]]
+    for x in sorted(payload["supports"]):
+        lines.append(f"SUPPORT {x} {{{', '.join(payload['supports'][x])}}}")
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("codes", [repetition_pair(10), hamming_pair(4), hamming_pair(3)],
+                         ids=["rep10", "hamming15", "steane"])
+def test_css_build_matches_per_entry_reference(tmp_path, capsys, codes):
+    # rep[10] ⊂ even[10]: |C2| = 2^9 words over 2^8 supports
+    paths = [str(tmp_path / "c1.code"), str(tmp_path / "c2.code")]
+    for path, code in zip(paths, codes):
+        io.write_file(path, io.write_code, code)
+    text, payload = css_build_reference(build_css(*codes))
+    assert main(["css-build", "--c1", paths[0], "--c2", paths[1]]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["css-build", "--c1", paths[0], "--c2", paths[1], "--json"]) == 0
+    assert capsys.readouterr() == (payload, "")
 
 
 def test_css_check(code_files, capsys):

@@ -9,7 +9,11 @@ from bpgates.linalg import (
     I2,
     X,
     Z,
+    INDEX_QUBITS,
     as_index,
+    bits_index,
+    index_bits,
+    index_labels,
     index_to_bits,
     pauli_z_string,
     phase_optimized_error,
@@ -84,6 +88,37 @@ def test_as_index_roundtrip():
     assert index_to_bits(0, 0) == ""
     with pytest.raises(ValueError):
         as_index("10x")
+
+
+@st.composite
+def widths_and_indices(draw):
+    n = draw(st.integers(0, INDEX_QUBITS))
+    top = (1 << n) - 1
+    edges = st.sampled_from([0, top, top >> 1, (top + 1) >> 1])
+    return n, draw(st.lists(st.integers(0, top) | edges, max_size=20))
+
+
+@given(widths_and_indices())
+@settings(max_examples=300, deadline=None)
+def test_index_codec_roundtrip(case):
+    n, indices = case
+    bits = index_bits(np.array(indices, dtype=np.int64), n)
+    assert bits.shape == (len(indices), n) and bits.dtype == np.uint8
+    assert bits.tolist() == [[int(b) for b in index_to_bits(x, n)] for x in indices]
+    assert bits_index(bits).tolist() == indices
+    assert index_labels(indices, n) == [index_to_bits(x, n) for x in indices]
+
+
+def test_index_codec_at_the_width_and_in_shape():
+    top = (1 << INDEX_QUBITS) - 1  # 2^63 − 1, the largest int64
+    assert INDEX_QUBITS == 63
+    assert index_bits(top, INDEX_QUBITS).tolist() == [[1] * 63]
+    assert bits_index(np.ones((1, 63), dtype=np.uint8)).tolist() == [top]
+    assert index_labels([top], 63) == ["1" * 63]
+    # nested lists in the shape of the indices; a scalar gives one label
+    assert index_labels(np.array([[0, 5], [6, 7]]), 3) == [["000", "101"], ["110", "111"]]
+    assert index_labels(5, 3) == "101" and index_labels([0, 0], 0) == ["", ""]
+    assert bits_index(np.zeros((2, 0), dtype=np.uint8)).tolist() == [0, 0]
 
 
 def test_worst_case_error_examples():

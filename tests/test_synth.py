@@ -270,7 +270,7 @@ def test_transposition_is_one_mcx_conjugated_by_cnots():
     for n in (3, 4):
         for a, b in itertools.permutations(range(1 << n), 2):
             d = bin(a ^ b).count("1")
-            gates, n_anc = synth._transposition(n, a, b, anc_start=n)
+            gates, n_anc = synth._transposition(n, a, b, synth._SharedGates(n))
             seq = GateSequence(n_data=n, n_anc=n_anc, gates=gates)
             counts = seq.gate_counts()
             assert (counts["CCNOT"], n_anc) == {3: (1, 0), 4: (3, 1)}[n]
@@ -458,6 +458,9 @@ def test_diagonal_unary_iteration_counts(rng):
         assert counts["X"] <= 2 and counts["RZ"] == 1 << n
         assert seq.n_anc == n - 1
         assert_diagonal_certified(phases, seq, eps)
+        # the switch and toggle of each level are built once and shared
+        level = [g for g in seq.gates if g.kind != "RZ"]
+        assert len({id(g) for g in level}) == len(set(level)) <= 2 * (n - 1) + 1
 
 
 def test_diagonal_single_index_at_every_position():
