@@ -163,21 +163,38 @@ def _load_css(args) -> css.CssEncoding:
     return css.build_css(c1, c2)
 
 
+# Coset-table entries whose SUPPORT labels css-build makes at a time.
+_SUPPORT_BLOCK = 1 << 16
+
+
+def _support_rows(e: css.CssEncoding):
+    """(logical labels, sorted support labels) of the rows of e's coset
+    table, one block of rows at a time; equal-width labels sort as their
+    indices do."""
+    size = max(1, _SUPPORT_BLOCK // e.cosets.shape[1])
+    for start in range(0, len(e.cosets), size):
+        block = e.cosets[start:start + size]
+        yield (index_labels(np.arange(start, start + len(block)), e.k),
+               index_labels(np.sort(block, axis=1), e.n))
+
+
 def cmd_css_build(args) -> int:
     e = _load_css(args)
-    payload = {
-        "n": e.n,
-        "k": e.k,
-        "l": e.l,
-        "transversal": ["".join(str(int(b)) for b in row) for row in e.transversal],
-        # equal-width labels sort as their indices do
-        "supports": dict(zip(index_labels(np.arange(len(e.cosets)), e.k),
-                             index_labels(np.sort(e.cosets, axis=1), e.n))),
-    }
-    lines = [f"CSS n={e.n} k={e.k} l={e.l}"]
-    lines += [f"TRANSVERSAL {row}" for row in payload["transversal"]]
-    lines += [f"SUPPORT {x} {{{', '.join(support)}}}" for x, support in payload["supports"].items()]
-    _emit(args, payload, lines)
+    transversal = ["".join(str(int(b)) for b in row) for row in e.transversal]
+    if args.json:
+        supports: dict = {}
+        for labels, rows in _support_rows(e):
+            supports.update(zip(labels, rows))
+        payload = {"n": e.n, "k": e.k, "l": e.l, "transversal": transversal, "supports": supports}
+        _emit(args, payload, [])
+        return 0
+    print(f"CSS n={e.n} k={e.k} l={e.l}")
+    for row in transversal:
+        print(f"TRANSVERSAL {row}")
+    # streamed: the text of one block of rows is held at a time
+    for labels, rows in _support_rows(e):
+        sys.stdout.write("".join(f"SUPPORT {x} {{{', '.join(support)}}}\n"
+                                 for x, support in zip(labels, rows)))
     return 0
 
 

@@ -132,19 +132,26 @@ def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     ZX-decomposition, where β_{s,v} = Σ_u (-1)^{u·s} α_{u,v} comes from the
     coefficients above tol by one batched Walsh-Hadamard transform over all
     X-parts (zx.basis_forms). No dense product is formed:
-      * A_v A_w† is nonzero only at (s, s⊕v⊕w), where it equals
-        β_{s,v}·conj(β_{s⊕v⊕w,w}); each part v is tested against all later
-        parts w at once, over the s with β_{s,v} ≠ 0. That costs
-        O(parts·2^n) per part, and the test stops at the first part with a
-        product entry above tol.
+      * A_v has one entry in each column c, B_{v,c} = β_{c⊕v,v}, so the
+        entries of A_v A_w† are the products B_{v,c}·conj(B_{w,c}) over c.
+        The largest of them over all pairs v ≠ w lies, in each column, at
+        the two entries of largest magnitude, found by two argmax passes.
+        One O(parts·2^n) pass tests every pair, with no early stop; its
+        verdict is the pairwise test's except within a few ulps of tol,
+        where the largest magnitudes need not give the largest rounded
+        product.
       * Σ_v A_v A_v† is diagonal with entry Σ_v |β_{s,v}|² at s.
     """
     parts, beta = basis_forms(zx_decompose(G, tol).array())
-    for i in range(len(parts) - 1):
-        s = np.flatnonzero(beta[i])
-        later = np.arange(i + 1, len(parts))[:, None]
-        partner = beta[later, s ^ parts[i] ^ parts[later]]
-        if np.max(np.abs(beta[i, s] * partner.conj()), initial=0.0) > tol:
+    if len(parts) > 1:
+        # row c of B holds every block's entry in column c
+        c = np.arange(beta.shape[1])
+        B = beta[np.arange(len(parts)), c[:, None] ^ parts]
+        mags = np.abs(B)
+        first = np.argmax(mags, axis=1)
+        mags[c, first] = -1.0
+        second = np.argmax(mags, axis=1)
+        if np.max(np.abs(B[c, first] * B[c, second].conj())) > tol:
             return False
     diagonal = np.sum(np.abs(beta) ** 2, axis=0)
     return bool(np.max(np.abs(diagonal - 1.0)) <= tol)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bpgates import BinaryCode, build_css, random_bp, to_unitary
+from bpgates.zx import basis_forms, zx_decompose
 
 
 # ---------------------------------------------- dense references
@@ -52,6 +53,22 @@ def normalizer_reference(G: np.ndarray, tol: float = 1e-9) -> bool:
         if np.max(np.abs(C - np.diag(np.diagonal(C)))) > tol:
             return False
     return True
+
+
+def check_zx_by_parts(G: np.ndarray, tol: float = 1e-9) -> bool:
+    """verify.check_zx by a loop over X-parts: part v's block against every
+    later part w's at once, A_v A_w† being β_{s,v}·conj(β_{s⊕v⊕w,w}) at
+    (s, s⊕v⊕w), over the s with β_{s,v} ≠ 0, stopping at the first part
+    with a product above tol; then the same completeness test."""
+    parts, beta = basis_forms(zx_decompose(G, tol).array())
+    for i in range(len(parts) - 1):
+        s = np.flatnonzero(beta[i])
+        later = np.arange(i + 1, len(parts))[:, None]
+        partner = beta[later, s ^ parts[i] ^ parts[later]]
+        if np.max(np.abs(beta[i, s] * partner.conj()), initial=0.0) > tol:
+            return False
+    diagonal = np.sum(np.abs(beta) ** 2, axis=0)
+    return bool(np.max(np.abs(diagonal - 1.0)) <= tol)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,6 +22,7 @@ from bpgates import (
     synthesize,
     to_unitary,
 )
+from bpgates import cli
 from bpgates.cli import build_parser, main
 from bpgates.css import build_css
 from bpgates.linalg import H, index_to_bits, tensor
@@ -524,6 +525,20 @@ def css_build_reference(e) -> tuple[str, str]:
                          ids=["rep10", "hamming15", "steane"])
 def test_css_build_matches_per_entry_reference(tmp_path, capsys, codes):
     # rep[10] ⊂ even[10]: |C2| = 2^9 words over 2^8 supports
+    paths = [str(tmp_path / "c1.code"), str(tmp_path / "c2.code")]
+    for path, code in zip(paths, codes):
+        io.write_file(path, io.write_code, code)
+    text, payload = css_build_reference(build_css(*codes))
+    assert main(["css-build", "--c1", paths[0], "--c2", paths[1]]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["css-build", "--c1", paths[0], "--c2", paths[1], "--json"]) == 0
+    assert capsys.readouterr() == (payload, "")
+
+
+@pytest.mark.parametrize("codes", [repetition_pair(10), hamming_pair(4)], ids=["rep10", "hamming15"])
+def test_css_build_output_does_not_depend_on_its_blocks(tmp_path, capsys, monkeypatch, codes):
+    # blocks of 3 rows of 2 entries, and of 1 row of 16 entries
+    monkeypatch.setattr(cli, "_SUPPORT_BLOCK", 7)
     paths = [str(tmp_path / "c1.code"), str(tmp_path / "c2.code")]
     for path, code in zip(paths, codes):
         io.write_file(path, io.write_code, code)

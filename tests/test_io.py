@@ -33,7 +33,7 @@ from bpgates.io import (
 )
 from bpgates.linalg import index_to_bits
 from bpgates.verify import to_unitary
-from conftest import random_unitary
+from conftest import random_near_bp, random_unitary
 
 
 def dumps(writer, obj) -> str:
@@ -218,6 +218,42 @@ def test_read_matrix_matches_entry_parser(rng, monkeypatch):
         text = f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
         assert len(text) > 4 * io._MATRIX_BLOCK
         assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
+
+
+def test_written_gates_are_read_in_whole_blocks(rng, monkeypatch):
+    # the bench's three kinds of 7-qubit gate: no row is read entry by
+    # entry, and every value is the per-entry reader's, bit for bit
+    by_entry = io._read_matrix_by_entry
+    for G in (to_unitary(random_bp(7, rng)), random_unitary(7, rng), random_near_bp(7, rng)):
+        text = dumps(write_matrix, G)
+        want = by_entry(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "_read_matrix_by_entry", lambda *read: pytest.fail("read entry by entry"))
+            got = read_matrix(text)
+        assert got.tobytes() == want.tobytes() == G.tobytes()
+
+
+def test_entries_the_c_reader_refuses_are_named_by_the_entry_reader(rng, monkeypatch):
+    # `1.2.3` and `1ee5` pass the byte guards, with one split sign each, so
+    # their block reaches numpy's reader, which refuses it as float() does;
+    # the per-entry reader then names the line
+    lines = dumps(write_matrix, random_unitary(7, rng)).splitlines()
+    loadtxt, converted = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        converted.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    for bad in ("1.2.3+0i", "1ee5+0i"):
+        row = lines[71].split()
+        row[9] = bad
+        text = "\n".join(lines[:71] + [" ".join(row)] + lines[72:]) + "\n"
+        converted.clear()
+        with pytest.raises(FormatError, match=f"^line 72: cannot parse complex entry '{re.escape(bad)}'$"):
+            read_matrix(text)
+        assert f" {bad[:-1]}j " in converted[-1][0].getvalue()  # the block with the entry
+        assert io._row_values(f"{bad} 0+1i\n".encode(), 2) is None
 
 
 def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):

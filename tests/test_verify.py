@@ -17,6 +17,7 @@ from bpgates import (
 from bpgates.linalg import H, I2, index_to_bits
 from conftest import (
     basis_state,
+    check_zx_by_parts,
     normalizer_reference,
     parity,
     random_near_bp,
@@ -129,6 +130,31 @@ def test_check_zx_matches_dense_reference(rng):
         for _ in range(3):
             for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng), random_near_bp(n, rng)):
                 assert check_zx(G) == _dense_zx_reference(G)
+
+
+def test_check_zx_matches_part_loop(rng):
+    # the per-column pass against the loop over X-parts it replaced, at the
+    # default tolerance and at two where thresholding drops coefficients
+    for n in range(1, 8):
+        for _ in range(20):
+            for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng), random_near_bp(n, rng)):
+                for tol in (1e-9, 1e-3, 0.1):
+                    assert check_zx(G, tol) == check_zx_by_parts(G, tol)
+
+
+def test_check_zx_tests_the_two_largest_entries_of_a_column():
+    # G = Σ_v c_v X_v, unitary because its eigenvalues Σ_v (-1)^{k·v} c_v are
+    # the phases e^{iθ_k}: every block A_v is c_v X_v, so each column holds
+    # c_0..c_3, of magnitudes about 0.39, 0.61, 0.44 and 0.53, each above
+    # the largest product |c_1 c_3| ≈ 0.32, so no coefficient is dropped
+    s = np.arange(4)
+    signs = (-1.0) ** np.array([[parity(k & v) for k in s] for v in s])
+    c = signs @ np.exp(1j * np.array([0.0, 2.2, 3.6, 2.0])) / 4
+    G = c[s ^ s[:, None]]
+    top = abs(c[1] * c[3].conj())
+    assert np.min(np.abs(c)) > top == max(abs(c[v] * c[w].conj()) for v in s for w in s if v < w)
+    for tol, want in ((top * (1 - 1e-9), False), (top * (1 + 1e-9), True)):
+        assert check_zx(G, tol) == check_zx_by_parts(G, tol) == want
 
 
 def test_group_closure(rng):
