@@ -31,7 +31,7 @@ from bpgates.io import (
     write_perm,
     write_zx,
 )
-from bpgates.linalg import index_to_bits
+from bpgates.linalg import index_to_bits, require_dense_cap
 from bpgates.verify import to_unitary
 from conftest import random_near_bp, random_unitary
 
@@ -178,9 +178,38 @@ def _refused(tok: str) -> bool:
 
 
 def read_matrix_by_entry(text):
-    """Reference reader: parse_complex on each token of each row."""
-    lines = text.splitlines()[1:]
-    return np.array([[parse_complex(t) for t in line.split()] for line in lines])
+    """Reference reader: the header, the row count, then parse_complex on
+    each token of each content line, as matrix files were once read."""
+    lines = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)]
+    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise FormatError("empty matrix file")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise FormatError(f"expected header 'n <qubits>', got {header!r}", lineno)
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise FormatError(f"invalid qubit count {parts[1]!r}", lineno) from None
+    if n < 0:
+        raise FormatError(f"header n must be nonnegative, got {n}", lineno)
+    require_dense_cap(n)
+    dim = 1 << n
+    if len(lines) - 1 != dim:
+        raise FormatError(f"expected {dim} matrix rows, found {len(lines) - 1}")
+    M = np.empty((dim, dim), dtype=complex)
+    for r, (lineno, line) in enumerate(lines[1:]):
+        tokens = line.split()
+        if len(tokens) != dim:
+            raise FormatError(f"expected {dim} entries, found {len(tokens)}", lineno)
+        M[r] = [parse_complex(tok, lineno) for tok in tokens]
+    return M
+
+
+def entry_by_entry_forbidden(monkeypatch):
+    """Make reading any row entry by entry fail the test."""
+    monkeypatch.setattr(io, "_row_entries", lambda *row: pytest.fail("a row was read entry by entry"))
 
 
 # Entries whose reading tests correct rounding: ±0, subnormals, the largest
@@ -197,10 +226,7 @@ EDGE_ENTRIES = [
 
 def test_read_matrix_matches_entry_parser(rng, monkeypatch):
     # every text here is read by the whole-block passes
-    def by_entry(text, *read):
-        raise AssertionError("a matrix in the written layout was read entry by entry")
-
-    monkeypatch.setattr(io, "_read_matrix_by_entry", by_entry)
+    entry_by_entry_forbidden(monkeypatch)
     for n in range(1, 6):
         for U in (random_unitary(n, rng), to_unitary(random_bp(n, rng))):
             U = U * 10.0 ** rng.integers(-300, 300, size=U.shape)
@@ -223,13 +249,10 @@ def test_read_matrix_matches_entry_parser(rng, monkeypatch):
 def test_written_gates_are_read_in_whole_blocks(rng, monkeypatch):
     # the bench's three kinds of 7-qubit gate: no row is read entry by
     # entry, and every value is the per-entry reader's, bit for bit
-    by_entry = io._read_matrix_by_entry
+    entry_by_entry_forbidden(monkeypatch)
     for G in (to_unitary(random_bp(7, rng)), random_unitary(7, rng), random_near_bp(7, rng)):
         text = dumps(write_matrix, G)
-        want = by_entry(text)
-        with monkeypatch.context() as patch:
-            patch.setattr(io, "_read_matrix_by_entry", lambda *read: pytest.fail("read entry by entry"))
-            got = read_matrix(text)
+        got, want = read_matrix(text), read_matrix_by_entry(text)
         assert got.tobytes() == want.tobytes() == G.tobytes()
 
 
@@ -270,6 +293,10 @@ def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
         ("n 1\n2i 1+2+3i\n0+0i 1+0i\n", "line 2: cannot parse complex entry '2i'"),
         ("n 1\n1+0i 0+0i 0+0i\n1+0i\n", "line 2: expected 2 entries, found 3"),
         ("n 1\n\n1+0i 0+0i\n", "expected 2 matrix rows, found 1"),
+        # a faulty row and a missing one: rows are read in line order
+        ("n 1\n1+2+3i 0+0i\n", "line 2: cannot parse complex entry '1+2+3i'"),
+        # rows past the 2^n-th are counted, not read
+        ("n 1\n1+0i 0+0i\n0+0i 1+0i\n0+0i 1+0i\nbogus\n", "expected 2 matrix rows, found 4"),
     ):
         with pytest.raises(FormatError) as got:
             read_matrix(text)
@@ -293,9 +320,56 @@ def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
             parsed.clear()
             with pytest.raises(FormatError, match=f"^line 257: cannot parse complex entry '{re.escape(bad)}'"):
                 read_matrix(text)
-            assert len(parsed) > 0
-            if "\r" not in text:  # CRLF text is read entry by entry from row 0
-                assert len(parsed) < 16 * 256
+            assert 0 < len(parsed) < 16 * 256
+
+
+def hand_made(text, rng):
+    """text with a leading comment, comment and blank lines between its
+    lines, spaces around each line and CRLF endings."""
+    lines = ["# a hand-made gate"]
+    for line in text.splitlines():
+        lines += [" " * rng.integers(3) + line + " " * rng.integers(3)]
+        lines += [["", "  # a comment", " "][rng.integers(3)]] * rng.integers(2)
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_hand_made_layouts_are_read_whole_array(rng, monkeypatch):
+    entry_by_entry_forbidden(monkeypatch)
+    for n in (7, 8):
+        for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng)):
+            text = hand_made(dumps(write_matrix, G), rng)
+            assert len(text) > io._MATRIX_BLOCK  # more than one piece
+            assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes() == G.tobytes()
+
+
+def test_a_refused_piece_is_read_entry_by_entry_alone(rng, monkeypatch):
+    # `1_0+0i` passes float() but not the byte guards: the piece of rows that
+    # holds it is read entry by entry, every other piece whole-array
+    lines = dumps(write_matrix, random_unitary(8, rng)).splitlines()
+    row = lines[129].split()
+    row[7] = "1_0+0i"
+    lines[129] = " ".join(row)
+    text = "\n".join(lines) + "\n"
+    pieces, parsed, row_values = [], [], io._row_values
+
+    def piece(block, dim):
+        values = row_values(block, dim)
+        pieces.append((block.count(b"\n"), values is not None))
+        return values
+
+    def counted(token, lineno=None):
+        parsed.append(lineno)
+        return parse_complex(token, lineno)
+
+    monkeypatch.setattr(io, "_row_values", piece)
+    monkeypatch.setattr(io, "parse_complex", counted)
+    assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
+    refused = [k for k, (_, read) in enumerate(pieces) if not read]
+    assert len(refused) == 1 and 0 < refused[0] < len(pieces) - 1
+    first = 2 + sum(rows for rows, _ in pieces[:refused[0]])
+    rows = range(first, first + pieces[refused[0]][0])
+    assert 130 in rows
+    assert parsed == [lineno for lineno in rows for _ in range(256)]
 
 
 # The bytes a row of the written layout is made of.
@@ -320,7 +394,8 @@ ROW_TOKENS = st.one_of(
 def test_read_matrix_agrees_with_entry_reader(data):
     # any text over the row bytes reads as the per-entry reader reads it, or
     # is refused with that reader's error and line: a written matrix with
-    # up to three of its tokens replaced
+    # up to three of its tokens replaced, and with comment and blank lines,
+    # spaces and tabs around lines and LF or CRLF endings drawn in
     n = data.draw(st.integers(0, 3))
     dim = 1 << n
     values = data.draw(st.lists(st.floats(allow_infinity=False, allow_nan=False),
@@ -329,9 +404,15 @@ def test_read_matrix_agrees_with_entry_reader(data):
             .splitlines()[1:]]
     for _ in range(data.draw(st.integers(0, 3))):
         rows[data.draw(st.integers(0, dim - 1))][data.draw(st.integers(0, dim - 1))] = data.draw(ROW_TOKENS)
-    text = f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+    pad, filler = st.sampled_from(["", " ", "\t", "  "]), st.sampled_from(["", " ", "# c", " #\t"])
+    end = st.sampled_from(["\n", "\r\n"])
+    text = "".join(
+        data.draw(pad) + line + data.draw(pad) + data.draw(end)
+        + "".join(f + data.draw(end) for f in data.draw(st.lists(filler, max_size=2)))
+        for line in [f"n {n}"] + [" ".join(row) for row in rows]
+    )
     try:
-        want = io._read_matrix_by_entry(text)
+        want = read_matrix_by_entry(text)
     except FormatError as exc:
         with pytest.raises(FormatError) as got:
             read_matrix(text)
@@ -716,6 +797,24 @@ def test_perm_reader_resumes_at_the_refused_block(rng, monkeypatch):
     lines = dumps(write_perm, random_bp(13, rng)).splitlines()
     lines[-1] = lines[-1] + "x"  # a bad last phase
     with pytest.raises(FormatError, match="^line 8192: bad phase value$"):
+        read_perm("\n".join(lines) + "\n")
+    assert parsed == list(range(io._PERM_BLOCK + 1, 8193))
+
+
+def test_perm_reader_resumes_at_a_block_that_repeats_a_source(rng, monkeypatch):
+    # the last line repeats the source of line 21, which the first block
+    # set: the per-line reader parses only the lines of the last block
+    parsed, fields = [], io._perm_fields
+
+    def recorded(lineno, line):
+        parsed.append(lineno)
+        return fields(lineno, line)
+
+    monkeypatch.setattr(io, "_perm_fields", recorded)
+    lines = dumps(write_perm, random_bp(13, rng)).splitlines()
+    lines[-1] = lines[20]
+    source = lines[20].split()[0]
+    with pytest.raises(FormatError, match=f"^line 8192: duplicate source string {source}$"):
         read_perm("\n".join(lines) + "\n")
     assert parsed == list(range(io._PERM_BLOCK + 1, 8193))
 
