@@ -133,6 +133,7 @@ def cmd_synth(args) -> int:
         "stage_gate_counts": report.stage_gate_counts,
         "max_phase_residual": report.max_phase_residual,
         "factor_reps": list(report.factor_reps),
+        "stage_seconds": report.stage_seconds,
     }
     lines = [
         f"ACHIEVED {report.achieved_error:.17g}",

@@ -5,23 +5,24 @@ All formats share the conventions: '#' starts a comment line, blank lines
 are ignored, and floating-point values are written with 17 significant
 digits so that emit → parse round-trips exactly at double precision.
 
-A matrix file is read by one path: its content lines come in pieces of
-about _MATRIX_BLOCK characters, and each piece's rows are converted whole
-by numpy's C text reader, which reads the guarded tokens bit for bit as
-float() reads their halves, or, if the byte guards or that reader refuse
-them, entry by entry, which names the line of a fault. A perm file is read
-by two paths: text in the layout write_perm writes by whole-array passes,
-and any other text, from the first block those passes refuse, by a per-line
-reader. A per-line content pass would cost 45-70% of the whole-array pass
-on a written perm file of 2^15 to 2^20 lines; a matrix file has at most
-1,025 lines, where it costs 4-7%.
+A matrix file is read by one path: after its header line it comes in
+pieces of about _MATRIX_BLOCK characters, and each piece's rows are
+converted whole by numpy's C text reader, which reads the guarded tokens
+bit for bit as float() reads their halves, or, if the byte guards or that
+reader refuse them, entry by entry, which names the line of a fault. A
+piece is handed to the guards as it stands, and they take it only in the
+written layout; only a piece they refuse is split into content lines and
+handed over again, a pass that costs 4-7% of a written 7-qubit read. A
+perm file is read by two paths: text in the layout write_perm writes by
+whole-array passes, and any other text, from the first block those passes
+refuse, by a per-line reader. A per-line content pass would cost 45-70% of
+the whole-array pass on a written perm file of 2^15 to 2^20 lines.
 """
 
 from __future__ import annotations
 
 import sys
 from io import StringIO
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator, TextIO
 
@@ -46,23 +47,34 @@ class FormatError(ValueError):
 _MATRIX_BLOCK = 1 << 16
 
 
-def _content_blocks(text: str) -> Iterator[list[tuple[int, str]]]:
-    """The (line number, stripped line) of each line of text that is neither
-    blank nor a '#' comment, one list per piece of about _MATRIX_BLOCK
-    characters. A piece is cut just after a newline, which ends a line of
-    text.splitlines() too, so the lines and their numbers are those of the
-    whole text, and no second copy of it is held."""
-    start, lineno = 0, 1
+def _pieces(text: str) -> Iterator[str]:
+    """text cut just after newlines: its first line, then pieces of about
+    _MATRIX_BLOCK characters. A cut after a newline ends a line of
+    text.splitlines() too, so the pieces' lines are the whole text's, and
+    no second copy of it is held."""
+    start, size = 0, 1
     while start < len(text):
-        end = text.find("\n", min(start + _MATRIX_BLOCK, len(text)) - 1) + 1 or len(text)
-        lines = text[start:end].splitlines()
-        yield [(i, line) for i, line in enumerate(map(str.strip, lines), start=lineno)
-               if line and line[0] != "#"]
-        start, lineno = end, lineno + len(lines)
+        end = text.find("\n", min(start + size, len(text)) - 1) + 1 or len(text)
+        yield text[start:end]
+        start, size = end, _MATRIX_BLOCK
+
+
+def _content(piece: str, lineno: int) -> tuple[list[tuple[int, str]], int]:
+    """The (line number, stripped line) of each line of a piece that is
+    neither blank nor a '#' comment, its first line being line lineno, and
+    the number of all its lines."""
+    lines = piece.splitlines()
+    return [(i, line) for i, line in enumerate(map(str.strip, lines), start=lineno)
+            if line and line[0] != "#"], len(lines)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    return [line for block in _content_blocks(text) for line in block]
+    content, lineno = [], 1
+    for piece in _pieces(text):
+        lines, count = _content(piece, lineno)
+        content += lines
+        lineno += count
+    return content
 
 
 def _fmt(x: float) -> str:
@@ -117,7 +129,7 @@ def _row_values(block: bytes, dim: int) -> np.ndarray | None:
     as float() does, with CPython's correctly rounded conversion, and it
     refuses what float() refuses, such as `1.2.3` or `1ee5`."""
     classes = block.translate(_BYTE_CLASS)
-    if b"\0" in classes or classes[0] == _SEP:
+    if b"\0" in classes or classes[0] == _SEP or not block.endswith(b"\n"):
         return None
     chars, cls = np.frombuffer(block, dtype=np.uint8), np.frombuffer(classes, dtype=np.uint8)
     # every token ends in `i`, and one space or the row's newline follows each `i`
@@ -150,19 +162,8 @@ def _row_entries(lineno: int, line: str, dim: int) -> list[complex]:
     return [parse_complex(tok, lineno) for tok in tokens]
 
 
-def read_matrix(text: str) -> np.ndarray:
-    """Inverse of write_matrix, with '#' comments, blank lines and any
-    spacing. The header is checked against the dense cap before any row is
-    read. Each piece of content rows is read whole-array if _row_values
-    takes it, and entry by entry otherwise, which also reads nan, inf,
-    `1_0`, and tabs or runs of spaces between entries. Rows are read in line
-    order, so a file with a faulty row and a wrong row count is refused at
-    the faulty row; rows past the 2^n-th are counted, not read."""
-    blocks = _content_blocks(text)
-    first = next((block for block in blocks if block), None)
-    if first is None:
-        raise FormatError("empty matrix file")
-    lineno, header = first[0]
+def _matrix_dim(lineno: int, header: str) -> int:
+    """2^n for a matrix header `n <qubits>`, checked against the dense cap."""
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n":
         raise FormatError(f"expected header 'n <qubits>', got {header!r}", lineno)
@@ -172,18 +173,48 @@ def read_matrix(text: str) -> np.ndarray:
         raise FormatError(f"invalid qubit count {parts[1]!r}", lineno) from None
     if n < 0:
         raise FormatError(f"header n must be nonnegative, got {n}", lineno)
-    require_dense_cap(n)  # before any row is read
-    dim = 1 << n
-    M, rows = np.empty((dim, dim), dtype=complex), 0
-    for block in chain([first[1:]], blocks):
-        part = block[:max(dim - rows, 0)]
+    require_dense_cap(n)
+    return 1 << n
+
+
+def read_matrix(text: str) -> np.ndarray:
+    """Inverse of write_matrix, with '#' comments, blank lines and any
+    spacing. The header is checked against the dense cap before any row is
+    read. Each piece of rows is read whole-array if _row_values takes it:
+    as it stands, which its byte guards refuse unless the piece is its own
+    content rows, and otherwise with comment and blank lines dropped and
+    each line stripped.
+    A piece refused both ways is read entry by entry, which also reads nan,
+    inf, `1_0`, and tabs or runs of spaces between entries. Rows are read
+    in line order, so a file with a faulty row and a wrong row count is
+    refused at the faulty row; rows past the 2^n-th are only counted."""
+    M, rows, lineno = None, 0, 1
+    for piece in _pieces(text):
+        # the guards take a piece as it stands only if it is its own content rows
+        rows_ascii = M is not None and piece.isascii()
+        values = _row_values(piece.encode("ascii"), dim) if rows_ascii else None
+        if values is not None:
+            M[rows:rows + len(values)] = values[:max(dim - rows, 0)]
+            rows, lineno = rows + len(values), lineno + len(values)
+            continue
+        content, count = _content(piece, lineno)
+        lineno += count
+        if M is None:
+            if not content:
+                continue
+            dim = _matrix_dim(*content[0])  # before any row is read
+            M, content = np.empty((dim, dim), dtype=complex), content[1:]
+        part = content[:max(dim - rows, 0)]
         if part:
             chunk = "\n".join([line for _, line in part] + [""])
-            values = _row_values(chunk.encode("ascii"), dim) if chunk.isascii() else None
+            if chunk.isascii() and chunk != piece:  # not the piece refused above
+                values = _row_values(chunk.encode("ascii"), dim)
             if values is None:
-                values = [_row_entries(lineno, line, dim) for lineno, line in part]
+                values = [_row_entries(i, line, dim) for i, line in part]
             M[rows:rows + len(part)] = values
-        rows += len(block)
+        rows += len(content)
+    if M is None:
+        raise FormatError("empty matrix file")
     if rows != dim:
         raise FormatError(f"expected {dim} matrix rows, found {rows}")
     return M

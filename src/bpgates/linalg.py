@@ -174,23 +174,25 @@ def shortest_arc_chord(angles) -> float:
     return float(2.0 * np.sin(arc / 4.0))
 
 
-def walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of every row of a (k, 2^n)
-    array, in place: a[r, u] ← Σ_s (-1)^{u·s} a[r, s]. Returns a.
+def walsh_hadamard_columns(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of every column of a (2^n, k)
+    array, in place: a[u, r] ← Σ_s (-1)^{u·s} a[s, r]. Returns a.
 
     Fast transform of Fino and Algazi: n butterfly stages, each one pass over
-    the array plus a half-size temporary, O(k·n·2^n) in all. The array must be
-    C-contiguous so that every stage works on a view of it.
+    the array plus a half-size temporary, O(k·n·2^n) in all. Stage h views
+    the array as (2^n/2h, 2, h·k), so each butterfly adds and subtracts whole
+    rows, runs of h·k contiguous entries. The array must be C-contiguous so
+    that every stage works on a view of it.
     """
     if a.ndim != 2 or not a.flags.c_contiguous or not a.flags.writeable:
-        raise ValueError("expected a writeable C-contiguous (k, 2^n) array")
-    k, dim = a.shape
+        raise ValueError("expected a writeable C-contiguous (2^n, k) array")
+    dim, k = a.shape
     if dim <= 0 or dim & (dim - 1):
-        raise ValueError(f"row length {dim} is not a power of two")
+        raise ValueError(f"column length {dim} is not a power of two")
     h = 1
     while h < dim:
-        pairs = a.reshape(k, dim // (2 * h), 2, h)
-        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        pairs = a.reshape(dim // (2 * h), 2, h * k)
+        lo, hi = pairs[:, 0], pairs[:, 1]
         old_lo = lo.copy()
         lo += hi
         np.subtract(old_lo, hi, out=hi)
@@ -200,5 +202,5 @@ def walsh_hadamard_rows(a: np.ndarray) -> np.ndarray:
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform: out[u] = Σ_s (-1)^{u·s} vec[s]."""
-    out = np.array(vec, dtype=complex).reshape(1, -1)
-    return walsh_hadamard_rows(out)[0]
+    out = np.array(vec, dtype=complex).reshape(-1, 1)
+    return walsh_hadamard_columns(out)[:, 0]

@@ -42,6 +42,11 @@ from .verify import TWO_PI, PermutationWithPhases
 ARITY = {"X": 1, "RZ": 1, "CNOT": 2, "CCNOT": 3}  # qubits each gate kind acts on
 GATE_KINDS = tuple(ARITY)
 
+# Widest target synthesize accepts. Its certificate pushes all 2^n inputs
+# through a circuit of O(n·2^n) gates, O(n·4^n) in all: random 16-qubit
+# targets took 14.9 s and 18-qubit ones 340 s.
+SYNTH_QUBIT_CAP = 16
+
 # Phases closer to 0 (mod 2pi) than this are treated as trivial diagonal
 # factors and emit no gates.
 PHASE_TRIVIAL = 1e-12
@@ -125,6 +130,8 @@ class SynthesisReport:
     max_phase_residual: float
     # repetition count k of each diagonal factor's Rz(θ)^k, in emission order
     factor_reps: tuple[int, ...]
+    # wall seconds of the "permutation", "diagonal" and "certify" stages
+    stage_seconds: dict[str, float]
 
     def __post_init__(self):
         if self.achieved_error > self.target_eps:
@@ -467,12 +474,15 @@ def synthesize(
     budget. achieved_error is the phase-optimized worst-case error between
     the target U and the simulated data-qubit restriction V: both permute by
     σ, so the eigenvalues of U†V are e^{i(ψ_s − φ_s)}. Any other permutation
-    is a synthesis bug and raises RuntimeError."""
+    is a synthesis bug and raises RuntimeError. Targets above
+    SYNTH_QUBIT_CAP qubits are refused before any circuit is built."""
+    if p.n > SYNTH_QUBIT_CAP:
+        raise ValueError(f"{p.n} qubits exceeds synthesis cap {SYNTH_QUBIT_CAP}")
     _check_eps_theta(eps, theta)
     d_phases, perm = factor_dp(p)
-    with Stage(log, "permutation"):
+    with Stage(log, "permutation") as perm_stage:
         perm_seq = permutation_to_circuit(perm, p.n)
-    with Stage(log, "diagonal"):
+    with Stage(log, "diagonal") as diag_stage:
         diag_seq = diagonal_to_circuit(d_phases, eps, theta)
     seq = GateSequence(
         n_data=p.n,
@@ -481,7 +491,7 @@ def synthesize(
         theta=theta,
         global_phase=diag_seq.global_phase,
     )
-    with Stage(log, "certify"):
+    with Stage(log, "certify") as certify_stage:
         achieved = simulate_restricted(seq)
         if not np.array_equal(achieved.perm, p.perm):
             raise RuntimeError("synthesized permutation differs from the target's")
@@ -496,4 +506,5 @@ def synthesize(
         stage_gate_counts=stages,
         max_phase_residual=float(residuals.max()),
         factor_reps=tuple(g.reps for g in diag_seq.gates if g.kind == "RZ"),
+        stage_seconds={stage.name: stage.seconds for stage in (perm_stage, diag_stage, certify_stage)},
     )

@@ -22,7 +22,7 @@ from .linalg import (
     matrix_qubits,
     require_dense_cap,
 )
-from .zx import basis_forms, is_z_type, zx_decompose
+from .zx import is_z_type
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,32 +129,27 @@ def check_zx(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Block test of a unitary G: A_v A_w† = 0 for v ≠ w and Σ_v A_v A_v† = I.
 
     Decided from the block basis forms A_v = Σ_s β_{s,v}|s⟩⟨s⊕v| of the
-    ZX-decomposition, where β_{s,v} = Σ_u (-1)^{u·s} α_{u,v} comes from the
-    coefficients above tol by one batched Walsh-Hadamard transform over all
-    X-parts (zx.basis_forms). No dense product is formed:
-      * A_v has one entry in each column c, B_{v,c} = β_{c⊕v,v}, so the
-        entries of A_v A_w† are the products B_{v,c}·conj(B_{w,c}) over c.
-        The largest of them over all pairs v ≠ w lies, in each column, at
-        the two entries of largest magnitude, found by two argmax passes.
-        One O(parts·2^n) pass tests every pair, with no early stop; its
-        verdict is the pairwise test's except within a few ulps of tol,
-        where the largest magnitudes need not give the largest rounded
-        product.
-      * Σ_v A_v A_v† is diagonal with entry Σ_v |β_{s,v}|² at s.
+    ZX-decomposition with no coefficient dropped. Then β_{s,v} = G[s, s⊕v],
+    so both tests reduce to the entries of G, and no transform runs:
+      * A_v has one entry in each column c, B_{v,c} = β_{c⊕v,v} = G[c⊕v, c],
+        so the blocks' entries in column c are column c of G, and the
+        entries of A_v A_w† are the products B_{v,c}·conj(B_{w,c}). Each
+        product is bounded by tol times its larger factor, that is, its
+        smaller factor must be ≤ tol: no column of G holds two entries
+        above tol.
+      * Σ_v A_v A_v† is diagonal with entry Σ_v |β_{s,v}|² at s, the
+        squared norm of row s of G.
+    tol bounds only these two tests, never a coefficient. Exact BP gates
+    pass at every tol, and a gate is read on the scale of one amplitude, as
+    check_permutation reads it: a flat gate, all of whose entries are about
+    2^{-n/2}, is refused once they exceed tol, though their products may not.
     """
-    parts, beta = basis_forms(zx_decompose(G, tol).array())
-    if len(parts) > 1:
-        # row c of B holds every block's entry in column c
-        c = np.arange(beta.shape[1])
-        B = beta[np.arange(len(parts)), c[:, None] ^ parts]
-        mags = np.abs(B)
-        first = np.argmax(mags, axis=1)
-        mags[c, first] = -1.0
-        second = np.argmax(mags, axis=1)
-        if np.max(np.abs(B[c, first] * B[c, second].conj())) > tol:
-            return False
-    diagonal = np.sum(np.abs(beta) ** 2, axis=0)
-    return bool(np.max(np.abs(diagonal - 1.0)) <= tol)
+    G = np.asarray(G, dtype=complex)
+    matrix_qubits(G)
+    mags = np.abs(G)
+    if np.any(np.count_nonzero(mags > tol, axis=0) > 1):
+        return False
+    return bool(np.max(np.abs(np.sum(mags**2, axis=1) - 1.0)) <= tol)
 
 
 def check_normalizer(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

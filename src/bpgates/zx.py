@@ -1,9 +1,13 @@
 """ZX-decomposition: G = Σ_{u,v} α_{u,v} Z_u X_v and its X-part blocks.
 
-The coefficients live in one read-only dense (2^n, 2^n) array alpha[v, u],
-zero where absent, filled by zx_decompose with one batched Walsh-Hadamard
-transform (linalg.walsh_hadamard_rows). The verifiers work on it directly,
-`coeffs` reads it as a (u, v) -> α mapping, and the block A_v is its row v.
+Z_u X_v has entry (-1)^{u·s} at (s, s⊕v), so the block A_v = Σ_u α_{u,v} Z_u X_v
+has the basis form A_v = Σ_s β_{s,v}|s⟩⟨s⊕v| with β_{s,v} = G[s, s⊕v], the
+shifted diagonals that shifted_diagonals gathers. So the block test
+verify.check_zx reads the blocks from G itself, and its tol bounds only its
+own two tests, never a coefficient. zx_decompose transforms them to the
+coefficients, which live in one read-only dense array alpha[v, u], zero
+where absent or at most its tol in magnitude; `coeffs` reads it as a
+(u, v) -> α mapping, and the block A_v is its row v.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, matrix_qubits, walsh_hadamard, walsh_hadamard_rows
+from .linalg import DEFAULT_TOL, matrix_qubits, walsh_hadamard, walsh_hadamard_columns
 
 
 class CoefficientView(Mapping):
@@ -44,7 +48,8 @@ class ZXDecomposition:
     coeffs: CoefficientView  # (u, v) -> alpha_{u,v}
 
     def array(self) -> np.ndarray:
-        """The read-only coefficient array alpha[v, u] = α_{u,v}."""
+        """The read-only coefficient array alpha[v, u] = α_{u,v}; from
+        zx_decompose, a transposed view of the alpha[u, v] it transforms."""
         return self.coeffs.array
 
 
@@ -66,31 +71,29 @@ class ZXBlock:
         return (self.n, self.v) == (other.n, other.v) and np.array_equal(self.alpha, other.alpha)
 
 
+def shifted_diagonals(G: np.ndarray) -> np.ndarray:
+    """The (2^n, 2^n) array d[s, v] = G[s, s⊕v], by one gather that reads
+    each row of G in place: column v is the basis form β_{·,v} of A_v."""
+    s = np.arange(len(G))[:, None]
+    return G[s, s ^ s.T]
+
+
 def zx_decompose(G: np.ndarray, tol: float = DEFAULT_TOL) -> ZXDecomposition:
     """Expand G in the Z_u X_v basis, α_{u,v} = Tr((Z_u X_v)† G) / 2^n,
     keeping the coefficients above tol.
 
-    Z_u X_v has entry (-1)^{u·s} at (s, s⊕v), so α_{·,v} is the
-    Walsh-Hadamard transform of the shifted diagonal d_v[s] = G[s, s⊕v]: one
-    gather of all 2^n shifted diagonals, then one batched transform.
+    α_{·,v} is the Walsh-Hadamard transform of the shifted diagonal
+    d[·, v] = G[·, ·⊕v]: one gather of all 2^n of them as the columns of
+    one array, then one transform of its columns, alpha[u, v]; array() is
+    its transpose.
     """
     G = np.asarray(G, dtype=complex)
     n = matrix_qubits(G)
-    s = np.arange(1 << n)
-    alpha = walsh_hadamard_rows(G[s, s ^ s[:, None]])
+    alpha = walsh_hadamard_columns(shifted_diagonals(G))
     alpha /= 1 << n
     alpha[np.abs(alpha) <= tol] = 0.0
     alpha.flags.writeable = False
-    return ZXDecomposition(n=n, coeffs=CoefficientView(alpha))
-
-
-def basis_forms(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, beta) for a coefficient array alpha[v, u]: the sorted X-parts
-    v with a nonzero row and, in row i, the block basis form
-    β_{s,v} = Σ_u (-1)^{u·s} α_{u,v} of A_v, v = parts[i], at every s.
-    One batched Walsh-Hadamard transform of a copy of those rows."""
-    parts = np.flatnonzero(np.any(alpha, axis=1))
-    return parts, walsh_hadamard_rows(alpha[parts])
+    return ZXDecomposition(n=n, coeffs=CoefficientView(alpha.T))
 
 
 def block(d: ZXDecomposition, v: int | str) -> ZXBlock:

@@ -26,7 +26,7 @@ from bpgates import cli
 from bpgates.cli import build_parser, main
 from bpgates.css import build_css
 from bpgates.linalg import H, index_to_bits, tensor
-from conftest import hamming_pair, random_near_bp, repetition_pair, wide_pair
+from conftest import hamming_pair, random_near_bp, random_unitary, repetition_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
 
@@ -132,6 +132,31 @@ def test_check_json_ten_qubits(tmp_path, capsys, bp):
     payload = json.loads(capsys.readouterr().out)
     assert payload["bp"] is bp
     assert payload["checks"] == {"permutation": bp, "zx": bp, "normalizer": bp}
+
+
+def test_check_accepts_a_bp_matrix_at_a_coarse_tol(tmp_path, capsys):
+    # a permutation matrix with phases: the ZX test once dropped the
+    # coefficients under tol and refused it, so check exited 2 with a
+    # verifier disagreement
+    g = random_bp(7, np.random.default_rng(1))
+    path = tmp_path / "perm7.mat"
+    io.write_file(str(path), io.write_matrix, to_unitary(g))
+    assert main(["check", "--matrix", str(path), "--tol", "1e-3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bp"] is True
+    assert payload["checks"] == {"permutation": True, "zx": True, "normalizer": True}
+
+
+def test_check_refuses_a_haar_matrix_at_a_coarse_tol(tmp_path, capsys):
+    # the largest entries of a 7-qubit Haar column are about 0.2: their
+    # products fall under tol = 0.1, but every verifier reads the gate on
+    # the scale of one amplitude and refuses it, so check exits 1, not 2
+    path = tmp_path / "haar7.mat"
+    io.write_file(str(path), io.write_matrix, random_unitary(7, np.random.default_rng(7)))
+    assert main(["check", "--matrix", str(path), "--tol", "0.1", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bp"] is False
+    assert payload["checks"] == {"permutation": False, "zx": False, "normalizer": False}
 
 
 def check_bp_reference(p: PermutationWithPhases) -> tuple[str, dict]:
@@ -464,6 +489,8 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
     assert report["achieved_error"] <= report["max_phase_residual"] < 1e-2
     assert report["factor_reps"] == list(synthesize(g, eps=1e-2).factor_reps)
     assert len(report["factor_reps"]) == stages["diagonal"]["RZ"]
+    assert set(report["stage_seconds"]) == {"permutation", "diagonal", "certify"}
+    assert all(t >= 0.0 for t in report["stage_seconds"].values())
 
 
 @pytest.mark.parametrize(
@@ -492,6 +519,17 @@ def test_synth_input_errors_exit_2(tmp_path, capsys, phase, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_synth_refuses_a_target_above_the_synthesis_cap(tmp_path, capsys):
+    n = synth.SYNTH_QUBIT_CAP + 1
+    g = PermutationWithPhases(n, np.roll(np.arange(1 << n), 1), np.zeros(1 << n))
+    gate_file = tmp_path / "wide.perm"
+    io.write_file(str(gate_file), io.write_perm, g)
+    start = time.perf_counter()
+    assert main(["synth", "--target", str(gate_file)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {n} qubits exceeds synthesis cap {n - 1}\n"
 
 
 def test_css_build(code_files, capsys):

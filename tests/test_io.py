@@ -169,6 +169,38 @@ def test_read_matrix_reads_the_parse_complex_language(rng):
     assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
 
 
+def test_byte_guards_refuse_a_piece_as_it_stands_unless_written(rng):
+    # read_matrix hands _row_values a piece of rows as it stands: the guards
+    # refuse every corpus token parse_complex refuses, and every layout that
+    # dropping comment and blank lines or stripping lines would change, so
+    # a piece they take is its own content rows
+    accepted = [t for t in PARSER_CORPUS if not _refused(t)]
+    for tok in PARSER_CORPUS:
+        for row, dim in [(tok, 1)] + [(f"{other} {tok}", 2) for other in accepted]:
+            got = io._row_values(f"{row}\n".encode(), dim)
+            if _refused(tok):
+                assert got is None, row
+            elif got is not None:
+                assert bits(got[0, -1]) == bits(parse_complex(tok)), row
+    rows = dumps(write_matrix, random_unitary(3, rng)).splitlines()[1:]
+    written = "\n".join(rows) + "\n"
+    assert io._row_values(written.encode(), 8).tobytes() == read_matrix("n 3\n" + written).tobytes()
+    for layout in (
+        written[:-1],  # no newline after the last row
+        "\n" + written,  # a blank line
+        written.replace("\n", "\n\n", 1),
+        " " + written,  # spaces around a line
+        written.replace("\n", " \n", 1),
+        written.replace("\n", "\n ", 1),
+        written.replace("\n", "\r\n"),
+        written.replace(" ", "\t", 1),
+        written.replace(" ", "  ", 1),
+        written + "# a comment\n",
+        written.replace("\n", "\n#\n", 1),
+    ):
+        assert io._row_values(layout.encode(), 8) is None, layout
+
+
 def _refused(tok: str) -> bool:
     try:
         parse_complex(tok)
@@ -297,6 +329,8 @@ def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
         ("n 1\n1+2+3i 0+0i\n", "line 2: cannot parse complex entry '1+2+3i'"),
         # rows past the 2^n-th are counted, not read
         ("n 1\n1+0i 0+0i\n0+0i 1+0i\n0+0i 1+0i\nbogus\n", "expected 2 matrix rows, found 4"),
+        # and not stored when their piece is read whole-array
+        ("n 1\n1+0i 0+0i\n0+0i 1+0i\n0+0i 1+0i\n", "expected 2 matrix rows, found 3"),
     ):
         with pytest.raises(FormatError) as got:
             read_matrix(text)

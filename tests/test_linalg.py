@@ -179,27 +179,35 @@ def test_num_qubits_validation():
     assert linalg.num_qubits(8) == 3
 
 
-def test_walsh_hadamard_rows_matches_definition():
+def test_walsh_hadamard_columns_matches_definition():
+    # the Sylvester matrix ⊗^n [[1, 1], [1, -1]] has entry (-1)^{u·s} at (u, s)
     rng = np.random.default_rng(11)
-    for n in range(7):
+    signs = np.ones((1, 1))
+    for n in range(11):
+        if n:
+            signs = np.kron([[1.0, 1.0], [1.0, -1.0]], signs)
         dim = 1 << n
-        a = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
-        signs = np.array(
-            [[(-1.0) ** parity(u & s) for s in range(dim)] for u in range(dim)]
-        )
-        direct = a @ signs.T
-        out = linalg.walsh_hadamard_rows(a.copy())
-        assert np.max(np.abs(out - direct)) < 1e-10
+        for k in (1, 3):
+            a = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+            out = linalg.walsh_hadamard_columns(a.copy())
+            assert np.max(np.abs(out - signs @ a)) < 1e-10
 
 
-def test_walsh_hadamard_rows_is_in_place_and_validates():
-    a = np.arange(8, dtype=complex).reshape(2, 4)
-    assert linalg.walsh_hadamard_rows(a) is a
-    assert np.array_equal(a[0], [6, -2, -4, 0])
-    with pytest.raises(ValueError):
-        linalg.walsh_hadamard_rows(np.zeros((2, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        linalg.walsh_hadamard_rows(np.zeros((4, 2), dtype=complex).T)
+def test_walsh_hadamard_columns_is_in_place_and_validates():
+    a = np.arange(8, dtype=complex).reshape(4, 2)
+    assert linalg.walsh_hadamard_columns(a) is a
+    assert np.array_equal(a[:, 0], [12, -4, -8, 0])
+    assert np.array_equal(a[:, 1], [16, -4, -8, 0])
+    read_only = np.zeros((4, 2), dtype=complex)
+    read_only.flags.writeable = False
+    for bad in (
+        np.zeros((3, 2), dtype=complex),  # column length not a power of two
+        np.zeros((2, 4), dtype=complex).T,  # not C-contiguous
+        read_only,
+        np.zeros(4, dtype=complex),  # not two-dimensional
+    ):
+        with pytest.raises(ValueError):
+            linalg.walsh_hadamard_columns(bad)
 
 
 def test_walsh_hadamard_matches_definition():

@@ -489,6 +489,14 @@ def test_synthesize_cnot_exact():
     assert report.gate_counts == {"X": 0, "RZ": 0, "CNOT": 1, "CCNOT": 0}
 
 
+def test_synthesize_refuses_targets_above_the_cap_before_building(monkeypatch):
+    n = synth.SYNTH_QUBIT_CAP + 1
+    monkeypatch.setattr(synth, "permutation_to_circuit", None)  # never reached
+    target = PermutationWithPhases(n, np.arange(1 << n), np.zeros(1 << n))
+    with pytest.raises(ValueError, match=f"^{n} qubits exceeds synthesis cap {n - 1}$"):
+        synthesize(target, eps=1e-3)
+
+
 def test_synthesize_zero_qubit_target_is_a_global_phase():
     # once `1 << (n - 1)` in the diagonal stage: "negative shift count"
     for phi in (0.0, 1.0, 0.47345596139997853, np.pi, np.nextafter(2 * np.pi, 0)):

@@ -101,7 +101,10 @@ def test_three_way_agreement(rng):
 
 def _dense_zx_reference(G, tol=1e-9):
     """check_zx by its definition: α_{u,v} = Tr((Z_u X_v)† G) / 2^n, dense
-    blocks A_v = Σ_{|α_{u,v}| > tol} α_{u,v} Z_u X_v, and dense products."""
+    blocks A_v = Σ_u α_{u,v} Z_u X_v over every term, and dense products.
+    Each entry of A_v A_w† is one product of an entry of A_v and one of A_w
+    in the same column; it exceeds tol times its larger factor iff both
+    factors exceed tol, which the product of the masks |A| > tol shows."""
     dim = G.shape[0]
     sign = np.array([[(-1.0) ** parity(u & s) for s in range(dim)] for u in range(dim)])
     blocks = []
@@ -112,14 +115,12 @@ def _dense_zx_reference(G, tol=1e-9):
                 ZX[u][s, s ^ v] = sign[u, s]
         A = np.zeros((dim, dim), dtype=complex)
         for u in range(dim):
-            alpha = np.trace(ZX[u].T @ G) / dim
-            if abs(alpha) > tol:
-                A += alpha * ZX[u]
+            A += np.trace(ZX[u].T @ G) / dim * ZX[u]
         if np.any(A):
             blocks.append(A)
     for i, A in enumerate(blocks):
         for B in blocks[i + 1 :]:
-            if np.max(np.abs(A @ B.conj().T)) > tol:
+            if np.any((np.abs(A) > tol).astype(float) @ (np.abs(B) > tol).T):
                 return False
     total = sum(A @ A.conj().T for A in blocks)
     return bool(np.max(np.abs(total - np.eye(dim))) <= tol)
@@ -134,7 +135,7 @@ def test_check_zx_matches_dense_reference(rng):
 
 def test_check_zx_matches_part_loop(rng):
     # the per-column pass against the loop over X-parts it replaced, at the
-    # default tolerance and at two where thresholding drops coefficients
+    # default tolerance and at two coarse ones
     for n in range(1, 8):
         for _ in range(20):
             for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng), random_near_bp(n, rng)):
@@ -145,16 +146,59 @@ def test_check_zx_matches_part_loop(rng):
 def test_check_zx_tests_the_two_largest_entries_of_a_column():
     # G = Σ_v c_v X_v, unitary because its eigenvalues Σ_v (-1)^{k·v} c_v are
     # the phases e^{iθ_k}: every block A_v is c_v X_v, so each column holds
-    # c_0..c_3, of magnitudes about 0.39, 0.61, 0.44 and 0.53, each above
-    # the largest product |c_1 c_3| ≈ 0.32, so no coefficient is dropped
+    # c_0..c_3, of magnitudes about 0.39, 0.61, 0.44 and 0.53. Every product
+    # c_v·conj(c_w) is at most tol times its larger factor iff tol is at
+    # least the second largest magnitude, |c_3| ≈ 0.53
     s = np.arange(4)
     signs = (-1.0) ** np.array([[parity(k & v) for k in s] for v in s])
     c = signs @ np.exp(1j * np.array([0.0, 2.2, 3.6, 2.0])) / 4
     G = c[s ^ s[:, None]]
-    top = abs(c[1] * c[3].conj())
-    assert np.min(np.abs(c)) > top == max(abs(c[v] * c[w].conj()) for v in s for w in s if v < w)
-    for tol, want in ((top * (1 - 1e-9), False), (top * (1 + 1e-9), True)):
-        assert check_zx(G, tol) == check_zx_by_parts(G, tol) == want
+    second = abs(c[3])
+    assert np.sort(np.abs(c))[-2] == second == max(
+        abs(c[v] * c[w].conj()) / max(abs(c[v]), abs(c[w])) for v in s for w in s if v < w
+    )
+    for tol, want in ((second * (1 - 1e-9), False), (second * (1 + 1e-9), True)):
+        assert check_zx(G, tol) == check_zx_by_parts(G, tol) == _dense_zx_reference(G, tol) == want
+
+
+def test_exact_bp_gates_pass_every_verifier_at_a_coarse_tol():
+    # check_zx drops no coefficient, so sums of a few unit phases over 2^n
+    # no longer fall under tol and leave Σ_v A_v A_v† short of I
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 8):
+        for _ in range(3):
+            G = to_unitary(random_bp(n, rng))
+            for tol in (1e-3, 1e-2):
+                assert check_permutation(G, tol).is_bp
+                assert check_zx(G, tol)
+                assert check_normalizer(G, tol)
+
+
+def test_check_zx_refuses_a_givens_gate_as_the_column_test_does():
+    # an off entry of 0.25 sits far above tol = 0.1 on the scale of one
+    # amplitude; spread over 2^n coefficients, each fell under it, and the
+    # thresholded check_zx accepted the gate
+    rng = np.random.default_rng(25)
+    for n in (3, 4, 5):
+        a, b = rng.choice(1 << n, size=2, replace=False)
+        c, s = np.sqrt(1.0 - 0.25**2), 0.25
+        G = np.eye(1 << n, dtype=complex)
+        G[a, a], G[a, b], G[b, a], G[b, b] = c, -s, s, c
+        assert not check_permutation(G, 0.1).is_bp
+        assert not check_zx(G, 0.1)
+        assert not check_zx_by_parts(G, 0.1)
+
+
+def test_check_zx_refuses_haar_gates_at_a_coarse_tol():
+    # the largest entries of a 7-qubit Haar column are about 0.2: their
+    # products, 0.03-0.05, fall under tol = 0.1, but the entries do not
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        G = random_unitary(7, rng)
+        assert not check_permutation(G, 0.1).is_bp
+        assert not check_zx(G, 0.1)
+        assert not check_zx_by_parts(G, 0.1)
+        assert not check_normalizer(G, 0.1)
 
 
 def test_group_closure(rng):

@@ -10,8 +10,8 @@ from bpgates import (
     to_unitary,
     zx_decompose,
 )
-from bpgates.linalg import H, X, Z
-from bpgates.zx import basis_forms
+from bpgates.linalg import H, X, Z, walsh_hadamard
+from bpgates.zx import shifted_diagonals
 from conftest import parity, random_unitary, rz, x_string, zx_sum
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
@@ -82,12 +82,10 @@ def test_block_of_hadamard():
 
 
 def _basis_form(d, v):
-    """(S_v, β) of block A_v from zx.basis_forms: the s with β_{s,v} above
-    1e-9 and β_{·,v}; an absent X-part has the empty form."""
-    parts, beta = basis_forms(d.array())
-    if v not in parts:
-        return set(), {}
-    row = beta[parts.tolist().index(v)]
+    """(S_v, β) of block A_v by its definition from row v of the
+    coefficients, β_{s,v} = Σ_u (-1)^{u·s} α_{u,v}: the s with β_{s,v} above
+    1e-9 and β_{·,v} there; an absent X-part has the empty form."""
+    row = walsh_hadamard(d.array()[v])
     support = set(np.flatnonzero(np.abs(row) > 1e-9).tolist())
     return support, {s: complex(row[s]) for s in support}
 
@@ -112,13 +110,16 @@ def test_block_basis_form_cnot():
 
 
 def test_block_basis_form_consistency(rng):
-    # A_v rebuilt from (S_v, beta, sigma_v) with sigma_v(s) = s xor v
+    # A_v rebuilt from (S_v, beta, sigma_v) with sigma_v(s) = s xor v; with
+    # every coefficient kept, β_{s,v} is the shifted diagonal G[s, s⊕v]
+    # that verify.check_zx gathers in place of the transforms
     for n in (1, 2, 3):
         G = random_unitary(n, rng)
-        d = zx_decompose(G)
-        parts, _ = basis_forms(d.array())
-        assert parts.tolist() == sorted({v for _, v in d.coeffs})
-        for v in parts.tolist():
+        d = zx_decompose(G, tol=0.0)
+        assert not d.array().flags.writeable
+        gathered = shifted_diagonals(G)
+        for v in range(1 << n):
+            assert np.max(np.abs(walsh_hadamard(d.array()[v]) - gathered[:, v])) < 1e-12
             support, diag = _basis_form(d, v)
             M = np.zeros((1 << n, 1 << n), dtype=complex)
             for s in support:
@@ -146,7 +147,8 @@ def test_conjugation_identity(rng):
     for n in (1, 2):
         G = random_unitary(n, rng)
         d = zx_decompose(G)
-        mats = {v: block_matrix(block(d, v)) for v in basis_forms(d.array())[0].tolist()}
+        parts = np.flatnonzero(np.any(d.array(), axis=1))
+        mats = {v: block_matrix(block(d, v)) for v in parts.tolist()}
         for x in range(1 << n):
             Zx = pauli_z_string(format(x, f"0{n}b"))
             rhs = np.zeros((1 << n, 1 << n), dtype=complex)
