@@ -93,7 +93,9 @@ def cmd_check(args) -> int:
         phases = p.phases.tolist()
         perm = dict(zip(index_labels(np.arange(1 << p.n), p.n), index_labels(p.perm, p.n)))
         payload["canonical"] = {"perm": perm, "phases": phases}
-        lines = [f"PERM {s}->{t} phase={x:.17g}" for (s, t), x in zip(perm.items(), phases)]
+        # the PERM lines only for text output, which --json never prints
+        lines = [] if args.json else [
+            f"PERM {s}->{t} phase={x:.17g}" for (s, t), x in zip(perm.items(), phases)]
         _emit(args, payload, ["BP yes"] + lines)
         return 0
     payload["witness"] = verdict.witness

@@ -10,7 +10,11 @@ pieces of about _MATRIX_BLOCK characters, and each piece's rows are
 converted whole by numpy's C text reader, which reads the guarded tokens
 bit for bit as float() reads their halves, or, if the byte guards or that
 reader refuse them, entry by entry, which names the line of a fault. A
-piece is handed to the guards as it stands, and they take it only in the
+token that is exactly `0+0i` is +0+0j without that reader: a
+bias-preserving gate is a permutation with phases, so its file holds 2^n
+nonzero tokens among 4^n, and converting only those halves the read of a
+written 7-qubit one. A piece with no such token pays only the test for it.
+A piece is handed to the guards as it stands, and they take it only in the
 written layout; only a piece they refuse is split into content lines and
 handed over again, a pass that costs 4-7% of a written 7-qubit read. A
 perm file is read by two paths: text in the layout write_perm writes by
@@ -124,10 +128,14 @@ def _row_values(block: bytes, dim: int) -> np.ndarray | None:
     `dim` tokens `a{+|-}bi` made of `0-9 . e E + - i` and separated by single
     spaces; None for any other block. A token's split sign, the `+`/`-` that
     is neither its first byte nor after `e`/`E`, must be its only one: that
-    is where parse_complex splits it. The block is converted by one call of
-    numpy's C reader with `i` read as `j`; on such tokens it reads each half,
-    as float() does, with CPython's correctly rounded conversion, and it
-    refuses what float() refuses, such as `1.2.3` or `1ee5`."""
+    is where parse_complex splits it. A token that is exactly `0+0i` is
+    +0+0j, as parse_complex reads it, and the others are converted by one
+    call of numpy's C reader with `i` read as `j`: the block as it stands
+    if it holds no `0+0i`, else its other tokens as one line. On such
+    tokens the reader reads each half, as float() does, with CPython's
+    correctly rounded conversion, and it refuses what float() refuses, such
+    as `1.2.3` or `1ee5`. Near misses such as `-0+0i`, `0-0i` or `00+0i`
+    are not exact zeros: the reader converts them, keeping their signs."""
     classes = block.translate(_BYTE_CLASS)
     if b"\0" in classes or classes[0] == _SEP or not block.endswith(b"\n"):
         return None
@@ -146,11 +154,28 @@ def _row_values(block: bytes, dim: int) -> np.ndarray | None:
     if (splits.size != ends.size or not (splits < ends).all()
             or not (splits[1:] > ends[:-1]).all()):
         return None
+    # a token starts just after the separator that follows the `i` before it,
+    # so a `0+0i` token's `i` is byte 3 or lies 5 bytes after the one before it
+    zero = None
+    if ends[0] == 3 or (ends[1:] - ends[:-1] == 5).any():
+        starts = np.concatenate(([0], ends[:-1] + 2))
+        exact = ((ends - starts == 3) & (chars[starts] == ord("0"))
+                 & (chars[starts + 1] == ord("+")) & (chars[starts + 2] == ord("0")))
+        if exact.all():
+            return np.zeros((ends.size // dim, dim), dtype=complex)
+        if exact.any():  # the other tokens, each with the separator after it, as one line
+            zero = exact
+            block = chars[np.repeat(~zero, ends - starts + 2)].tobytes()[:-1].replace(b"\n", b" ")
     try:
-        return np.loadtxt(StringIO(block.replace(b"i", b"j").decode("ascii")), dtype=complex,
+        read = np.loadtxt(StringIO(block.replace(b"i", b"j").decode("ascii")), dtype=complex,
                           delimiter=" ", comments=None, ndmin=2)
     except ValueError:  # a half float() refuses, such as `+` or `1.2.3`
         return None
+    if zero is None:
+        return read
+    values = np.zeros((ends.size // dim, dim), dtype=complex)
+    values.reshape(-1)[~zero] = read.ravel()
+    return values
 
 
 def _row_entries(lineno: int, line: str, dim: int) -> list[complex]:
@@ -183,7 +208,9 @@ def read_matrix(text: str) -> np.ndarray:
     read. Each piece of rows is read whole-array if _row_values takes it:
     as it stands, which its byte guards refuse unless the piece is its own
     content rows, and otherwise with comment and blank lines dropped and
-    each line stripped.
+    each line stripped. There the exact `0+0i` tokens, 4^n - 2^n of a
+    bias-preserving gate's 4^n, are zeros without parsing, and only the
+    others go through numpy's C reader.
     A piece refused both ways is read entry by entry, which also reads nan,
     inf, `1_0`, and tabs or runs of spaces between entries. Rows are read
     in line order, so a file with a faulty row and a wrong row count is

@@ -104,8 +104,12 @@ def check_permutation(G: np.ndarray, tol: float = DEFAULT_TOL) -> BpVerdict:
 
     Entries in the open band (tol, 1 - tol) are immediately diagnostic of a
     genuine superposition; all columns are tested at once, the first failing
-    one being reported as witness.
+    one being reported as witness. A tol of 0.5 or more is refused: the
+    bands [0, tol] of negligible and [1 - tol, 1 + tol] of unit magnitudes
+    would overlap, and an entry in both would count as either.
     """
+    if not tol < 0.5:
+        raise ValueError(f"tol must be below 0.5 for the column test, got {tol}")
     G = np.asarray(G, dtype=complex)
     n = matrix_qubits(G)
     mags = np.abs(G)

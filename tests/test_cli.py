@@ -159,6 +159,24 @@ def test_check_refuses_a_haar_matrix_at_a_coarse_tol(tmp_path, capsys):
     assert payload["checks"] == {"permutation": False, "zx": False, "normalizer": False}
 
 
+def test_column_test_refuses_a_tol_of_one_half_or_more(tmp_path, capsys, code_files):
+    # from tol = 0.5 the column test's bands overlap: an entry in
+    # [1 - tol, tol] counted as both negligible and unit, and `check --tol 1`
+    # on an exact BP gate exited 2 with a false verifier disagreement
+    path = tmp_path / "perm7.mat"
+    io.write_file(str(path), io.write_matrix, to_unitary(random_bp(7, np.random.default_rng(22))))
+    for argv in (
+        ["check", "--matrix", str(path), "--json"],
+        ["synth", "--matrix", str(path)],
+        ["css-restrict", "--c1", code_files[0], "--c2", code_files[1], "--matrix", str(path)],
+    ):
+        assert main([*argv, "--tol", "1"]) == 2, argv
+        assert capsys.readouterr() == ("", "error: tol must be below 0.5 for the column test, got 1.0\n")
+    assert main(["check", "--matrix", str(path), "--tol", "0.49", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"] == {"permutation": True, "zx": True, "normalizer": True}
+
+
 def check_bp_reference(p: PermutationWithPhases) -> tuple[str, dict]:
     """`check`'s text for a BP gate and its canonical labels, formatted entry
     by entry as the CLI once did."""

@@ -288,11 +288,29 @@ def test_written_gates_are_read_in_whole_blocks(rng, monkeypatch):
         assert got.tobytes() == want.tobytes() == G.tobytes()
 
 
+def test_the_c_reader_receives_only_the_nonzero_entries(rng, monkeypatch):
+    # a written 7-qubit BP gate: its 2^14 - 2^7 exact `0+0i` tokens are read
+    # as +0+0j without the C reader, which converts the 2^7 others
+    loadtxt, tokens = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        tokens.append(len(args[0].getvalue().split()))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    entry_by_entry_forbidden(monkeypatch)
+    G = to_unitary(random_bp(7, rng))
+    text = dumps(write_matrix, G)
+    assert text.count(" 0+0i") + text.count("\n0+0i") == (1 << 14) - (1 << 7)
+    assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes() == G.tobytes()
+    assert len(tokens) > 1 and sum(tokens) == 1 << 7
+
+
 def test_entries_the_c_reader_refuses_are_named_by_the_entry_reader(rng, monkeypatch):
     # `1.2.3` and `1ee5` pass the byte guards, with one split sign each, so
     # their block reaches numpy's reader, which refuses it as float() does;
-    # the per-entry reader then names the line
-    lines = dumps(write_matrix, random_unitary(7, rng)).splitlines()
+    # the per-entry reader then names the line. In a BP gate's mostly-zero
+    # block the reader receives the entry among the block's nonzero tokens.
     loadtxt, converted = np.loadtxt, []
 
     def counted(*args, **kwargs):
@@ -300,15 +318,17 @@ def test_entries_the_c_reader_refuses_are_named_by_the_entry_reader(rng, monkeyp
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counted)
-    for bad in ("1.2.3+0i", "1ee5+0i"):
-        row = lines[71].split()
-        row[9] = bad
-        text = "\n".join(lines[:71] + [" ".join(row)] + lines[72:]) + "\n"
-        converted.clear()
-        with pytest.raises(FormatError, match=f"^line 72: cannot parse complex entry '{re.escape(bad)}'$"):
-            read_matrix(text)
-        assert f" {bad[:-1]}j " in converted[-1][0].getvalue()  # the block with the entry
-        assert io._row_values(f"{bad} 0+1i\n".encode(), 2) is None
+    for G in (random_unitary(7, rng), to_unitary(random_bp(7, rng))):
+        lines = dumps(write_matrix, G).splitlines()
+        for bad in ("1.2.3+0i", "1ee5+0i"):
+            row = lines[71].split()
+            row[9] = bad
+            text = "\n".join(lines[:71] + [" ".join(row)] + lines[72:]) + "\n"
+            converted.clear()
+            with pytest.raises(FormatError, match=f"^line 72: cannot parse complex entry '{re.escape(bad)}'$"):
+                read_matrix(text)
+            assert f"{bad[:-1]}j" in converted[-1][0].getvalue().split()  # the block with the entry
+            assert io._row_values(f"{bad} 0+1i\n".encode(), 2) is None
 
 
 def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
@@ -420,6 +440,8 @@ ROW_TOKENS = st.one_of(
     st.tuples(st.sampled_from(["", "+", "-"]), _number, st.sampled_from("+-"), _number)
     .map(lambda parts: "".join(parts) + "i"),
     st.text(ROW_BYTES, min_size=1, max_size=12),
+    # the exact zero token, which skips the C reader, and its near misses
+    st.sampled_from(["0+0i", "-0+0i", "0-0i", "+0+0i", "00+0i", "0+0.i", "0+0ii"]),
 )
 
 
@@ -427,13 +449,14 @@ ROW_TOKENS = st.one_of(
 @given(st.data())
 def test_read_matrix_agrees_with_entry_reader(data):
     # any text over the row bytes reads as the per-entry reader reads it, or
-    # is refused with that reader's error and line: a written matrix with
+    # is refused with that reader's error and line: a written matrix, with
+    # 0.0 and -0.0 drawn often so that it holds exact `0+0i` tokens, with
     # up to three of its tokens replaced, and with comment and blank lines,
     # spaces and tabs around lines and LF or CRLF endings drawn in
     n = data.draw(st.integers(0, 3))
     dim = 1 << n
-    values = data.draw(st.lists(st.floats(allow_infinity=False, allow_nan=False),
-                                min_size=2 * dim * dim, max_size=2 * dim * dim))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_infinity=False, allow_nan=False))
+    values = data.draw(st.lists(part, min_size=2 * dim * dim, max_size=2 * dim * dim))
     rows = [line.split() for line in dumps(write_matrix, np.reshape(values, (dim, -1)).view(complex))
             .splitlines()[1:]]
     for _ in range(data.draw(st.integers(0, 3))):
