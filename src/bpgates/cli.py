@@ -185,11 +185,17 @@ def cmd_css_build(args) -> int:
     e = _load_css(args)
     transversal = ["".join(str(int(b)) for b in row) for row in e.transversal]
     if args.json:
-        supports: dict = {}
+        # json.dumps(payload, indent=2, sort_keys=True), its supports streamed
+        # as the text output's are: labels are bits, which JSON does not escape
+        payload = {"n": e.n, "k": e.k, "l": e.l, "transversal": transversal, "supports": {}}
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"supports": {}')
+        sys.stdout.write(head + '"supports": {')
+        entry, sep = '    "%s": [\n      "%s"\n    ]', "\n"
         for labels, rows in _support_rows(e):
-            supports.update(zip(labels, rows))
-        payload = {"n": e.n, "k": e.k, "l": e.l, "transversal": transversal, "supports": supports}
-        _emit(args, payload, [])
+            sys.stdout.write(sep + ",\n".join(entry % (x, '",\n      "'.join(support))
+                                               for x, support in zip(labels, rows)))
+            sep = ",\n"
+        sys.stdout.write("\n  }" + tail + "\n")
         return 0
     print(f"CSS n={e.n} k={e.k} l={e.l}")
     for row in transversal:

@@ -5,22 +5,13 @@ All formats share the conventions: '#' starts a comment line, blank lines
 are ignored, and floating-point values are written with 17 significant
 digits so that emit → parse round-trips exactly at double precision.
 
-A matrix file is read by one path: after its header line it comes in
-pieces of about _MATRIX_BLOCK characters, and each piece's rows are
-converted whole by numpy's C text reader, which reads the guarded tokens
-bit for bit as float() reads their halves, or, if the byte guards or that
-reader refuse them, entry by entry, which names the line of a fault. A
-token that is exactly `0+0i` is +0+0j without that reader: a
-bias-preserving gate is a permutation with phases, so its file holds 2^n
-nonzero tokens among 4^n, and converting only those halves the read of a
-written 7-qubit one. A piece with no such token pays only the test for it.
-A piece is handed to the guards as it stands, and they take it only in the
-written layout; only a piece they refuse is split into content lines and
-handed over again, a pass that costs 4-7% of a written 7-qubit read. A
-perm file is read by two paths: text in the layout write_perm writes by
-whole-array passes, and any other text, from the first block those passes
-refuse, by a per-line reader. A per-line content pass would cost 45-70% of
-the whole-array pass on a written perm file of 2^15 to 2^20 lines.
+Matrix and perm files are read by one driver, _read_rows: after the first
+content line (a matrix header, or a perm row, which fixes n), pieces of
+about _PIECE_CHARS characters are read whole-array as they stand, else as
+their content lines, else line by line, naming the line of a fault. Rows
+are read in line order, so a faulty row is named before a wrong row count.
+2^n is bounded before it is allocated: by the dense cap for a matrix, and
+for a perm file by its text, as 2^n lines hold 2^(n+1) - 1 characters.
 """
 
 from __future__ import annotations
@@ -48,19 +39,19 @@ class FormatError(ValueError):
 
 
 # Characters of text per piece of content lines: temporaries stay O(piece).
-_MATRIX_BLOCK = 1 << 16
+_PIECE_CHARS = 1 << 16
 
 
 def _pieces(text: str) -> Iterator[str]:
     """text cut just after newlines: its first line, then pieces of about
-    _MATRIX_BLOCK characters. A cut after a newline ends a line of
+    _PIECE_CHARS characters. A cut after a newline ends a line of
     text.splitlines() too, so the pieces' lines are the whole text's, and
     no second copy of it is held."""
     start, size = 0, 1
     while start < len(text):
         end = text.find("\n", min(start + size, len(text)) - 1) + 1 or len(text)
         yield text[start:end]
-        start, size = end, _MATRIX_BLOCK
+        start, size = end, _PIECE_CHARS
 
 
 def _content(piece: str, lineno: int) -> tuple[list[tuple[int, str]], int]:
@@ -79,6 +70,39 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
         content += lines
         lineno += count
     return content
+
+
+def _read_rows(text: str, first, whole, by_line) -> tuple[object, int]:
+    """(sink, rows) of a file of rows: sink what first made, None if no line
+    has content, and rows the number of content lines that are rows.
+    first(lineno, line) reads the first content line and returns (sink, dim,
+    the rows it read). Each later piece goes to whole(piece, sink, row), its
+    first row being row `row`, as it stands, else as its content lines unless
+    they are the same text; whole returns None or the number of lines it took,
+    all rows, and stores those below the dim-th, the others being only
+    counted. A piece refused both ways goes one line at a time to
+    by_line(lineno, line, sink, row), which names the line of a fault."""
+    sink, dim, rows, lineno = None, 0, 0, 1
+    for piece in _pieces(text):
+        taken = whole(piece, sink, rows) if sink is not None else None
+        if taken is not None:
+            rows, lineno = rows + taken, lineno + taken
+            continue
+        content, count = _content(piece, lineno)
+        lineno += count
+        if sink is None:
+            if not content:
+                continue
+            sink, dim, rows = first(*content[0])
+            content = content[1:]
+        part = content[:max(dim - rows, 0)]
+        if part:
+            chunk = "\n".join([line for _, line in part] + [""])
+            if chunk == piece or whole(chunk, sink, rows) is None:
+                for row, (i, line) in enumerate(part, start=rows):
+                    by_line(i, line, sink, row)
+        rows += len(content)
+    return sink, rows
 
 
 def _fmt(x: float) -> str:
@@ -178,17 +202,28 @@ def _row_values(block: bytes, dim: int) -> np.ndarray | None:
     return values
 
 
-def _row_entries(lineno: int, line: str, dim: int) -> list[complex]:
-    """The `dim` entries of one matrix row read with parse_complex, which
-    names the line of a fault."""
+def _row_entries(lineno: int, line: str, M: np.ndarray, row: int) -> None:
+    """Row `row` of M read from one line with parse_complex, which names
+    the line of a fault."""
     tokens = line.split()
-    if len(tokens) != dim:
-        raise FormatError(f"expected {dim} entries, found {len(tokens)}", lineno)
-    return [parse_complex(tok, lineno) for tok in tokens]
+    if len(tokens) != len(M):
+        raise FormatError(f"expected {len(M)} entries, found {len(tokens)}", lineno)
+    M[row] = [parse_complex(tok, lineno) for tok in tokens]
 
 
-def _matrix_dim(lineno: int, header: str) -> int:
-    """2^n for a matrix header `n <qubits>`, checked against the dense cap."""
+def _matrix_rows(piece: str, M: np.ndarray, row: int) -> int | None:
+    """The number of rows of a piece _row_values takes, stored in M from
+    row `row` up to its last row; None for a piece it refuses."""
+    values = _row_values(piece.encode("ascii"), len(M)) if piece.isascii() else None
+    if values is None:
+        return None
+    M[row:row + len(values)] = values[:max(len(M) - row, 0)]
+    return len(values)
+
+
+def _matrix_header(lineno: int, header: str) -> tuple[np.ndarray, int, int]:
+    """(M, 2^n, 0) for a matrix header `n <qubits>`, checked against the
+    dense cap before M is allocated."""
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n":
         raise FormatError(f"expected header 'n <qubits>', got {header!r}", lineno)
@@ -199,51 +234,20 @@ def _matrix_dim(lineno: int, header: str) -> int:
     if n < 0:
         raise FormatError(f"header n must be nonnegative, got {n}", lineno)
     require_dense_cap(n)
-    return 1 << n
+    return np.empty((1 << n, 1 << n), dtype=complex), 1 << n, 0
 
 
 def read_matrix(text: str) -> np.ndarray:
     """Inverse of write_matrix, with '#' comments, blank lines and any
-    spacing. The header is checked against the dense cap before any row is
-    read. Each piece of rows is read whole-array if _row_values takes it:
-    as it stands, which its byte guards refuse unless the piece is its own
-    content rows, and otherwise with comment and blank lines dropped and
-    each line stripped. There the exact `0+0i` tokens, 4^n - 2^n of a
-    bias-preserving gate's 4^n, are zeros without parsing, and only the
-    others go through numpy's C reader.
-    A piece refused both ways is read entry by entry, which also reads nan,
-    inf, `1_0`, and tabs or runs of spaces between entries. Rows are read
-    in line order, so a file with a faulty row and a wrong row count is
-    refused at the faulty row; rows past the 2^n-th are only counted."""
-    M, rows, lineno = None, 0, 1
-    for piece in _pieces(text):
-        # the guards take a piece as it stands only if it is its own content rows
-        rows_ascii = M is not None and piece.isascii()
-        values = _row_values(piece.encode("ascii"), dim) if rows_ascii else None
-        if values is not None:
-            M[rows:rows + len(values)] = values[:max(dim - rows, 0)]
-            rows, lineno = rows + len(values), lineno + len(values)
-            continue
-        content, count = _content(piece, lineno)
-        lineno += count
-        if M is None:
-            if not content:
-                continue
-            dim = _matrix_dim(*content[0])  # before any row is read
-            M, content = np.empty((dim, dim), dtype=complex), content[1:]
-        part = content[:max(dim - rows, 0)]
-        if part:
-            chunk = "\n".join([line for _, line in part] + [""])
-            if chunk.isascii() and chunk != piece:  # not the piece refused above
-                values = _row_values(chunk.encode("ascii"), dim)
-            if values is None:
-                values = [_row_entries(i, line, dim) for i, line in part]
-            M[rows:rows + len(part)] = values
-        rows += len(content)
+    spacing. A piece of rows is read whole-array if the byte guards of
+    _row_values take it, which they do as it stands only if it is its own
+    content rows; a piece they refuse both ways is read entry by entry,
+    which also reads nan, inf, `1_0`, and tabs or runs of spaces."""
+    M, rows = _read_rows(text, _matrix_header, _matrix_rows, _row_entries)
     if M is None:
         raise FormatError("empty matrix file")
-    if rows != dim:
-        raise FormatError(f"expected {dim} matrix rows, found {rows}")
+    if rows != len(M):
+        raise FormatError(f"expected {len(M)} matrix rows, found {rows}")
     return M
 
 
@@ -444,55 +448,46 @@ def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
         fp.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
-def _read_plain_perm(text: str) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """(perm, phases, rows) of an ASCII perm file in the layout write_perm
-    writes, read by whole-array passes over blocks of lines: perm and phases
-    hold what its first `rows` lines say, all 2^n unless a block is refused.
-    perm is None for a text of other than 2^n lines, n the width of its first
-    label. A block is read only if it repeats no source and each line
-    is `s-bits -> t-bits phase=<x>` with n-bit labels, single spaces, no other
-    whitespace or control character, and float(x) defined: what the passes
-    read, the per-line reading reads alike."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        del lines[-1]
-    n, dim = (lines[0].find(" ") if lines else -1), len(lines)
-    if n <= 0 or dim != 1 << n:  # before any array is allocated; 2^n lines bound n
-        return None, None, 0
+def _perm_rows(piece: str, sink: tuple[np.ndarray, np.ndarray], row: int) -> int | None:
+    """The number of lines of a piece of lines `s-bits -> t-bits phase=<x>`,
+    with n-bit labels, single spaces, no other whitespace and float(x)
+    defined, whose sources repeat neither within it nor one an earlier piece
+    set: what _perm_line reads alike. Its lines below the 2^n-th, its first
+    being row `row`, go to sink = (perm, phases); None for any other piece."""
+    perm, phases = sink
+    lines = piece.splitlines()  # the lines _content reads
+    n = perm.size.bit_length() - 1
     # a line's first `width` characters, with the label columns or-ed with 1
     # so that '0' and '1' both read '1', match the template
     width = 2 * n + 11
+    if not piece.isascii() or min(map(len, lines)) <= width:  # a phase has a character
+        return None
+    chars = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    if np.count_nonzero(chars <= ord(" ")) != 3 * len(lines):
+        return None
     template = np.frombuffer(("1" * n + " -> " + "1" * n + " phase=").encode(), dtype=np.uint8)
-    is_label = (template == ord("1")).astype(np.uint8)
-    head, tail = itemgetter(slice(0, width)), itemgetter(slice(width, None))
-    labels = np.r_[0:n, n + 4:2 * n + 4]  # the columns of the source and target labels
-    perm, phases = np.full(dim, -1, dtype=np.int64), np.empty(dim)
-    # every block holds min(dim, _PERM_BLOCK) lines, both powers of two
-    rows, order, seen = 0, np.arange(min(dim, _PERM_BLOCK)), np.empty(dim, dtype=np.intp)
-    for start in range(0, dim, _PERM_BLOCK):
-        block = lines[start:start + _PERM_BLOCK]
-        if min(map(len, block)) <= width:  # a phase value has a character or more
-            break
-        chars = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8)
-        if np.count_nonzero(chars <= ord(" ")) != 3 * len(block):
-            break
-        heads = "".join(map(head, block)).encode("ascii")
-        grid = np.frombuffer(heads, dtype=np.uint8).reshape(len(block), width)
-        if not np.array_equal(grid | is_label, np.broadcast_to(template, grid.shape)):
-            break
-        try:
-            values = np.fromiter(map(float, map(tail, block)), dtype=np.float64, count=len(block))
-        except ValueError:
-            break
-        src, tgt = bits_index((grid[:, labels] & 1).reshape(-1, n)).reshape(-1, 2).T
-        # a source an earlier block set, or one the block holds twice, which
-        # leaves only one of its row numbers where they are scattered
-        seen[src] = order
-        if perm[src].max() >= 0 or (seen[src] != order).any():
-            break
-        perm[src], phases[src] = tgt, values
-        rows = start + len(block)
-    return perm, phases, rows
+    is_label = template == ord("1")  # the columns of the source and target labels
+    heads = "".join(map(itemgetter(slice(0, width)), lines)).encode("ascii")
+    grid = np.frombuffer(heads, dtype=np.uint8).reshape(len(lines), width)
+    if not np.array_equal(grid | is_label, np.broadcast_to(template, grid.shape)):
+        return None
+    try:
+        values = np.fromiter(map(float, map(itemgetter(slice(width, None)), lines)),
+                             dtype=np.float64, count=len(lines))
+    except ValueError:
+        return None
+    keep = max(perm.size - row, 0)
+    src, tgt = bits_index((grid[:keep, is_label] & 1).reshape(-1, n)).reshape(-1, 2).T
+    # a source an earlier piece set, or one the piece holds twice, which
+    # leaves only one of its row numbers where they are scattered into perm
+    if (perm[src] >= 0).any():
+        return None
+    perm[src] = order = np.arange(src.size)
+    if (perm[src] != order).any():
+        perm[src] = -1  # as it was
+        return None
+    perm[src], phases[src] = tgt, values[:keep]
+    return len(lines)
 
 
 def _perm_fields(lineno: int, line: str) -> tuple[str, str, str]:
@@ -503,41 +498,45 @@ def _perm_fields(lineno: int, line: str) -> tuple[str, str, str]:
     return parts[0], parts[2], parts[3][len("phase="):]
 
 
-def _read_perm_by_line(text: str, perm: np.ndarray | None = None,
-                       phases: np.ndarray | None = None, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phases) of a perm file read line by line, which names the
-    first faulty line. Given rows > 0, perm and phases already hold what the
-    first `rows` lines of the text say, and those lines are not read again."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty gate file")
-    n = perm.size.bit_length() - 1 if rows else len(_perm_fields(*lines[0])[0])
-    if len(lines) != 1 << n:  # before any array is allocated
-        raise FormatError(f"expected all {1 << n} source strings exactly once")
-    if not rows:
-        perm, phases = np.full(1 << n, -1, dtype=np.int64), np.empty(1 << n)
-    for lineno, line in lines[rows:]:
-        sb, tb, value = _perm_fields(lineno, line)
-        if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
-            raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
-        try:
-            phase = float(value)
-        except ValueError:
-            raise FormatError("bad phase value", lineno) from None
-        s = int(sb, 2)
-        if perm[s] >= 0:
-            raise FormatError(f"duplicate source string {sb}", lineno)
-        perm[s], phases[s] = int(tb, 2), phase
-    return perm, phases
+def _perm_line(lineno: int, line: str, sink: tuple[np.ndarray, np.ndarray], row: int,
+               fields: tuple[str, str, str] | None = None) -> None:
+    """One perm line, or its _perm_fields, read alone into sink = (perm,
+    phases), naming the line of a fault."""
+    perm, phases = sink
+    sb, tb, value = fields or _perm_fields(lineno, line)
+    n = perm.size.bit_length() - 1
+    if len(sb) != n or len(tb) != n or set(sb + tb) - {"0", "1"}:
+        raise FormatError(f"bad bit strings {sb!r} {tb!r}", lineno)
+    try:
+        phase = float(value)
+    except ValueError:
+        raise FormatError("bad phase value", lineno) from None
+    s = int(sb, 2)
+    if perm[s] >= 0:
+        raise FormatError(f"duplicate source string {sb}", lineno)
+    perm[s], phases[s] = int(tb, 2), phase
 
 
 def read_perm(text: str) -> PermutationWithPhases:
-    """Inverse of write_perm, lines in any order, with '#' comments and blank
-    lines. The whole-array passes read only ASCII text."""
-    # str.split() also splits at whitespace outside ASCII
-    perm, phases, rows = _read_plain_perm(text) if text.isascii() else (None, None, 0)
-    if perm is None or rows < perm.size:
-        perm, phases = _read_perm_by_line(text, perm, phases, rows)
+    """Inverse of write_perm, lines in any order, with '#' comments, blank
+    lines and any spacing. A piece is read whole-array if _perm_rows takes
+    it, else line by line. 2^n is bounded by the text's length before any
+    array is allocated, whatever the line ends; the full count is checked last."""
+    def first(lineno: int, line: str):
+        fields = _perm_fields(lineno, line)
+        n = len(fields[0])
+        if (2 << n) - 1 > len(text):
+            raise FormatError(f"expected all {1 << n} source strings exactly once")
+        sink = np.full(1 << n, -1, dtype=np.int64), np.empty(1 << n)
+        _perm_line(lineno, line, sink, 0, fields)
+        return sink, 1 << n, 1
+
+    sink, rows = _read_rows(text, first, _perm_rows, _perm_line)
+    if sink is None:
+        raise FormatError("empty gate file")
+    perm, phases = sink
+    if rows != perm.size:
+        raise FormatError(f"expected all {perm.size} source strings exactly once")
     try:
         return PermutationWithPhases(perm.size.bit_length() - 1, perm, phases)
     except ValueError as exc:

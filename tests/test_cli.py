@@ -577,8 +577,13 @@ def css_build_reference(e) -> tuple[str, str]:
     return "\n".join(lines) + "\n", json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("codes", [repetition_pair(10), hamming_pair(4), hamming_pair(3)],
-                         ids=["rep10", "hamming15", "steane"])
+# C1 = {0} ⊂ even[3, 2]: the zero code, whose file is its header alone
+ZERO_IN_EVEN3 = (BinaryCode.from_rows(np.zeros((0, 3), dtype=np.uint8)),
+                 BinaryCode.from_rows([[1, 1, 0], [0, 1, 1]]))
+
+
+@pytest.mark.parametrize("codes", [repetition_pair(10), hamming_pair(4), hamming_pair(3), ZERO_IN_EVEN3],
+                         ids=["rep10", "hamming15", "steane", "zero-in-even3"])
 def test_css_build_matches_per_entry_reference(tmp_path, capsys, codes):
     # rep[10] ⊂ even[10]: |C2| = 2^9 words over 2^8 supports
     paths = [str(tmp_path / "c1.code"), str(tmp_path / "c2.code")]
@@ -591,9 +596,10 @@ def test_css_build_matches_per_entry_reference(tmp_path, capsys, codes):
     assert capsys.readouterr() == (payload, "")
 
 
-@pytest.mark.parametrize("codes", [repetition_pair(10), hamming_pair(4)], ids=["rep10", "hamming15"])
+@pytest.mark.parametrize("codes", [repetition_pair(10), hamming_pair(4), hamming_pair(3), ZERO_IN_EVEN3],
+                         ids=["rep10", "hamming15", "steane", "zero-in-even3"])
 def test_css_build_output_does_not_depend_on_its_blocks(tmp_path, capsys, monkeypatch, codes):
-    # blocks of 3 rows of 2 entries, and of 1 row of 16 entries
+    # blocks of 3 rows of 2 entries, of 1 row of 16 or 8 entries, and of 4 rows of 1 entry
     monkeypatch.setattr(cli, "_SUPPORT_BLOCK", 7)
     paths = [str(tmp_path / "c1.code"), str(tmp_path / "c2.code")]
     for path, code in zip(paths, codes):
@@ -603,6 +609,38 @@ def test_css_build_output_does_not_depend_on_its_blocks(tmp_path, capsys, monkey
     assert capsys.readouterr() == (text, "")
     assert main(["css-build", "--c1", paths[0], "--c2", paths[1], "--json"]) == 0
     assert capsys.readouterr() == (payload, "")
+
+
+def test_css_build_json_is_streamed(tmp_path):
+    # rep[16] ⊂ even[16]: the JSON output's traced peak exceeds the text
+    # output's, which is streamed one block of rows at a time, by less than
+    # the JSON text itself; a dict of all supports exceeds it three times
+    import contextlib
+    import tracemalloc
+
+    class Discard:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+    paths = [str(tmp_path / "c1.code"), str(tmp_path / "c2.code")]
+    for path, code in zip(paths, repetition_pair(16)):
+        io.write_file(path, io.write_code, code)
+    peaks, sizes = [], []
+    for mode in ([], ["--json"]):
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(["css-build", "--c1", paths[0], "--c2", paths[1], *mode]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(sink.size)
+    assert sizes[1] > 1 << 20
+    assert peaks[1] - peaks[0] < sizes[1]
 
 
 def test_css_check(code_files, capsys):

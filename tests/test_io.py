@@ -274,7 +274,7 @@ def test_read_matrix_matches_entry_parser(rng, monkeypatch):
         for entry in EDGE_ENTRIES * 8:
             rows[rng.integers(1 << n)][rng.integers(1 << n)] = entry
         text = f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
-        assert len(text) > 4 * io._MATRIX_BLOCK
+        assert len(text) > 4 * io._PIECE_CHARS
         assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes()
 
 
@@ -358,7 +358,7 @@ def test_read_matrix_names_the_line_of_a_bad_entry(rng, monkeypatch):
     # a fault in the last row, so the last block, of an 8-qubit file: the
     # rows of the blocks before it are not read again entry by entry
     lines = dumps(write_matrix, random_unitary(8, rng)).splitlines()
-    assert sum(map(len, lines)) > 40 * io._MATRIX_BLOCK
+    assert sum(map(len, lines)) > 40 * io._PIECE_CHARS
     parsed = []
 
     def counted(token, lineno=None):
@@ -392,7 +392,7 @@ def test_hand_made_layouts_are_read_whole_array(rng, monkeypatch):
     for n in (7, 8):
         for G in (to_unitary(random_bp(n, rng)), random_unitary(n, rng)):
             text = hand_made(dumps(write_matrix, G), rng)
-            assert len(text) > io._MATRIX_BLOCK  # more than one piece
+            assert len(text) > io._PIECE_CHARS  # more than one piece
             assert read_matrix(text).tobytes() == read_matrix_by_entry(text).tobytes() == G.tobytes()
 
 
@@ -760,6 +760,9 @@ def test_perm_fault_deep_in_file_named_as_per_line(rng, fault):
     "0 -> 1 phase=\xa00\n1 -> 0 phase=0\n",  # and a no-break space
     "0 -> 1 p\n1 -> 0 phase=0\n",  # a line shorter than the fixed head
     "0 -> 1 phase=0\n1 -> 0 phase=0 0\n",
+    # the right line count, so the bound checked before allocating, which
+    # counts characters, passes a file whose short second line is faulty
+    "0 -> 1 phase=0\n1 -> 0 p\n",
 ])
 def test_perm_layout_faults_named_as_per_line(text):
     with pytest.raises(FormatError) as expected:
@@ -782,6 +785,11 @@ def test_perm_layouts_read_alike(rng):
         "\r\n".join(messy) + "\r\n",
         "\n".join(lines[i] for i in order),  # shuffled, no final newline
         clean.replace("\n", "\r\n"),
+        # bare CR line ends and no final newline: the bound checked before
+        # allocating counts characters, not newlines
+        clean.replace("\n", "\r"),
+        clean[:-1],
+        clean.replace("\n", "\r")[:-1],
     ):
         assert read_perm(text) == p == read_perm_per_line(text)
 
@@ -816,34 +824,35 @@ def test_write_file_streams(rng, tmp_path):
     assert read_perm(path.read_text()) == p
 
 
-def test_perm_fault_in_written_layout_read_once(rng, monkeypatch):
-    # one whole-array pass over a faulty file, in the written layout or
-    # with CRLF endings, before the per-line reader names the fault
-    calls = []
-    whole_array = io._read_plain_perm
+def test_perm_pieces_go_to_the_converter_once_per_text(rng, monkeypatch):
+    # each piece of a faulty file, in the written layout or with CRLF
+    # endings, goes to the whole-array converter at most once per distinct
+    # text before the per-line reader names the fault
+    calls, whole = [], io._perm_rows
 
-    def counted(text):
-        calls.append(len(text))
-        return whole_array(text)
+    def counted(piece, sink, row):
+        calls.append(piece)
+        return whole(piece, sink, row)
 
-    monkeypatch.setattr(io, "_read_plain_perm", counted)
+    monkeypatch.setattr(io, "_perm_rows", counted)
     lines = dumps(write_perm, random_bp(13, rng)).splitlines()
     lines[-1] = lines[-1] + "x"  # a bad last phase
     text = "\n".join(lines) + "\n"
-    for layout, passes in ((text, 1), (text.replace("\n", "\r\n"), 1)):
+    for layout in (text, text.replace("\n", "\r\n")):
         calls.clear()
         with pytest.raises(FormatError) as expected:
             read_perm_per_line(layout)
         with pytest.raises(FormatError) as got:
             read_perm(layout)
-        assert len(calls) == passes
         assert str(got.value) == str(expected.value) == "line 8192: bad phase value"
         assert got.value.lineno == expected.value.lineno == 8192
+        pieces = list(io._pieces(layout))[1:]  # the first line fixes n
+        assert len(pieces) > 2 and calls[:len(pieces)] == pieces
+        assert len(calls) == len(set(calls)) <= len(pieces) + 1
 
 
-def test_perm_reader_resumes_at_the_refused_block(rng, monkeypatch):
-    # the whole-array passes read the first block of a 2^13-line file; the
-    # per-line reader parses only the lines of the block they refuse
+def parsed_lines(monkeypatch) -> list[int]:
+    """The line numbers _perm_fields parses from now on, in order."""
     parsed, fields = [], io._perm_fields
 
     def recorded(lineno, line):
@@ -851,29 +860,96 @@ def test_perm_reader_resumes_at_the_refused_block(rng, monkeypatch):
         return fields(lineno, line)
 
     monkeypatch.setattr(io, "_perm_fields", recorded)
+    return parsed
+
+
+def last_piece_lines(text: str) -> range:
+    """The line numbers of the last piece of text."""
+    pieces = list(io._pieces(text))
+    first = 1 + sum(piece.count("\n") for piece in pieces[:-1])
+    return range(first, first + len(pieces[-1].splitlines()))
+
+
+@pytest.mark.parametrize("fault", [
+    lambda lines: lines[-1] + "x",  # a bad last phase
+    lambda lines: lines[20],  # the source of line 21, which the first pieces set
+    lambda lines: lines[-2],  # the source of the line before it, in the same piece
+], ids=["phase-value", "repeat-across-pieces", "repeat-in-piece"])
+def test_perm_fields_parses_only_the_refused_piece(rng, monkeypatch, fault):
+    # _perm_fields parses the first line, which fixes n, and then only the
+    # lines of the piece the whole-array converter refuses
+    parsed = parsed_lines(monkeypatch)
     lines = dumps(write_perm, random_bp(13, rng)).splitlines()
-    lines[-1] = lines[-1] + "x"  # a bad last phase
-    with pytest.raises(FormatError, match="^line 8192: bad phase value$"):
-        read_perm("\n".join(lines) + "\n")
-    assert parsed == list(range(io._PERM_BLOCK + 1, 8193))
+    lines[-1] = fault(lines)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FormatError) as expected:
+        read_perm_per_line(text)
+    parsed.clear()
+    with pytest.raises(FormatError, match="^line 8192: ") as got:
+        read_perm(text)
+    assert (str(got.value), got.value.lineno) == (str(expected.value), expected.value.lineno)
+    last = last_piece_lines(text)
+    assert last.stop == 8193 and len(last) < 8192 // 4  # a piece, not the file
+    assert parsed == [1, *last]
 
 
-def test_perm_reader_resumes_at_a_block_that_repeats_a_source(rng, monkeypatch):
-    # the last line repeats the source of line 21, which the first block
-    # set: the per-line reader parses only the lines of the last block
-    parsed, fields = [], io._perm_fields
+def test_a_leading_comment_keeps_perm_pieces_whole_array(rng, monkeypatch):
+    # a written file with a leading comment line, and its CRLF form: only
+    # line 2, the first row, which fixes n, is parsed on its own
+    parsed = parsed_lines(monkeypatch)
+    p = random_bp(13, rng)
+    text = "# a comment\n" + dumps(write_perm, p)
+    for layout in (text, text.replace("\n", "\r\n")):
+        parsed.clear()
+        assert read_perm(layout) == p
+        assert parsed == [2]
 
-    def recorded(lineno, line):
-        parsed.append(lineno)
-        return fields(lineno, line)
 
-    monkeypatch.setattr(io, "_perm_fields", recorded)
+def test_read_perm_traced_peak_is_its_arrays(rng):
+    # a written 2^16-line file: at most 32 bytes per source besides 1 MB
+    import tracemalloc
+
+    p = random_bp(16, rng)
+    text = dumps(write_perm, p)
+    tracemalloc.start()
+    try:
+        assert read_perm(text) == p
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (1 << 16) + (1 << 20)
+
+
+def test_a_faulty_line_is_named_before_a_wrong_count(rng):
+    # a missing row or source and a fault at a later line: rows are read in
+    # line order, by read_perm as by read_matrix
     lines = dumps(write_perm, random_bp(13, rng)).splitlines()
-    lines[-1] = lines[20]
-    source = lines[20].split()[0]
-    with pytest.raises(FormatError, match=f"^line 8192: duplicate source string {source}$"):
+    lines[5000] = lines[5000] + "x"
+    del lines[100]
+    with pytest.raises(FormatError, match="^line 5000: bad phase value$") as got:
         read_perm("\n".join(lines) + "\n")
-    assert parsed == list(range(io._PERM_BLOCK + 1, 8193))
+    assert got.value.lineno == 5000
+    lines = dumps(write_matrix, random_unitary(7, rng)).splitlines()
+    lines[101] = lines[101].replace("i ", "ii ", 1)
+    del lines[10]
+    bad = lines[100].split()[0]
+    with pytest.raises(FormatError, match=f"^line 101: cannot parse complex entry '{re.escape(bad)}'$"):
+        read_matrix("\n".join(lines) + "\n")
+
+
+def test_a_wide_label_is_refused_before_allocating():
+    # one line of 40-bit strings: refused by its count, with no 2^40 array
+    import tracemalloc
+
+    line = f"{'0' * 40} -> {'0' * 40} phase=0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^expected all 1099511627776 source strings exactly once$"):
+            read_perm(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # Faults of a 2^13-line written file, as {line index: new text}.
@@ -881,8 +957,8 @@ LATE_PERM_FAULTS = {
     "bits": lambda lines: {5000: "2" + lines[5000][1:]},
     "phase": lambda lines: {4096: lines[4096].replace("phase=", "phase=0x")},
     "comment": lambda lines: {7000: "# one source short"},
-    # repeats that only the end of the passes finds, in the first block or
-    # across blocks, and one ahead of a refused block
+    # repeats within a piece or across pieces, and one in a piece ahead of
+    # a refused piece
     "repeat-first-block": lambda lines: {10: lines[20]},
     "repeat-across-blocks": lambda lines: {6000: lines[30]},
     "repeat-then-bits": lambda lines: {10: lines[20], 5000: "2" + lines[5000][1:]},
