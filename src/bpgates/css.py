@@ -145,24 +145,24 @@ class GenericEncoding:
 def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
     """Standard CSS encoding for C1 ⊂ C2.
 
-    The transversal is the RREF of C2's rows reduced against C1, making the
-    encoding a deterministic function of the code pair. The coset table holds
+    The transversal is the RREF of C2's rows reduced modulo C1, making the
+    encoding a deterministic function of the code pair. Both generators are
+    held in RREF, so they reduce rows as they stand: the subcode test and
+    the reduction run on packed rows (gf2.residue). The coset table holds
     all |C2| words, so more than 2^MONOMIAL_QUBIT_CAP are refused before it."""
     if c1.n != c2.n:
         raise CodeConstructionError(f"code lengths differ: {c1.n} vs {c2.n}")
     n = c1.n
-    R1, piv1 = gf2.rref(c1.generator)
-    R2, piv2 = gf2.rref(c2.generator)
-    for row in c1.generator:
-        if not gf2.in_rowspace(row, R2, piv2):
-            raise CodeConstructionError("C1 is not a subcode of C2")
+    g1, g2 = gf2.pack(c1.generator), gf2.pack(c2.generator)
+    if any(gf2.residue(row, g2) for row in g1):
+        raise CodeConstructionError("C1 is not a subcode of C2")
     k = c2.k - c1.k
     if k <= 0:
         raise CodeConstructionError(f"degenerate code: no logical qubits (k={k})")
     if c2.k > MONOMIAL_QUBIT_CAP:
         raise ValueError(f"C2 has 2^{c2.k} words; the coset table cap is 2^{MONOMIAL_QUBIT_CAP}")
     # reduction modulo C1 is linear with kernel C1: the rows span rank k
-    B, _ = gf2.rref(np.array([gf2.reduce_against(row, R1, piv1) for row in c2.generator]))
+    B = gf2.unpack(gf2.echelon([gf2.residue(row, g1) for row in g2]), n)
     B.setflags(write=False)
     cosets = gf2.codewords(B)[:, None] ^ gf2.codewords(c1.generator)
     cosets.setflags(write=False)

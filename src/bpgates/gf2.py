@@ -1,4 +1,8 @@
-"""Small GF(2) row-reduction toolkit for classical code handling."""
+"""Small GF(2) row-reduction toolkit for classical code handling.
+
+Rows are reduced as packed Python integers, column 0 the most significant
+bit, so a row of any length is one integer and one XOR.
+"""
 
 from __future__ import annotations
 
@@ -14,42 +18,48 @@ def as_gf2(rows) -> np.ndarray:
     return A
 
 
-def rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def pack(A) -> list[int]:
+    """The rows of a binary matrix as integers, column 0 the most significant bit."""
+    A = as_gf2(A)
+    n, digits = A.shape[1], (A + ord("0")).tobytes()
+    return [int(b"0" + digits[i * n:(i + 1) * n], 2) for i in range(len(A))]
+
+
+def unpack(rows: list[int], n: int) -> np.ndarray:
+    """Inverse of pack: a len(rows) x n uint8 matrix."""
+    nbytes = (n + 7) // 8
+    data = b"".join((row << (8 * nbytes - n)).to_bytes(nbytes, "big") for row in rows)
+    octets = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(octets, axis=1, count=n)
+
+
+def residue(v: int, basis: list[int]) -> int:
+    """Canonical coset representative of row v modulo the span of basis, rows
+    in RREF: v ^ b is below v exactly when v has b's pivot, its leading bit."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def echelon(rows: list[int]) -> list[int]:
+    """The RREF of packed rows, zero rows dropped, pivot columns ascending.
+    Each row is reduced modulo the rows kept so far and, if it is not zero,
+    cleared from them at its pivot; the RREF of a row space is unique."""
+    basis: list[int] = []
+    for v in rows:
+        v = residue(v, basis)
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return sorted(basis, reverse=True)
+
+
+def rref(A) -> tuple[np.ndarray, list[int]]:
     """Row-reduced echelon form over GF(2); returns (R, pivot columns).
-    Zero rows are dropped."""
-    R = as_gf2(A).copy()
-    m, n = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        rows = np.where(R[r:, c] == 1)[0]
-        if rows.size == 0:
-            continue
-        p = r + int(rows[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        ones = np.where(R[:, c] == 1)[0]
-        ones = ones[ones != r]
-        if ones.size:
-            R[ones] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R[: len(pivots)], pivots
-
-
-def reduce_against(v: np.ndarray, R: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """Canonical coset representative of v modulo rowspace(R), R in RREF."""
-    w = (np.asarray(v, dtype=np.uint8) & 1).copy()
-    for row, c in zip(R, pivots):
-        if w[c]:
-            w ^= row
-    return w
-
-
-def in_rowspace(v: np.ndarray, R: np.ndarray, pivots: list[int]) -> bool:
-    return not reduce_against(v, R, pivots).any()
+    Zero rows are dropped. A row's pivot is its leading bit."""
+    A = as_gf2(A)
+    n = A.shape[1]
+    R = echelon(pack(A))
+    return unpack(R, n), [n - row.bit_length() for row in R]
 
 
 def codewords(G: np.ndarray) -> np.ndarray:

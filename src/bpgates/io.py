@@ -42,14 +42,33 @@ class FormatError(ValueError):
 _PIECE_CHARS = 1 << 16
 
 
+def _line_end(text: str, pos: int) -> int:
+    """The index just past the first line end at or after pos, else
+    len(text): a newline, or a carriage return and the newline after it, if
+    any, so that no cut falls between the two. Windows of doubling width are
+    searched, so that a text with no newline, or none but newlines, is not
+    scanned to its end for the other."""
+    width = 256
+    while pos < len(text):
+        stop = pos + width
+        lf = text.find("\n", pos, stop)
+        cr = text.find("\r", pos, stop if lf < 0 else lf)
+        if cr >= 0:
+            return cr + 2 if text.startswith("\n", cr + 1) else cr + 1
+        if lf >= 0:
+            return lf + 1
+        pos, width = stop, 2 * width
+    return len(text)
+
+
 def _pieces(text: str) -> Iterator[str]:
-    """text cut just after newlines: its first line, then pieces of about
-    _PIECE_CHARS characters. A cut after a newline ends a line of
-    text.splitlines() too, so the pieces' lines are the whole text's, and
-    no second copy of it is held."""
+    """text cut just after line ends: its first line, then pieces of about
+    _PIECE_CHARS characters. A cut after a newline, or after a carriage
+    return that no newline follows, ends a line of text.splitlines() too, so
+    the pieces' lines are the whole text's, and no second copy of it is held."""
     start, size = 0, 1
     while start < len(text):
-        end = text.find("\n", min(start + size, len(text)) - 1) + 1 or len(text)
+        end = _line_end(text, min(start + size, len(text)) - 1)
         yield text[start:end]
         start, size = end, _PIECE_CHARS
 
@@ -421,17 +440,33 @@ def read_code(text: str) -> BinaryCode:
 _PERM_BLOCK = 4096
 
 
+def _phase_keys(phases) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of phases, sorted, and the index of each
+    phase's among them, as np.unique(patterns, return_inverse=True) gives
+    them. np.unique sorts one pattern per run of equal ones, and each run's
+    index is spread over its rows. The runs' mask is made twice rather than
+    held through np.unique, whose peak it would raise."""
+    bits = np.asarray(phases, dtype=np.float64).view(np.uint64)
+
+    def starts() -> np.ndarray:
+        return np.r_[True, bits[1:] != bits[:-1]]
+
+    keys, runs = np.unique(bits[starts()], return_inverse=True)
+    return keys, runs[np.cumsum(starts()) - 1]
+
+
 def write_perm(p: PermutationWithPhases, fp: TextIO) -> None:
     """Lines `s-bits -> t-bits phase=<radians>` for every basis string s,
-    built as ASCII rows one block of basis strings at a time."""
+    built as ASCII rows one block of basis strings at a time. Each distinct
+    phase is formatted once; _phase_keys sorts one phase per run of equal
+    ones, so a lifted gate sorts a few thousand, not one per row."""
     n = p.n
     if n == 0:
         raise ValueError("a 0-qubit gate has no bit-string labels")
     # Each distinct phase is formatted once, keyed on its bit pattern: -0.0
     # and 0.0 compare equal but are written differently. The tails form a
     # table padded with NULs, which are dropped from each block of rows.
-    keys, which = np.unique(np.asarray(p.phases, dtype=np.float64).view(np.uint64),
-                            return_inverse=True)
+    keys, which = _phase_keys(p.phases)
     tails = (" phase=%.17g\n" * keys.size) % tuple(keys.view(np.float64).tolist())
     table = np.array(tails.encode("ascii").splitlines(keepends=True))
     table = table.view(np.uint8).reshape(keys.size, -1)

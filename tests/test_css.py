@@ -78,19 +78,92 @@ def test_codewords_refuse_words_wider_than_int64():
         gf2.codewords(np.ones((1, 64), dtype=np.uint8))
 
 
+def rref_by_column(A) -> tuple[np.ndarray, list[int]]:
+    """Reference RREF over GF(2), (R, pivot columns), zero rows dropped: one
+    numpy pass per column, as gf2.rref once reduced uint8 rows."""
+    R = gf2.as_gf2(A).copy()
+    m, n = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        rows = np.where(R[r:, c] == 1)[0]
+        if rows.size == 0:
+            continue
+        p = r + int(rows[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        ones = np.where(R[:, c] == 1)[0]
+        ones = ones[ones != r]
+        if ones.size:
+            R[ones] ^= R[r]
+        pivots.append(c)
+        r += 1
+    return R[: len(pivots)], pivots
+
+
+def reduce_against(v, R: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Reference coset representative of v modulo rowspace(R), R in RREF."""
+    w = (np.asarray(v, dtype=np.uint8) & 1).copy()
+    for row, c in zip(R, pivots):
+        if w[c]:
+            w ^= row
+    return w
+
+
+def random_gf2_matrix(rng, m: int, n: int) -> np.ndarray:
+    """An m x n binary matrix with, by chance, zero rows and rows that are
+    sums of earlier ones."""
+    A = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    for i in range(m):
+        if rng.random() < 0.2:
+            A[i] = 0
+        elif i and rng.random() < 0.3:
+            A[i] = rng.integers(0, 2, size=i, dtype=np.uint8) @ A[:i] % 2
+    return A
+
+
+def test_rref_matches_column_reference():
+    rng = np.random.default_rng(4711)
+    shapes = [(0, 3), (3, 0), (1, 1), (12, 70), (70, 12), (12, 64), (12, 63)]
+    shapes += [(int(rng.integers(1, 13)), int(rng.integers(1, 71))) for _ in range(300)]
+    for m, n in shapes:
+        A = random_gf2_matrix(rng, m, n)
+        R, pivots = gf2.rref(A)
+        want, want_pivots = rref_by_column(A)
+        assert R.dtype == np.uint8 and R.shape == want.shape
+        assert np.array_equal(R, want) and pivots == want_pivots
+        assert np.array_equal(gf2.unpack(gf2.pack(A), n), A)
+
+
+def test_residue_matches_array_reduction():
+    rng = np.random.default_rng(4712)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 13)), int(rng.integers(1, 71))
+        R, pivots = rref_by_column(random_gf2_matrix(rng, m, n))
+        basis = gf2.pack(R)
+        for v in rng.integers(0, 2, size=(5, n), dtype=np.uint8):
+            want = reduce_against(v, R, pivots)
+            assert gf2.unpack([gf2.residue(gf2.pack([v])[0], basis)], n)[0].tolist() == want.tolist()
+        for v in rng.integers(0, 2, size=(3, len(R)), dtype=np.uint8) @ R % 2:  # in the row space
+            assert gf2.residue(gf2.pack([v])[0], basis) == 0
+
+
 def extension_loop_reference(c1: BinaryCode, c2: BinaryCode) -> tuple[np.ndarray, list[list[int]]]:
     """(transversal, coset table) as build_css once made them: C1's basis is
     extended by each row of C2 outside the span so far, one rref per row, the
-    new rows reduced against C1; row x of the table is x·B ⊕ (each C1 word)."""
-    R1, piv1 = gf2.rref(c1.generator)
+    new rows reduced against C1; row x of the table is x·B ⊕ (each C1 word).
+    Every reduction is by the column reference."""
+    R1, piv1 = rref_by_column(c1.generator)
     new_rows = []
     stack = c1.generator.copy()
     for row in c2.generator:
-        R, piv = gf2.rref(stack)
-        if not gf2.in_rowspace(row, R, piv):
-            new_rows.append(gf2.reduce_against(row, R1, piv1))
+        R, piv = rref_by_column(stack)
+        if reduce_against(row, R, piv).any():
+            new_rows.append(reduce_against(row, R1, piv1))
             stack = np.vstack([stack, row])
-    B, _ = gf2.rref(np.array(new_rows, dtype=np.uint8))
+    B, _ = rref_by_column(np.array(new_rows, dtype=np.uint8))
     c1_words = loop_codewords(c1.generator)
     return B, [[b ^ w for w in c1_words] for b in loop_codewords(B)]
 
@@ -108,16 +181,20 @@ def random_code_pair(rng) -> tuple[BinaryCode, BinaryCode]:
             continue
 
 
-def test_build_css_matches_extension_loop_reference():
+def test_build_css_matches_extension_loop_reference(steane, hamming15):
     rng = np.random.default_rng(909)
-    for _ in range(150):
-        c1, c2 = random_code_pair(rng)
+    pairs = [(steane.c1, steane.c2), (hamming15.c1, hamming15.c2)]
+    pairs += [random_code_pair(rng) for _ in range(150)]
+    for c1, c2 in pairs:
         e = build_css(c1, c2)
         B, table = extension_loop_reference(c1, c2)
         assert np.array_equal(e.transversal, B)
         assert e.cosets.tolist() == table
         assert (e.n, e.k, e.l) == (c2.n, c2.k - c1.k, 1 << c1.k)
         assert e.basis_support == {x: frozenset(row) for x, row in enumerate(table)}
+    for c1, c2 in pairs[:2]:  # generators held in RREF, as the reduction needs
+        for code in (c1, c2):
+            assert np.array_equal(code.generator, rref_by_column(code.generator)[0])
 
 
 def test_coset_table_is_read_only(code_422):

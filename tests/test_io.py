@@ -11,6 +11,7 @@ from bpgates import (
     Gate,
     GateSequence,
     PermutationWithPhases,
+    build_css,
     lift_logical,
     random_bp,
     synthesize,
@@ -33,7 +34,7 @@ from bpgates.io import (
 )
 from bpgates.linalg import index_to_bits, require_dense_cap
 from bpgates.verify import to_unitary
-from conftest import random_near_bp, random_unitary
+from conftest import random_near_bp, random_unitary, repetition_pair
 
 
 def dumps(writer, obj) -> str:
@@ -672,9 +673,46 @@ def test_write_perm_matches_per_line_writer(rng, hamming15):
         phases[rng.choice(1 << n, min(len(special), 1 << n), replace=False)] = special[:1 << n]
         gates += [g, SimpleNamespace(n=n, perm=g.perm, phases=phases)]
     gates.append(lift_logical(hamming15, random_bp(7, rng)))
+    # runs of equal phases, whose keys are sorted one per run: a phase-free
+    # gate (one run), -0.0 and 0.0 alternating (no run), a run across the
+    # 4096-row block boundary, and a lift onto rep[16] ⊂ even[16]
+    g = random_bp(13, rng)
+    gates.append(PermutationWithPhases(13, g.perm, np.zeros(1 << 13)))
+    gates.append(SimpleNamespace(n=13, perm=g.perm, phases=np.tile([-0.0, 0.0], 1 << 12)))
+    phases = np.array(g.phases)
+    phases[4000:4200] = 1.25
+    phases[4200:4300] = -0.0
+    gates.append(SimpleNamespace(n=13, perm=g.perm, phases=phases))
+    gates.append(lift_logical(build_css(*repetition_pair(16)), random_bp(14, rng)))
     for g in gates:
         assert dumps(write_perm, g) == dumps(write_perm_per_line, g)
     assert "phase=-0\n" in dumps(write_perm, gates[0])
+
+
+class Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_write_perm_traced_peak_is_bounded(rng):
+    # 2^16-row gates into a sink that keeps nothing: a random gate, whose
+    # phases form no runs, and a lift onto rep[16] ⊂ even[16], whose phases
+    # take 2^14 + 1 values over 54,613 runs. The bounds are the peaks of
+    # one np.unique over every row, 140 B/source (9.16 MB) and 2.82 MB: the
+    # run temporaries must not raise them.
+    import tracemalloc
+
+    gates = [random_bp(16, rng), lift_logical(build_css(*repetition_pair(16)), random_bp(14, rng))]
+    for g, bound in zip(gates, (140 << 16, 2.82e6)):
+        tracemalloc.start()
+        try:
+            write_perm(g, Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_writers_refuse_zero_qubit_objects():
@@ -703,7 +741,8 @@ def test_perm_parse_errors():
 
 def read_perm_per_line(text):
     """Reference reader: one line at a time, as perm files were once read."""
-    lines = io._content_lines(text)
+    lines = [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and line[0] != "#"]
     if not lines:
         raise FormatError("empty gate file")
     n = None
@@ -742,17 +781,20 @@ def read_perm_per_line(text):
     lambda s, t, x: f"{s} -> {'0' * len(t)} phase={x}",
 ], ids=["bit-string", "label-width", "arrow", "phase-value", "repeated-source", "not-bijective"])
 def test_perm_fault_deep_in_file_named_as_per_line(rng, fault):
+    # with newlines, bare carriage returns, and CR and CRLF alternating: a
+    # piece is cut after a lone CR, never between a CR and its LF
     lines = dumps(write_perm, random_bp(13, rng)).splitlines()
     row = 6000
     s, _, t, x = lines[row].split()
     lines[row] = fault(s, t, x[len("phase="):])
-    text = "\n".join(lines) + "\n"
-    with pytest.raises(FormatError) as expected:
-        read_perm_per_line(text)
-    with pytest.raises(FormatError) as got:
-        read_perm(text)
-    assert str(got.value) == str(expected.value)
-    assert got.value.lineno == expected.value.lineno
+    for ends in (["\n"], ["\r"], ["\r", "\r\n"]):
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        with pytest.raises(FormatError) as expected:
+            read_perm_per_line(text)
+        with pytest.raises(FormatError) as got:
+            read_perm(text)
+        assert str(got.value) == str(expected.value)
+        assert got.value.lineno == expected.value.lineno
 
 
 @pytest.mark.parametrize("text", [
@@ -763,6 +805,11 @@ def test_perm_fault_deep_in_file_named_as_per_line(rng, fault):
     # the right line count, so the bound checked before allocating, which
     # counts characters, passes a file whose short second line is faulty
     "0 -> 1 phase=0\n1 -> 0 p\n",
+    # bare CR line ends, and CR and CRLF mixed
+    "0 -> 1 phase=0\r1 -> 0 p\r",
+    "0 -> 1 phase=0x\r1 -> 0 phase=0",
+    "0 -> 1 phase=0\r\n1 -> 0 phase=0\r1 -> 1 phase=0\r\n",
+    "0 -> 1 phase=0\r\r\n1 -> 0 phase=0 0\r\n",
 ])
 def test_perm_layout_faults_named_as_per_line(text):
     with pytest.raises(FormatError) as expected:
@@ -805,10 +852,6 @@ def test_write_file_streams(rng, tmp_path):
     # the file holds no second copy of the text: write_file's peak is that
     # of write_perm into a sink that keeps nothing, within 10% of the file
     import tracemalloc
-
-    class Discard:
-        def write(self, text):
-            return len(text)
 
     p, path = random_bp(16, rng), tmp_path / "g16.perm"
     tracemalloc.start()
@@ -906,18 +949,20 @@ def test_a_leading_comment_keeps_perm_pieces_whole_array(rng, monkeypatch):
 
 
 def test_read_perm_traced_peak_is_its_arrays(rng):
-    # a written 2^16-line file: at most 32 bytes per source besides 1 MB
+    # a written 2^16-line file, and its bare-CR form, which was once one
+    # piece: at most 32 bytes per source besides 1 MB
     import tracemalloc
 
     p = random_bp(16, rng)
     text = dumps(write_perm, p)
-    tracemalloc.start()
-    try:
-        assert read_perm(text) == p
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * (1 << 16) + (1 << 20)
+    for layout in (text, text.replace("\n", "\r")):
+        tracemalloc.start()
+        try:
+            assert read_perm(layout) == p
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (1 << 16) + (1 << 20)
 
 
 def test_a_faulty_line_is_named_before_a_wrong_count(rng):
