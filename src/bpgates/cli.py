@@ -12,7 +12,6 @@ import functools
 import json
 import logging
 import sys
-from io import StringIO
 
 import numpy as np
 
@@ -142,11 +141,9 @@ def cmd_synth(args) -> int:
         f"EPS {report.target_eps:.17g}",
         f"ANCILLAS {report.sequence.n_anc}",
     ] + [f"COUNT {k} {v}" for k, v in sorted(report.gate_counts.items())]
-    if not args.output:
-        buf = StringIO()
-        io.write_circuit(report.sequence, buf)
-        lines += [buf.getvalue().rstrip("\n")]
     _emit(args, payload, lines)
+    if not args.output and not args.json:  # rendered only when it is printed
+        _write(None, io.write_circuit, report.sequence)
     return 0
 
 

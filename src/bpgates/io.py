@@ -5,17 +5,22 @@ All formats share the conventions: '#' starts a comment line, blank lines
 are ignored, and floating-point values are written with 17 significant
 digits so that emit → parse round-trips exactly at double precision.
 
-Matrix and perm files are read by one driver, _read_rows: after the first
-content line (a matrix header, or a perm row, which fixes n), pieces of
-about _PIECE_CHARS characters are read whole-array as they stand, else as
-their content lines, else line by line, naming the line of a fault. Rows
-are read in line order, so a faulty row is named before a wrong row count.
-2^n is bounded before it is allocated: by the dense cap for a matrix, and
-for a perm file by its text, as 2^n lines hold 2^(n+1) - 1 characters.
+Every format is read one piece of about _PIECE_CHARS characters at a time,
+and no list of a file's lines is made. Circuit, ZX and code files walk
+their content lines as _content_lines makes them. Matrix and perm files are
+read by one driver, _read_rows: after the first content line (a matrix
+header, or a perm row, which fixes n), pieces are read whole-array as they
+stand, else as their content lines, else line by line, naming the line of a
+fault. Rows of matrix, perm and code files are read in line order, so a
+faulty row is named before a wrong row count; rows past the expected count
+are only counted. 2^n is bounded before it is allocated: by the dense cap
+for a matrix or ZX file, and for a perm file by its text, as 2^n lines hold
+2^(n+1) - 1 characters.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from io import StringIO
 from operator import itemgetter
@@ -82,13 +87,14 @@ def _content(piece: str, lineno: int) -> tuple[list[tuple[int, str]], int]:
             if line and line[0] != "#"], len(lines)
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    content, lineno = [], 1
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The (line number, stripped line) of each content line of text, made
+    one piece at a time."""
+    lineno = 1
     for piece in _pieces(text):
         lines, count = _content(piece, lineno)
-        content += lines
+        yield from lines
         lineno += count
-    return content
 
 
 def _read_rows(text: str, first, whole, by_line) -> tuple[object, int]:
@@ -286,30 +292,30 @@ def write_zx(d: ZXDecomposition, fp: TextIO) -> None:
 
 def read_zx(text: str) -> ZXDecomposition:
     """Inverse of write_zx, lines in any order. An absent pair, or one with
-    an explicit zero, has α = 0; a repeated pair and more than 10 qubits are
-    refused."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty decomposition file")
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in lines:
+    an explicit zero, has α = 0; a repeated pair, found by a mask of one
+    byte per pair, and more than 10 qubits are refused."""
+    alpha = None
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 4:
             raise FormatError("expected 'u-bits v-bits re im'", lineno)
         ub, vb, re_s, im_s = parts
-        if not seen:  # the width bounds the array before it exists
+        if alpha is None:  # the width bounds the arrays before they exist
             n = len(ub)
             require_dense_cap(n)
-            alpha = np.zeros((1 << n, 1 << n), dtype=complex)
+            alpha, seen = np.zeros((1 << n, 1 << n), dtype=complex), bytearray(1 << 2 * n)
         if len(ub) != n or len(vb) != n or set(ub + vb) - {"0", "1"}:
             raise FormatError(f"bad bit strings {ub!r} {vb!r}", lineno)
-        if (ub, vb) in seen:
+        v, u = int(vb, 2), int(ub, 2)
+        if seen[v << n | u]:
             raise FormatError(f"repeated pair {ub} {vb}", lineno)
-        seen.add((ub, vb))
+        seen[v << n | u] = 1
         try:
-            alpha[int(vb, 2), int(ub, 2)] = complex(float(re_s), float(im_s))
+            alpha[v, u] = complex(float(re_s), float(im_s))
         except ValueError:
             raise FormatError("bad coefficient value", lineno) from None
+    if alpha is None:
+        raise FormatError("empty decomposition file")
     alpha.flags.writeable = False
     return ZXDecomposition(n=n, coeffs=CoefficientView(alpha))
 
@@ -334,8 +340,13 @@ def write_circuit(seq: GateSequence, fp: TextIO) -> None:
 
 
 def read_circuit(text: str) -> GateSequence:
+    """Inverse of write_circuit, with '#' comments, blank lines and any
+    spacing. Each distinct gate is built and checked once and shared by its
+    lines, as synthesis shares it; a refused one is not cached, so every
+    line that holds it is refused alike."""
     headers: dict[str, tuple[int, str]] = {}
     gates: list[Gate] = []
+    gate = functools.cache(Gate)
     top_reps, top_line = 0, None  # the largest RZ count, whose angle reps·theta/2 is largest
     for lineno, line in _content_lines(text):
         parts = line.split()
@@ -355,11 +366,11 @@ def read_circuit(text: str) -> GateSequence:
                 if key == "RZ":
                     if len(args) != 2:
                         raise ValueError("RZ takes qubit and repetition count")
-                    gates.append(Gate("RZ", (args[0],), reps=args[1]))
+                    gates.append(gate("RZ", (args[0],), args[1]))
                     if args[1] > top_reps:
                         top_reps, top_line = args[1], lineno
                 else:
-                    gates.append(Gate(key, tuple(args)))
+                    gates.append(gate(key, tuple(args)))
             except ValueError as exc:
                 raise FormatError(str(exc), lineno) from None
         else:
@@ -408,10 +419,14 @@ def write_code(code: BinaryCode, fp: TextIO) -> None:
 
 
 def read_code(text: str) -> BinaryCode:
+    """Inverse of write_code, with '#' comments, blank lines and spaces
+    around a line. Rows are read in line order, so a faulty row is named
+    before a wrong row count; rows past the k-th are only counted."""
     lines = _content_lines(text)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise FormatError("empty code file")
-    lineno, header = lines[0]
+    lineno, header = first
     parts = header.split()
     if len(parts) != 4 or parts[0] != "n" or parts[2] != "k":
         raise FormatError(f"expected header 'n <len> k <dim>', got {header!r}", lineno)
@@ -423,13 +438,15 @@ def read_code(text: str) -> BinaryCode:
         raise FormatError(f"code length n must be at least 1, got {n}", lineno)
     if not 0 <= k <= n:
         raise FormatError(f"code dimension k must be in 0..{n}, got {k}", lineno)
-    if len(lines) - 1 != k:
-        raise FormatError(f"expected {k} generator rows, found {len(lines) - 1}")
-    rows = []
-    for lineno, line in lines[1:]:
-        if len(line) != n or set(line) - {"0", "1"}:
-            raise FormatError(f"expected {n} binary characters, got {line!r}", lineno)
-        rows.append([int(ch) for ch in line])
+    rows, count = [], 0
+    for lineno, line in lines:
+        if count < k:
+            if len(line) != n or set(line) - {"0", "1"}:
+                raise FormatError(f"expected {n} binary characters, got {line!r}", lineno)
+            rows.append([int(ch) for ch in line])
+        count += 1
+    if count != k:
+        raise FormatError(f"expected {k} generator rows, found {count}")
     # k = 0 is the zero code {0}, whose generator has no rows
     return BinaryCode.from_rows(np.array(rows, dtype=np.uint8).reshape(k, n))
 

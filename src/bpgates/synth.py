@@ -235,17 +235,7 @@ def _mcx_ladder(n: int, flip_qubit: int, gate) -> tuple[list[Gate], int]:
     return compute + body + compute[::-1], c - 2
 
 
-class _SharedGates:
-    """The gates of the transpositions on n qubits, each distinct one built
-    once (Gate is frozen, so circuits share them), and the ladder of each
-    flip qubit."""
-
-    def __init__(self, n: int):
-        self.gate = gate = functools.cache(Gate)  # no cycle through self: freed on return
-        self.mcx = functools.cache(lambda p: _mcx_ladder(n, p, gate))
-
-
-def _transposition(n: int, a: int, b: int, shared: _SharedGates) -> tuple[list[Gate], int]:
+def _transposition(n: int, a: int, b: int, gate, mcx) -> tuple[list[Gate], int]:
     """Exact swap of basis states |a⟩ ↔ |b⟩, conjugated by CNOTs.
 
     With p a qubit where a and b differ, CNOTs from p onto the other d − 1
@@ -253,8 +243,8 @@ def _transposition(n: int, a: int, b: int, shared: _SharedGates) -> tuple[list[G
     is linear and invertible, so it moves no other pair onto them. One X on
     p controlled on the other n − 1 qubits of a's image swaps the images,
     its zero-valued controls conjugated with X, and the CNOTs are undone
-    (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6), 2003)."""
-    gate = shared.gate
+    (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6), 2003). Gates are built
+    by `gate`, and mcx(p) is the (ladder, ancillas) of flip qubit p."""
     diff = a ^ b
     p = n - diff.bit_length()  # the most significant differing qubit
     bit_p = a >> (n - 1 - p) & 1
@@ -262,15 +252,17 @@ def _transposition(n: int, a: int, b: int, shared: _SharedGates) -> tuple[list[G
     # a's image: each fanned-out qubit of a flips when a holds 1 on p
     image = a ^ (diff ^ 1 << (n - 1 - p)) * bit_p
     conj = [gate("X", (q,)) for q in range(n) if q != p and not image >> (n - 1 - q) & 1]
-    mcx, n_anc = shared.mcx(p)
-    return fan + conj + mcx + conj[::-1] + fan[::-1], n_anc
+    ladder, n_anc = mcx(p)
+    return fan + conj + ladder + conj[::-1] + fan[::-1], n_anc
 
 
 def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: int) -> GateSequence:
     """Exact realization of a basis permutation over {X, CNOT, CCNOT}.
 
     Cycles are split into transpositions sharing the cycle's first element;
-    each transposition is one multi-controlled X conjugated by CNOTs."""
+    each transposition is one multi-controlled X conjugated by CNOTs. Each
+    distinct gate is built once and shared (Gate is frozen), and so is each
+    flip qubit's ladder."""
     dim = 1 << n
     perm = np.asarray(perm).tolist()
     if sorted(perm) != list(range(dim)):
@@ -293,9 +285,10 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
             transpositions.append((cycle[0], t))
     gates: list[Gate] = []
     n_anc = 0
-    shared = _SharedGates(n)
+    gate = functools.cache(Gate)
+    mcx = functools.cache(lambda p: _mcx_ladder(n, p, gate))
     for a, b in transpositions:
-        g, used = _transposition(n, a, b, shared)
+        g, used = _transposition(n, a, b, gate, mcx)
         n_anc = max(n_anc, used)
         gates.extend(g)
     return GateSequence(n_data=n, n_anc=n_anc, gates=gates, global_phase=0.0)
@@ -440,7 +433,9 @@ def diagonal_to_circuit(
     factors leave 0. Distinct factors touch distinct states, so the worst
     case over states is the maximum, not the sum: every residual sits on an
     arc shorter than 2·eps, and the phase-optimized error is below
-    2·sin(eps/2) < eps."""
+    2·sin(eps/2) < eps. eps and theta are checked as synthesize checks
+    them, also when no factor needs a rotation."""
+    _check_eps_theta(eps, theta)
     phases = [float(p) % TWO_PI for p in phases]
     dim = len(phases)
     n = dim.bit_length() - 1

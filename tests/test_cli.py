@@ -511,6 +511,25 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
     assert all(t >= 0.0 for t in report["stage_seconds"].values())
 
 
+def test_synth_renders_the_circuit_only_when_it_prints_it(tmp_path, capsys, monkeypatch, rng):
+    gate_file, circ_file = tmp_path / "g.perm", tmp_path / "g.circ"
+    io.write_file(str(gate_file), io.write_perm, random_bp(3, rng))
+    argv = ["synth", "--target", str(gate_file)]
+    # text mode prints the summary lines, then the circuit as --output writes it
+    assert main(argv + ["--output", str(circ_file)]) == 0
+    summary = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == summary + circ_file.read_text()
+
+    # --json prints no circuit, so none is rendered
+    def render(*args):
+        raise AssertionError("rendered a circuit that is not printed")
+
+    monkeypatch.setattr(io, "write_circuit", render)
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ancillas"] >= 0
+
+
 @pytest.mark.parametrize(
     "phase, flags",
     [

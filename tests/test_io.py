@@ -612,6 +612,10 @@ def test_code_parse_errors():
         read_code("n 4 k 1\n112\n")
     with pytest.raises(FormatError):
         read_code("n 4 k 2\n1100\n")  # row count mismatch
+    # a faulty row and a wrong count: rows are read in line order, as matrix
+    # and perm rows are, so the row is named
+    with pytest.raises(FormatError, match="^line 2: expected 4 binary characters, got '11x0'$"):
+        read_code("n 4 k 1\n11x0\n1100\n")
 
 
 def test_zero_code_roundtrip():
@@ -1021,3 +1025,86 @@ def test_perm_fault_past_first_block_named_as_per_line(rng, fault):
     with pytest.raises(FormatError) as got:
         read_perm(text)
     assert (str(got.value), got.value.lineno) == (str(expected.value), expected.value.lineno)
+
+
+# ----------------------------------------- circuit, ZX and code files, streamed
+
+def circuit_text() -> list[str]:
+    """The lines of a 3-qubit circuit file of 180K characters."""
+    return ["qubits 3", "ancillas 0"] + ["CNOT 0 1", "RZ 2 7"] * 10000
+
+
+def zx_text() -> list[str]:
+    """The lines of an 8-qubit ZX file of 90K characters."""
+    return [f"{u:08b} {v:08b} 1 0" for u in range(256) for v in range(16)]
+
+
+def code_text() -> list[str]:
+    """The lines of a 600-bit code file of 200 rows, 120K characters."""
+    return ["n 600 k 200"] + ["0" * i + "1" + "0" * (599 - i) for i in range(200)]
+
+
+# Faults past the first piece, as (lines, {line index: new text}, message).
+LATE_FAULTS = {
+    "circuit-unknown": (circuit_text, {15000: "H 0"}, "line 15001: unknown line 'H 0'"),
+    "circuit-gate": (circuit_text, {15000: "CNOT 2 2", 15002: "CNOT 2 2"},
+                     "line 15001: CNOT qubit indices must be distinct"),
+    "circuit-arguments": (circuit_text, {19000: "RZ 2"}, "line 19001: RZ takes qubit and repetition count"),
+    "circuit-header": (circuit_text, {17000: "qubits 4"}, "line 17001: repeated header qubits"),
+    "zx-repeat": (zx_text, {4000: "00000000 00000001 0 0"}, "line 4001: repeated pair 00000000 00000001"),
+    "zx-bits": (zx_text, {3000: "0000000 00000001 1 0"}, "line 3001: bad bit strings '0000000' '00000001'"),
+    "zx-value": (zx_text, {3500: "11011010 00001100 x 0"}, "line 3501: bad coefficient value"),
+    "code-row": (code_text, {150: "0" * 599 + "2"},
+                 f"line 151: expected 600 binary characters, got '{'0' * 599}2'"),
+    "code-row-and-count": (code_text, {150: "0" * 601, 200: "# one row short"},
+                           f"line 151: expected 600 binary characters, got '{'0' * 601}'"),
+    "code-count": (code_text, {200: "# one row short"}, "expected 200 generator rows, found 199"),
+}
+
+
+@pytest.mark.parametrize("fault", LATE_FAULTS)
+def test_fault_past_the_first_piece_is_named_at_its_line(fault):
+    make, faults, message = LATE_FAULTS[fault]
+    lines = make()
+    for i, line in faults.items():
+        lines[i] = line
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 1 << 16
+    reader = {"circuit": read_circuit, "zx": read_zx, "code": read_code}[fault.split("-")[0]]
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        reader(text)
+
+
+def test_read_circuit_shares_its_gates_as_synthesis_does():
+    # 223,863 gates of 2,639 distinct values, each built once: a fresh Gate
+    # per line once peaked at 67.7 MB
+    import tracemalloc
+
+    seq = synthesize(random_bp(12, np.random.default_rng(12)), eps=1e-3).sequence
+    text = dumps(write_circuit, seq)
+    tracemalloc.start()
+    try:
+        back = read_circuit(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.gates == seq.gates
+    assert len({id(g) for g in back.gates}) == len(set(back.gates)) < len(back.gates)
+    assert peak < 8 << 20
+
+
+def test_read_zx_traced_peak_is_its_arrays(rng):
+    # the coefficient array, the mask of one byte per pair, and 1 MB: a set
+    # of label pairs once peaked at 112 MB on 9 qubits
+    import tracemalloc
+
+    d = zx_decompose(random_unitary(8, rng))
+    text = dumps(write_zx, d)
+    tracemalloc.start()
+    try:
+        back = read_zx(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.array().tobytes() == d.array().tobytes()
+    assert peak <= 16 * 4**8 + 4**8 + (1 << 20)

@@ -270,7 +270,8 @@ def test_transposition_is_one_mcx_conjugated_by_cnots():
     for n in (3, 4):
         for a, b in itertools.permutations(range(1 << n), 2):
             d = bin(a ^ b).count("1")
-            gates, n_anc = synth._transposition(n, a, b, synth._SharedGates(n))
+            gates, n_anc = synth._transposition(
+                n, a, b, Gate, lambda p: synth._mcx_ladder(n, p, Gate))
             seq = GateSequence(n_data=n, n_anc=n_anc, gates=gates)
             counts = seq.gate_counts()
             assert (counts["CCNOT"], n_anc) == {3: (1, 0), 4: (3, 1)}[n]
@@ -420,6 +421,19 @@ def test_approximate_phase_property(phi):
 def test_diagonal_all_zero_phases():
     seq = diagonal_to_circuit([0.0, 0.0], eps=1e-3)
     assert seq.gates == []
+
+
+@pytest.mark.parametrize("phases", [[0.0, 0.0], [0.0] * 8, [TWO_PI, -1e-13], [0.7]],
+                         ids=["zero", "three-qubit-zero", "trivial", "one-entry"])
+@pytest.mark.parametrize("eps, theta", [(-1.0, GOLDEN_THETA), (float("nan"), GOLDEN_THETA), (1e-3, 100.0)],
+                         ids=["eps-negative", "eps-nan", "theta-huge"])
+def test_diagonal_refuses_eps_and_theta_as_synthesize_does(phases, eps, theta):
+    # with no factor to approximate, these were once taken and a circuit returned
+    g = PermutationWithPhases(1, (0, 1), (0.0, np.pi / 3))
+    with pytest.raises(ValueError) as expected:
+        synthesize(g, eps=eps, theta=theta)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        diagonal_to_circuit(phases, eps, theta)
 
 
 def test_diagonal_single_qubit_index1():
