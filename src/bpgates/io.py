@@ -589,6 +589,8 @@ def read_perm(text: str) -> PermutationWithPhases:
     perm, phases = sink
     if rows != perm.size:
         raise FormatError(f"expected all {perm.size} source strings exactly once")
+    for array in sink:  # read-only: the gate keeps them rather than copies
+        array.setflags(write=False)
     try:
         return PermutationWithPhases(perm.size.bit_length() - 1, perm, phases)
     except ValueError as exc:

@@ -2,10 +2,16 @@
 
 The target in canonical form factors as G = D·P: a permutation P realized
 exactly from {X, CNOT, CCNOT} as transpositions, each one multi-controlled X
-conjugated by CNOTs, and a diagonal D approximated one-level factor at a
-time by repeating the fixed rotation Rz(θ), the factors' basis states
+conjugated by CNOTs and Xs, and a diagonal D approximated one-level factor
+at a time by repeating the fixed rotation Rz(θ), the factors' basis states
 selected by one unary-iteration walk over a shared AND tree of ancillas.
-All approximation error lives in the diagonal stage.
+All approximation error lives in the diagonal stage. Where one
+transposition's conjugation meets the next one's, the two are merged into
+one frame change as they are emitted, exactly, by two commutation facts: an
+X on a qubit other than a CNOT's control commutes with it, and the compute
+gates of a multi-controlled X's Toffoli ladder, which write only ancillas,
+commute with a frame change that writes none of the qubits they read. Both
+stages build each distinct gate once, through one cache per synthesis.
 
 The one-level factors act on distinct basis states, so their errors do not
 add: each factor gets the full budget eps, every residual k·θ − φ lies in
@@ -219,79 +225,140 @@ def factor_dp(p: PermutationWithPhases) -> tuple[np.ndarray, np.ndarray]:
     return d, p.perm
 
 
-def _mcx_ladder(n: int, flip_qubit: int, gate) -> tuple[list[Gate], int]:
+def _mcx_ladder(n: int, flip_qubit: int, gate) -> tuple[tuple[Gate, ...], Gate, int]:
     """X on flip_qubit controlled on every other qubit being 1, built from the
-    generating set by `gate`. Past two controls, a Toffoli ladder ANDs them
-    pairwise into c − 2 clean ancillas from qubit n and undoes it. Returns
-    (gates, ancillas used)."""
+    generating set by `gate`, as compute + (body,) + compute[::-1]. Past two
+    controls, a Toffoli ladder ANDs them pairwise into c − 2 clean ancillas
+    from qubit n, and the compute gates write only those ancillas; with at
+    most two, compute is empty. Returns (compute, body, ancillas used)."""
     controls = [q for q in range(n) if q != flip_qubit]
     c = len(controls)
     if c <= 2:
-        return [gate(("X", "CNOT", "CCNOT")[c], (*controls, flip_qubit))], 0
+        return (), gate(("X", "CNOT", "CCNOT")[c], (*controls, flip_qubit)), 0
     anc = range(n, n + c - 2)
-    compute = [gate("CCNOT", (controls[0], controls[1], anc[0]))]
-    compute += [gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])) for i in range(2, c - 1)]
-    body = [gate("CCNOT", (controls[-1], anc[-1], flip_qubit))]
-    return compute + body + compute[::-1], c - 2
+    compute = (gate("CCNOT", (controls[0], controls[1], anc[0])),
+               *(gate("CCNOT", (controls[i], anc[i - 2], anc[i - 1])) for i in range(2, c - 1)))
+    return compute, gate("CCNOT", (controls[-1], anc[-1], flip_qubit)), c - 2
 
 
-def _transposition(n: int, a: int, b: int, gate, mcx) -> tuple[list[Gate], int]:
-    """Exact swap of basis states |a⟩ ↔ |b⟩, conjugated by CNOTs.
+def _transpositions(perm: list[int]):
+    """The transpositions whose product is perm, in circuit order: each cycle
+    (c0 c1 ... c_{m-1}) = (c0 c_{m-1})···(c0 c1), with (c0 c1) first."""
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        t = perm[start]
+        while t != start:
+            yield start, t
+            seen[t] = True
+            t = perm[t]
 
-    With p a qubit where a and b differ, CNOTs from p onto the other d − 1
-    differing qubits map a and b to images that differ in p alone; the map
-    is linear and invertible, so it moves no other pair onto them. One X on
-    p controlled on the other n − 1 qubits of a's image swaps the images,
-    its zero-valued controls conjugated with X, and the CNOTs are undone
-    (Shende, Prasad, Markov, Hayes, IEEE TCAD 22(6), 2003). Gates are built
-    by `gate`, and mcx(p) is the (ladder, ancillas) of flip qubit p."""
+
+def _frame(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """The frame (p, D, Z) that swaps |a⟩ ↔ |b⟩ by one multi-controlled X.
+
+    p is the most significant qubit where a and b differ. CNOTs from p onto
+    the other differing qubits, the fan mask D, map a and b to images that
+    differ in p alone; the map is linear and invertible, so it moves no other
+    pair onto them. X gates on the qubits but p where a's image holds 0, the
+    X mask Z, turn the images into the two states with every qubit but p at
+    1, which one X on p controlled on the other n − 1 qubits swaps (Shende,
+    Prasad, Markov, Hayes, IEEE TCAD 22(6), 2003). D and Z are masks on basis
+    index bits: qubit q is bit n − 1 − q."""
     diff = a ^ b
-    p = n - diff.bit_length()  # the most significant differing qubit
-    bit_p = a >> (n - 1 - p) & 1
-    fan = [gate("CNOT", (p, q)) for q in range(p + 1, n) if diff >> (n - 1 - q) & 1]
-    # a's image: each fanned-out qubit of a flips when a holds 1 on p
-    image = a ^ (diff ^ 1 << (n - 1 - p)) * bit_p
-    conj = [gate("X", (q,)) for q in range(n) if q != p and not image >> (n - 1 - q) & 1]
-    ladder, n_anc = mcx(p)
-    return fan + conj + ladder + conj[::-1] + fan[::-1], n_anc
+    top = 1 << (diff.bit_length() - 1)
+    fan = diff ^ top
+    image = a ^ fan if a & top else a
+    return n - diff.bit_length(), fan, ((1 << n) - 1 ^ image) & ~top
 
 
-def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: int) -> GateSequence:
+def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: int,
+                           gate=None) -> GateSequence:
     """Exact realization of a basis permutation over {X, CNOT, CCNOT}.
 
-    Cycles are split into transpositions sharing the cycle's first element;
-    each transposition is one multi-controlled X conjugated by CNOTs. Each
-    distinct gate is built once and shared (Gate is frozen), and so is each
-    flip qubit's ladder."""
+    Cycles are split into transpositions sharing the cycle's first element.
+    Each transposition is a block fan·conj·MCX·conj·fan in its frame (p, D, Z)
+    of `_frame`: fan is CNOT(p, q) for q in D, conj is X on Z, and MCX is
+    p's ladder of `_mcx_ladder`. Where one block's tail conj·fan meets the
+    next block's head fan′·conj′, the two are merged into one frame change
+    as the blocks are emitted, by two commutation facts:
+
+    - an X on a qubit other than a CNOT's control commutes with it, so with
+      equal pivots every gate of the junction commutes (each CNOT has control
+      p, and no X sits on p), and the junction is CNOT(p, D ⊕ D′), X(Z ⊕ Z′);
+      with different pivots, the X on Z ∧ Z′, which sits on neither pivot,
+      passes both fans and cancels;
+    - a ladder's compute gates write only ancillas and read data qubits, so
+      they commute with a junction that writes none of the qubits they read;
+      then the last uncompute gates of one ladder cancel the first compute
+      gates of the next, from the outside in, while the two are equal.
+
+    The circuit equals the blocks' product on every input, ancillas included,
+    and holds no more gates of any kind. Each distinct gate is built once by
+    `gate`, a Gate factory (by default a fresh cache: Gate is frozen), and
+    so is each pivot's ladder."""
     dim = 1 << n
     perm = np.asarray(perm).tolist()
     if sorted(perm) != list(range(dim)):
         raise ValueError("not a bijection on basis indices")
-    # cycle decomposition; (c0 c1 ... c_{m-1}) = (c0 c_{m-1})···(c0 c1),
-    # with (c0 c1) applied first in circuit time
-    transpositions: list[tuple[int, int]] = []
-    seen = [False] * dim
-    for start in range(dim):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        t = perm[start]
-        while t != start:
-            cycle.append(t)
-            seen[t] = True
-            t = perm[t]
-        for t in cycle[1:]:
-            transpositions.append((cycle[0], t))
+    gate = gate or functools.cache(Gate)
+
+    @functools.cache
+    def xs(mask: int) -> tuple[Gate, ...]:
+        return tuple(gate("X", (q,)) for q in range(n) if mask >> (n - 1 - q) & 1)
+
+    @functools.cache
+    def fan(p: int, mask: int) -> tuple[Gate, ...]:
+        return tuple(gate("CNOT", (p, q)) for q in range(p + 1, n) if mask >> (n - 1 - q) & 1)
+
+    ladder = functools.cache(lambda p: _mcx_ladder(n, p, gate))
+
+    @functools.cache
+    def cancelled(p: int, p2: int, written: int) -> int:
+        """How many uncompute gates of ladder p cancel as many compute gates
+        of ladder p2 across a junction writing the qubits of `written`."""
+        k = 0
+        for g, h in zip(ladder(p)[0], ladder(p2)[0]):
+            if g is not h or any(q < n and written >> (n - 1 - q) & 1 for q in g.qubits[:2]):
+                break
+            k += 1
+        return k
+
+    def emit_ladder(p: int, first: int, last: int) -> None:
+        # the ladder less its first `first` compute and last `last` uncompute gates
+        compute, body, _ = ladder(p)
+        gates.extend(compute[first:])
+        gates.append(body)
+        gates.extend(reversed(compute[last:]))
+
     gates: list[Gate] = []
-    n_anc = 0
-    gate = functools.cache(Gate)
-    mcx = functools.cache(lambda p: _mcx_ladder(n, p, gate))
-    for a, b in transpositions:
-        g, used = _transposition(n, a, b, gate, mcx)
-        n_anc = max(n_anc, used)
-        gates.extend(g)
-    return GateSequence(n_data=n, n_anc=n_anc, gates=gates, global_phase=0.0)
+    pending = None  # (p, D, Z, compute gates cancelled) of the block whose ladder is next
+    for a, b in _transpositions(perm):
+        p, d, z = _frame(n, a, b)
+        if pending is None:
+            gates += fan(p, d) + xs(z)
+            pending = p, d, z, 0
+            continue
+        p0, d0, z0, first = pending
+        if p0 == p:
+            junction = fan(p, d0 ^ d) + xs(z0 ^ z)
+            written = d0 ^ d | z0 ^ z
+        else:
+            common = z0 & z
+            junction = xs(z0 ^ common) + fan(p0, d0) + fan(p, d) + xs(z ^ common)
+            written = d0 | d | (z0 | z) ^ common
+        last = cancelled(p0, p, written)
+        emit_ladder(p0, first, last)
+        gates += junction
+        pending = p, d, z, last
+    if pending is None:
+        return GateSequence(n_data=n)
+    p, d, z, first = pending
+    emit_ladder(p, first, 0)
+    gates += xs(z) + fan(p, d)
+    return GateSequence(n_data=n, n_anc=ladder(p)[2], gates=gates, global_phase=0.0)
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -375,7 +442,7 @@ def approximate_phase(
     return k
 
 
-def _unary_iteration(n: int, indices: list[int], reps: list[int]) -> list[Gate]:
+def _unary_iteration(n: int, indices: list[int], reps: list[int], gate) -> list[Gate]:
     """RZ^{reps[i]} on a flag qubit that is 1 on basis state indices[i] alone,
     for sorted distinct indices, in one depth-first walk over a shared AND
     tree (unary iteration: Babbush et al., PRX 8, 041015, 2018, §III.A).
@@ -387,16 +454,16 @@ def _unary_iteration(n: int, indices: list[int], reps: list[int]) -> list[Gate]:
     to a_{j−1}·q_j for the 1-branch, and a CCNOT clears it; a 1-branch
     alone is entered by the CCNOT. The walk takes the 0-branch first, so the
     rotations follow `indices`, and skips a subtree holding no index, found
-    by bisection."""
+    by bisection. Gates are built by `gate`."""
     flag = [0, *range(n, 2 * n - 1)]
-    switch = [Gate("CNOT", (flag[j], flag[j + 1])) for j in range(n - 1)]
-    toggle = [Gate("CCNOT", (flag[j], j + 1, flag[j + 1])) for j in range(n - 1)]
+    switch = [gate("CNOT", (flag[j], flag[j + 1])) for j in range(n - 1)]
+    toggle = [gate("CCNOT", (flag[j], j + 1, flag[j + 1])) for j in range(n - 1)]
     gates: list[Gate] = []
 
     def walk(lo: int, hi: int, j: int) -> None:
         # indices[lo:hi], nonempty, are the indices under the prefix a_j holds
         if j == n - 1:
-            gates.append(Gate("RZ", (flag[j],), reps=reps[lo]))
+            gates.append(gate("RZ", (flag[j],), reps[lo]))
             return
         low = n - 2 - j  # the index bits below qubit j + 1
         mid = bisect_left(indices, (indices[lo] >> low | 1) << low, lo, hi)
@@ -412,7 +479,7 @@ def _unary_iteration(n: int, indices: list[int], reps: list[int]) -> list[Gate]:
 
     half = bisect_left(indices, 1 << (n - 1))
     if half:
-        flip = Gate("X", (0,))
+        flip = gate("X", (0,))
         gates.append(flip)
         walk(0, half, 0)
         gates.append(flip)
@@ -425,6 +492,7 @@ def diagonal_to_circuit(
     phases: np.ndarray | list[float],
     eps: float,
     theta: float = GOLDEN_THETA,
+    gate=None,
 ) -> GateSequence:
     """Approximate diag(e^{iφ_0}, ..., e^{iφ_{2^n-1}}) over the gate set.
 
@@ -434,7 +502,8 @@ def diagonal_to_circuit(
     case over states is the maximum, not the sum: every residual sits on an
     arc shorter than 2·eps, and the phase-optimized error is below
     2·sin(eps/2) < eps. eps and theta are checked as synthesize checks
-    them, also when no factor needs a rotation."""
+    them, also when no factor needs a rotation. Each distinct gate is built
+    once by `gate`, a Gate factory (by default a fresh cache)."""
     _check_eps_theta(eps, theta)
     phases = [float(p) % TWO_PI for p in phases]
     dim = len(phases)
@@ -449,7 +518,7 @@ def diagonal_to_circuit(
     if not nontrivial:
         return seq
     reps = [approximate_phase(phases[j], eps, theta) for j in nontrivial]
-    seq.gates = _unary_iteration(n, nontrivial, reps)
+    seq.gates = _unary_iteration(n, nontrivial, reps, gate or functools.cache(Gate))
     seq.n_anc = n - 1
     # RZ^k gives its state e^{+ikθ/2} and every other e^{−ikθ/2}; the global
     # phase e^{+ikθ/2} makes these e^{ikθ} and 1
@@ -475,10 +544,11 @@ def synthesize(
         raise ValueError(f"{p.n} qubits exceeds synthesis cap {SYNTH_QUBIT_CAP}")
     _check_eps_theta(eps, theta)
     d_phases, perm = factor_dp(p)
+    gate = functools.cache(Gate)  # one object per distinct gate of both stages
     with Stage(log, "permutation") as perm_stage:
-        perm_seq = permutation_to_circuit(perm, p.n)
+        perm_seq = permutation_to_circuit(perm, p.n, gate)
     with Stage(log, "diagonal") as diag_stage:
-        diag_seq = diagonal_to_circuit(d_phases, eps, theta)
+        diag_seq = diagonal_to_circuit(d_phases, eps, theta, gate)
     seq = GateSequence(
         n_data=p.n,
         n_anc=max(perm_seq.n_anc, diag_seq.n_anc),

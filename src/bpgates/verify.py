@@ -27,10 +27,19 @@ from .zx import is_z_type
 TWO_PI = 2.0 * np.pi
 
 
+def _given(array: np.ndarray, given: object) -> bool:
+    """Whether `array`, made by np.asarray from `given`, holds the caller's
+    data: it is `given` itself or a view; a conversion makes a new array."""
+    return array is given or array.base is not None
+
+
 @dataclass(frozen=True)
 class PermutationWithPhases:
     """Canonical form G = Σ_s e^{iφ_s}|σ(s)⟩⟨s| of a bias-preserving gate, the
-    one monomial form of every module, built from sequences into read-only arrays."""
+    one monomial form of every module, built from sequences into read-only
+    arrays. A read-only int64 perm and float64 phases in [0, 2π) are kept,
+    not copied, so a reader that hands over its own arrays read-only holds
+    them once."""
 
     n: int
     perm: np.ndarray  # int64 sigma: source index -> target index
@@ -39,25 +48,35 @@ class PermutationWithPhases:
     def __post_init__(self):
         dim = 1 << self.n
         perm = np.asarray(self.perm)
-        phases = np.array(self.phases, dtype=np.float64)  # a copy: reduced in place
+        phases = np.asarray(self.phases, dtype=np.float64)
         if perm.shape != (dim,) or phases.shape != (dim,):
             raise ValueError("perm/phases length must be 2^n")
         # range and integrality are checked before the int64 cast truncates
         if (
             perm.dtype.kind not in "biuf"
-            or not np.all((perm >= 0) & (perm < dim))
+            or not (perm.min() >= 0 and perm.max() < dim)
             or (perm.dtype.kind == "f" and np.any(perm % 1))
         ):
             raise ValueError("perm is not a bijection on basis indices")
-        perm = perm.astype(np.int64)
-        if np.any(np.bincount(perm, minlength=dim) != 1):
+        perm = np.asarray(perm, dtype=np.int64)
+        seen = np.zeros(dim, dtype=bool)
+        seen[perm] = True
+        if not seen.all():  # dim entries in range: a bijection iff each is hit
             raise ValueError("perm is not a bijection on basis indices")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
         # np.mod leaves [0, 2π) bit for bit and turns −0.0 into 0.0, so only the
         # entries it would change are reduced; the 2π it rounds −1e-17 to is 0
         outside = np.signbit(phases) | (phases >= TWO_PI)
-        if outside.any():
+        reduce = outside.any()
+        # an array the caller handed in, or a view of one, is copied if the
+        # caller may still write to it or if it is reduced here; a read-only
+        # one that needs no reduction is kept as it is
+        if _given(perm, self.perm) and perm.flags.writeable:
+            perm = perm.copy()
+        if _given(phases, self.phases) and (phases.flags.writeable or reduce):
+            phases = phases.copy()
+        if reduce:
             phases[outside] = np.mod(phases[outside], TWO_PI)
             phases[phases == TWO_PI] = 0.0
         for name, array in (("perm", perm), ("phases", phases)):

@@ -719,6 +719,24 @@ def test_write_perm_traced_peak_is_bounded(rng):
         assert peak <= bound
 
 
+def test_read_perm_hands_its_arrays_to_the_gate(rng):
+    # read_perm makes its perm and phases arrays read-only, so the gate keeps
+    # them: a 2^16-row read peaks below the gate's two arrays plus 1 MB for
+    # the pieces, where copying both arrays peaked at 2.69 MB
+    import tracemalloc
+
+    g = random_bp(16, rng)
+    text = dumps(write_perm, g)
+    tracemalloc.start()
+    try:
+        got = read_perm(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == g
+    assert peak < got.perm.nbytes + got.phases.nbytes + (1 << 20)
+
+
 def test_writers_refuse_zero_qubit_objects():
     # the line formats have no empty label: "0" would read back as 1 qubit
     with pytest.raises(ValueError, match="0-qubit gate has no bit-string labels"):

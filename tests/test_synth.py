@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -264,29 +265,68 @@ def test_transposition_is_single_ccnot():
     assert seq.gates == [Gate("CCNOT", (0, 1, 2))]
 
 
+def transposition_block_reference(n, a, b, gate, mcx):
+    """The swap |a⟩ ↔ |b⟩ as one block fan + conj + ladder + conj⁻¹ + fan⁻¹,
+    emitted whole, with no junction merged: the reference the merged stage
+    is checked against. Returns (gates, ancillas used)."""
+    diff = a ^ b
+    p = n - diff.bit_length()  # the most significant differing qubit
+    bit_p = a >> (n - 1 - p) & 1
+    fan = [gate("CNOT", (p, q)) for q in range(p + 1, n) if diff >> (n - 1 - q) & 1]
+    # a's image: each fanned-out qubit of a flips when a holds 1 on p
+    image = a ^ (diff ^ 1 << (n - 1 - p)) * bit_p
+    conj = [gate("X", (q,)) for q in range(n) if q != p and not image >> (n - 1 - q) & 1]
+    ladder, n_anc = mcx(p)
+    return fan + conj + ladder + conj[::-1] + fan[::-1], n_anc
+
+
+def permutation_reference(perm, n, gate=None):
+    """permutation_to_circuit with every transposition block emitted whole."""
+    gate = gate or Gate
+
+    def mcx(p):
+        compute, body, used = synth._mcx_ladder(n, p, gate)
+        return [*compute, body, *compute[::-1]], used
+
+    gates, n_anc = [], 0
+    for a, b in synth._transpositions(np.asarray(perm).tolist()):
+        block, used = transposition_block_reference(n, a, b, gate, mcx)
+        gates += block
+        n_anc = max(n_anc, used)
+    return GateSequence(n_data=n, n_anc=n_anc, gates=gates)
+
+
 def test_transposition_is_one_mcx_conjugated_by_cnots():
     # one X with n − 1 controls (a CCNOT, or a 3-CCNOT ladder on one ancilla)
     # between d − 1 CNOTs and their inverses, from the pivot qubit alone
     for n in (3, 4):
         for a, b in itertools.permutations(range(1 << n), 2):
             d = bin(a ^ b).count("1")
-            gates, n_anc = synth._transposition(
-                n, a, b, Gate, lambda p: synth._mcx_ladder(n, p, Gate))
-            seq = GateSequence(n_data=n, n_anc=n_anc, gates=gates)
-            counts = seq.gate_counts()
-            assert (counts["CCNOT"], n_anc) == {3: (1, 0), 4: (3, 1)}[n]
-            assert counts["CNOT"] == 2 * (d - 1) and counts["RZ"] == 0
-            assert len({g.qubits[0] for g in gates if g.kind == "CNOT"}) <= 1
             swap = list(range(1 << n))
             swap[a], swap[b] = b, a
+            seq = permutation_reference(swap, n)
+            counts = seq.gate_counts()
+            assert (counts["CCNOT"], seq.n_anc) == {3: (1, 0), 4: (3, 1)}[n]
+            assert counts["CNOT"] == 2 * (d - 1) and counts["RZ"] == 0
+            assert len({g.qubits[0] for g in seq.gates if g.kind == "CNOT"}) <= 1
             achieved = simulate_restricted(seq)
             assert achieved.perm.tolist() == swap and not achieved.phases.any()
+            # one transposition has no junction: the stage emits the block's
+            # gates, its tail's commuting gates in another order
+            merged = permutation_to_circuit(swap, n)
+            assert Counter(merged.gates) == Counter(seq.gates) and merged.n_anc == seq.n_anc
+            assert simulate_restricted(merged) == achieved
 
 
 def test_permutation_circuit_shares_equal_gates(rng):
-    # Gate is frozen: each distinct gate of one circuit is built once
+    # Gate is frozen: each distinct gate of one circuit is built once, and
+    # synthesize builds the gates of both stages through one cache
     seq = permutation_to_circuit(rng.permutation(64), 6)
     assert len({id(g) for g in seq.gates}) == len(set(seq.gates)) < len(seq.gates)
+    report = synthesize(random_bp(6, rng), eps=1e-3)
+    gates = report.sequence.gates
+    assert report.gate_counts["RZ"] == 64 > len({g for g in gates if g.kind == "RZ"})
+    assert len({id(g) for g in gates}) == len(set(gates)) < len(gates)
 
 
 def test_all_two_qubit_permutations_exact():
@@ -295,13 +335,48 @@ def test_all_two_qubit_permutations_exact():
         assert np.array_equal(to_unitary(simulate_restricted(seq)).real, perm_matrix(perm))
 
 
-def test_random_three_qubit_permutations_exact(rng):
-    for _ in range(200):
-        perm = tuple(int(x) for x in rng.permutation(8))
-        seq = permutation_to_circuit(perm, 3)
-        M = to_unitary(simulate_restricted(seq))
-        assert np.array_equal(M.real, perm_matrix(perm))
-        assert np.array_equal(M.imag, np.zeros((8, 8)))
+def test_all_three_qubit_permutations_exact():
+    for perm in itertools.permutations(range(8)):
+        achieved = simulate_restricted(permutation_to_circuit(perm, 3))
+        assert achieved.perm.tolist() == list(perm) and not achieved.phases.any()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_merged_junctions_match_the_blocks(n):
+    # merging each junction is exact and never adds a gate of any kind; up
+    # to 6 qubits the merged circuit equals the blocks' product on every
+    # input, ancillas included
+    rng = np.random.default_rng(100 + n)
+    for _ in range(40 if n <= 6 else 4):
+        perm = rng.permutation(1 << n)
+        merged, blocks = permutation_to_circuit(perm, n), permutation_reference(perm, n)
+        assert merged.n_anc == blocks.n_anc
+        achieved = simulate_restricted(merged)
+        assert np.array_equal(achieved.perm, perm) and not achieved.phases.any()
+        counts, reference = merged.gate_counts(), blocks.gate_counts()
+        assert all(counts[kind] <= reference[kind] for kind in counts)
+        if n <= 6:
+            assert simulate(merged) == simulate(blocks)
+
+
+def test_merged_permutation_stage_certifies_as_the_blocks_do(monkeypatch):
+    # targets like the benchmark's: random phases at n = 3..5, random and
+    # increment permutations without phases at n = 6, 7; the permutation
+    # stage is exact, so the certificate cannot tell the two stages apart
+    rng = np.random.default_rng(7)
+    targets = [random_bp(n, rng) for n in (3, 3, 4, 4, 5, 5)]
+    targets += [PermutationWithPhases(6, rng.permutation(64), np.zeros(64)) for _ in range(2)]
+    targets.append(PermutationWithPhases(7, (np.arange(128) + 1) % 128, np.zeros(128)))
+    merged = [synthesize(g, eps=1e-3) for g in targets]
+    monkeypatch.setattr(synth, "permutation_to_circuit", permutation_reference)
+    for g, report in zip(targets, merged):
+        blocks = synthesize(g, eps=1e-3)
+        assert report.achieved_error == blocks.achieved_error
+        assert report.max_phase_residual == blocks.max_phase_residual
+        assert report.factor_reps == blocks.factor_reps
+        assert report.sequence.n_anc == blocks.sequence.n_anc
+        assert report.gate_counts["CCNOT"] <= blocks.gate_counts["CCNOT"]
+        assert sum(report.gate_counts.values()) < sum(blocks.gate_counts.values())
 
 
 def test_permutation_rejects_non_bijection():
@@ -588,6 +663,8 @@ def test_synthesize_seven_qubit_increment():
     restricted = simulate_restricted(report.sequence)  # raises if an ancilla is left
     assert np.array_equal(restricted.perm, g.perm)
     assert all(p == 0.0 for p in restricted.phases)
+    # one 128-cycle: its junctions merge to 1,143 → 359 CCNOTs and 1,524 → 24 Xs
+    assert report.gate_counts["CCNOT"] <= 400 and report.gate_counts["X"] <= 40
 
 
 def test_synthesize_six_qubit_random_phases():
@@ -604,7 +681,7 @@ def test_synthesize_six_qubit_random_phases():
 
 def test_synthesize_raises_on_wrong_permutation(monkeypatch):
     # a permutation stage that drops its gates is a synthesis bug, not an input error
-    monkeypatch.setattr(synth, "permutation_to_circuit", lambda perm, n: GateSequence(n_data=n))
+    monkeypatch.setattr(synth, "permutation_to_circuit", lambda perm, n, gate: GateSequence(n_data=n))
     with pytest.raises(RuntimeError, match="permutation differs"):
         synthesize(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4), eps=1e-2)
 

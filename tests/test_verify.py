@@ -376,6 +376,32 @@ def test_permutation_with_phases_arrays_are_read_only_copies():
         assert PermutationWithPhases(1, seq, (0, 0)).perm.tolist() == [1, 0]
 
 
+def test_permutation_with_phases_keeps_read_only_inputs():
+    # a read-only int64 perm and float64 phases in [0, 2π) are kept, not
+    # copied: the constructor allocates less than one of their arrays
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    perm, phases = rng.permutation(1 << 16), rng.uniform(0.0, TWO_PI, 1 << 16)
+    for array in (perm, phases):
+        array.setflags(write=False)
+    tracemalloc.start()
+    try:
+        p = PermutationWithPhases(16, perm, phases)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.perm is perm and p.phases is phases
+    assert peak < perm.nbytes
+    # a read-only input that needs reducing is reduced on a copy
+    unreduced = phases.copy()
+    unreduced[0] = -1.0
+    unreduced.setflags(write=False)
+    q = PermutationWithPhases(16, perm, unreduced)
+    assert q.perm is perm and q.phases is not unreduced and unreduced[0] == -1.0
+    assert q.phases[0] == -1.0 % TWO_PI and np.array_equal(q.phases[1:], phases[1:])
+
+
 def test_phase_normalization_matches_python_modulo():
     # only entries outside [0, 2π) and −0.0 are reduced; the result must be
     # the double reduction over the whole array, bit for bit: one reduction
