@@ -148,10 +148,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seq = io.read_circuit(io.read_file(args.circuit))
-    # refused before simulating: the push itself is 2^n wide
-    n = seq.n_data if args.restrict else seq.n_total
-    require_dense_cap(n)
+    text = io.read_file(args.circuit)
+    # refused before simulating, the push itself being 2^n wide, and before
+    # reading the gates where the headers lead the file
+    sizes = io.circuit_sizes(text)
+    if sizes is not None:
+        require_dense_cap(sizes["qubits"] + (0 if args.restrict else sizes["ancillas"]))
+    seq = io.read_circuit(text)
+    require_dense_cap(seq.n_data if args.restrict else seq.n_total)
     U = verify.to_unitary(synth.simulate_restricted(seq) if args.restrict else synth.simulate(seq))
     _write(args.output, io.write_matrix, U)
     return 0

@@ -322,6 +322,8 @@ def read_zx(text: str) -> ZXDecomposition:
 
 # ------------------------------------------------------------- circuits
 
+# The header keys of a circuit file, in the order write_circuit writes them.
+_CIRCUIT_HEADERS = ("qubits", "ancillas", "theta", "globalphase")
 # One `%` template per permutation gate kind, filled from Gate.qubits.
 _GATE_LINE = {"X": "X %s\n", "CNOT": "CNOT %s %s\n", "CCNOT": "CCNOT %s %s %s\n"}
 
@@ -339,6 +341,26 @@ def write_circuit(seq: GateSequence, fp: TextIO) -> None:
     ]))
 
 
+def circuit_sizes(text: str) -> dict[str, int] | None:
+    """The `qubits` and `ancillas` headers of a circuit file, if both are
+    among the header lines before its first gate line, where write_circuit
+    puts them; read without reading the gates. None if either is not there,
+    or a header line there is one read_circuit refuses, for it to name."""
+    headers: dict[str, str] = {}
+    for _, line in _content_lines(text):
+        parts = line.split()
+        if parts[0] not in _CIRCUIT_HEADERS:
+            break
+        if len(parts) != 2 or parts[0] in headers:
+            return None
+        headers[parts[0]] = parts[1]
+    try:
+        sizes = {key: int(headers[key]) for key in ("qubits", "ancillas")}
+    except (KeyError, ValueError):
+        return None
+    return sizes if min(sizes.values()) >= 0 else None
+
+
 def read_circuit(text: str) -> GateSequence:
     """Inverse of write_circuit, with '#' comments, blank lines and any
     spacing. Each distinct gate is built and checked once and shared by its
@@ -351,7 +373,7 @@ def read_circuit(text: str) -> GateSequence:
     for lineno, line in _content_lines(text):
         parts = line.split()
         key = parts[0]
-        if key in ("qubits", "ancillas", "theta", "globalphase"):
+        if key in _CIRCUIT_HEADERS:
             if len(parts) != 2:
                 raise FormatError(f"header {key} takes one value", lineno)
             if key in headers:

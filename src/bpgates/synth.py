@@ -16,9 +16,10 @@ stages build each distinct gate once, through one cache per synthesis.
 The one-level factors act on distinct basis states, so their errors do not
 add: each factor gets the full budget eps, every residual k·θ − φ lies in
 (−eps, eps), and the phase-optimized error is the chord to the shortest arc
-holding the residuals, at most 2·sin(eps/2) < eps. The smallest k for each
-factor is found exactly, by a continued-fraction search on θ/(2π) with no
-loop over k.
+holding the residuals, at most 2·sin(eps/2) < eps. Each factor's count k may
+be negative, realized as X·Rz(θ)^{|k|}·X = Rz(θ)^k on its flag qubit, and
+the k of smallest |k| is found exactly, by one descent of the window around
+φ and its mirror down the continued fraction of θ/(2π), with no loop over k.
 
 Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
 ancillas supplied and returned in |0⟩.
@@ -37,6 +38,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +69,7 @@ log = logging.getLogger(__name__)
 class PhaseApproximationError(RuntimeError):
     """No repetition count k reaches a phase within budget: θ/(2π) is
     rational at double precision and its multiples miss the window, or the
-    smallest k exceeds the cap. Also raised by a report whose certified error
+    smallest |k| exceeds the cap. Also raised by a report whose certified error
     exceeds its budget."""
 
 
@@ -123,6 +125,13 @@ class GateSequence:
         return counts
 
 
+@dataclass
+class DiagonalSequence(GateSequence):
+    """The diagonal stage's circuit and the signed repetition count k of each
+    nontrivial factor, in emission order."""
+    factor_reps: tuple[int, ...] = ()
+
+
 @dataclass(frozen=True)
 class SynthesisReport:
     sequence: GateSequence
@@ -134,7 +143,8 @@ class SynthesisReport:
     # largest |k·θ − φ| over the diagonal factors (wrapped to [0, π]), read
     # off the certificate's per-state phases; each is below target_eps
     max_phase_residual: float
-    # repetition count k of each diagonal factor's Rz(θ)^k, in emission order
+    # signed repetition count k of each diagonal factor's Rz(θ)^k, in
+    # emission order: RZ^{|k|}, under X on its flag where k < 0
     factor_reps: tuple[int, ...]
     # wall seconds of the "permutation", "diagonal" and "certify" stages
     stage_seconds: dict[str, float]
@@ -241,6 +251,18 @@ def _mcx_ladder(n: int, flip_qubit: int, gate) -> tuple[tuple[Gate, ...], Gate, 
     return compute, gate("CCNOT", (controls[-1], anc[-1], flip_qubit)), c - 2
 
 
+class _Table(dict):
+    """A dict that fills each missing key with make(key) on first lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _transpositions(perm: list[int]):
     """The transpositions whose product is perm, in circuit order: each cycle
     (c0 c1 ... c_{m-1}) = (c0 c_{m-1})···(c0 c1), with (c0 c1) first."""
@@ -305,30 +327,30 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
         raise ValueError("not a bijection on basis indices")
     gate = gate or functools.cache(Gate)
 
-    @functools.cache
-    def xs(mask: int) -> tuple[Gate, ...]:
-        return tuple(gate("X", (q,)) for q in range(n) if mask >> (n - 1 - q) & 1)
-
-    @functools.cache
-    def fan(p: int, mask: int) -> tuple[Gate, ...]:
+    def fan_gates(key: tuple[int, int]) -> tuple[Gate, ...]:
+        p, mask = key
         return tuple(gate("CNOT", (p, q)) for q in range(p + 1, n) if mask >> (n - 1 - q) & 1)
 
-    ladder = functools.cache(lambda p: _mcx_ladder(n, p, gate))
-
-    @functools.cache
-    def cancelled(p: int, p2: int, written: int) -> int:
+    def cancels(key: tuple[int, int, int]) -> int:
         """How many uncompute gates of ladder p cancel as many compute gates
         of ladder p2 across a junction writing the qubits of `written`."""
+        p, p2, written = key
         k = 0
-        for g, h in zip(ladder(p)[0], ladder(p2)[0]):
+        for g, h in zip(ladder[p][0], ladder[p2][0]):
             if g is not h or any(q < n and written >> (n - 1 - q) & 1 for q in g.qubits[:2]):
                 break
             k += 1
         return k
 
+    # each X mask, fan, pivot's ladder and ladder cancellation, made once
+    xs = _Table(lambda mask: tuple(gate("X", (q,)) for q in range(n) if mask >> (n - 1 - q) & 1))
+    fan = _Table(fan_gates)
+    ladder = _Table(lambda p: _mcx_ladder(n, p, gate))
+    cancelled = _Table(cancels)
+
     def emit_ladder(p: int, first: int, last: int) -> None:
         # the ladder less its first `first` compute and last `last` uncompute gates
-        compute, body, _ = ladder(p)
+        compute, body, _ = ladder[p]
         gates.extend(compute[first:])
         gates.append(body)
         gates.extend(reversed(compute[last:]))
@@ -338,18 +360,18 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
     for a, b in _transpositions(perm):
         p, d, z = _frame(n, a, b)
         if pending is None:
-            gates += fan(p, d) + xs(z)
+            gates += fan[p, d] + xs[z]
             pending = p, d, z, 0
             continue
         p0, d0, z0, first = pending
         if p0 == p:
-            junction = fan(p, d0 ^ d) + xs(z0 ^ z)
+            junction = fan[p, d0 ^ d] + xs[z0 ^ z]
             written = d0 ^ d | z0 ^ z
         else:
             common = z0 & z
-            junction = xs(z0 ^ common) + fan(p0, d0) + fan(p, d) + xs(z ^ common)
+            junction = xs[z0 ^ common] + fan[p0, d0] + fan[p, d] + xs[z ^ common]
             written = d0 | d | (z0 | z) ^ common
-        last = cancelled(p0, p, written)
+        last = cancelled[p0, p, written]
         emit_ladder(p0, first, last)
         gates += junction
         pending = p, d, z, last
@@ -357,8 +379,8 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
         return GateSequence(n_data=n)
     p, d, z, first = pending
     emit_ladder(p, first, 0)
-    gates += xs(z) + fan(p, d)
-    return GateSequence(n_data=n, n_anc=ladder(p)[2], gates=gates, global_phase=0.0)
+    gates += xs[z] + fan[p, d]
+    return GateSequence(n_data=n, n_anc=ladder[p][2], gates=gates, global_phase=0.0)
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -382,62 +404,136 @@ def _check_eps_theta(eps: float, theta: float) -> None:
     check_theta(theta)
 
 
-def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
-    """Smallest x ≥ 0 with lo ≤ a·x mod m ≤ hi, for 0 < lo ≤ hi < m; None
-    if there is none.
+class _Chain(NamedTuple):
+    """Multiples of a modulo m, in integers: the remainders of Euclid's
+    algorithm on a/m, a_0 = a mod m, a_1 = m mod a_0, a_{i+1} = a_{i−1} mod
+    a_i, down to the last a_i > 0, which is g = gcd(a, m); and the inverse
+    of a_0/g modulo m/g, which turns a residue back into a count."""
+    remainders: tuple[int, ...]
+    modulus: int
+    inverse: int
 
-    If no multiple of a lies in [lo, hi], the first hit a·x = m·y + r has the
-    smallest wrap count y, and y is the first hit of m·y mod a in
-    [(−hi) mod a, (−lo) mod a]: the same problem on (m mod a, a), again with
-    0 < lo ≤ hi. The levels are the steps of Euclid's algorithm on a/m, i.e.
-    its continued fraction; they end at a hit, or at a = 0 when every
-    multiple of a/m misses the range."""
-    a %= m
-    levels = []
-    while a:
-        x = -(-lo // a)
-        if a * x <= hi:
-            for a, m, lo in reversed(levels):  # x is the wrap count one level up
-                x = -(-(lo + m * x) // a)
-            return x
-        levels.append((a, m, lo))
-        a, m, lo, hi = m % a, a, (-hi) % a, (-lo) % a
-    return None
+    @classmethod
+    def of(cls, a: int, m: int) -> _Chain:
+        remainders = []
+        a, b = a % m, m
+        while a:
+            remainders.append(a)
+            a, b = b % a, a
+        if not remainders:  # m divides a
+            return cls((), m, 0)
+        g = remainders[-1]
+        return cls(tuple(remainders), m, pow(remainders[0] // g, -1, m // g))
+
+    def scaled(self, shift: int) -> _Chain:
+        """The chain of (a·2^shift)/(m·2^shift): each Euclid step is
+        homogeneous, so every remainder scales, and the inverse stays."""
+        return _Chain(tuple(a << shift for a in self.remainders), self.modulus << shift, self.inverse)
+
+    def count(self, residue: int) -> int:
+        """The smallest x ≥ 0 with a·x ≡ residue (mod m), for a residue that
+        some multiple of a reaches."""
+        g = self.remainders[-1]
+        return residue // g * self.inverse % (self.modulus // g)
+
+
+@functools.lru_cache(maxsize=64)
+def _euclid_chain(theta: float, eps: float) -> tuple[int, int, _Chain]:
+    """(den, e, chain) of θ and eps: θ, 2π and eps are doubles, so dyadic
+    rationals, and over their common denominator den, eps = e/den and chain
+    is that of θ·den modulo 2π·den, the continued fraction of θ/2π. Cached,
+    so that the factors of one diagonal, which share θ and eps, share one
+    chain."""
+    ratios = [x.as_integer_ratio() for x in (theta, TWO_PI, eps)]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    a, m, e = (num * (den // d) for num, d in ratios)
+    return den, e, _Chain.of(a, m)
+
+
+def _signed_count(chain: _Chain, w: int, lo_pos: int, lo_neg: int) -> int | None:
+    """The k of smallest |k|, ties to k ≥ 0, with a·k mod m in the window
+    W = [lo_pos, lo_pos + w], for a/m the chain's: k = x ≥ 0 with a·x mod m
+    in W, or k = −x with a·x mod m in the mirror −W = [lo_neg, lo_neg + w].
+    Neither window holds 0: 0 < lo and lo + w < m. None if no multiple lands
+    in either.
+
+    Level i asks for the first multiple of a_i modulo m_i in a window, with
+    m_0 = m and m_i = a_{i−1}. With r = (−lo) mod a_i, lo + r is the first
+    multiple of a_i at or above lo, so the window is hit at level i, with
+    wrap count 0, if r ≤ w. If it misses, the first hit a_i·x = m_i·y + t,
+    t in the window, has the smallest wrap count y, and y is the first hit
+    of m_i·y mod a_i, i.e. of a_{i+1}·y mod m_{i+1}, in [r − w, r]: the same
+    problem one level down, again with 0 < lo, and y ≥ 1. The hit's offset
+    t' = t − lo in its window is w − t' one level up, so its residue at
+    level 0 is known, and `_Chain.count` turns it into its count.
+
+    The two windows descend in lockstep, and the first to hit wins. Say one
+    hits at level i with counts x_j at each level j ≤ i, and the other, with
+    low ends lo'_j, misses there: it hits below, with a wrap count of at
+    least 1 at level i + 1, so its count x'_i has a_i·x'_i ≥ lo'_i + m_i
+    > m_i > lo_i + w ≥ a_i·x_i. If x'_{j+1} > x_{j+1} one level down, then
+    x'_j ≤ x_j would put a_j·x'_j − m_j·x'_{j+1}, its point at level j,
+    at or below a_j·x_j − m_j·x_{j+1} − m_j ≤ lo_j + w − m_j < 0, outside
+    its window; so x'_j > x_j at every level up to level 0. A tie is
+    possible only between two hits at the same level."""
+    u_pos, u_neg = -lo_pos, -lo_neg  # each window's low end, negated
+    for level, a in enumerate(chain.remainders):
+        r_pos, r_neg = u_pos % a, u_neg % a
+        if r_pos <= w or r_neg <= w:
+            break
+        u_pos, u_neg = w - r_pos, w - r_neg
+    else:
+        return None
+    # (|k|, k < 0): the tuples order by |k|, then k ≥ 0 first
+    x, neg = min((chain.count(lo + (w - r if level & 1 else r)), neg)
+                 for neg, lo, r in ((0, lo_pos, r_pos), (1, lo_neg, r_neg)) if r <= w)
+    return -x if neg else x
 
 
 def approximate_phase(
     phi: float, eps: float, theta: float = GOLDEN_THETA, cap: int = 10**7
 ) -> int:
-    """Smallest k ≥ 0 with k·θ within eps of φ on the circle (distance < eps).
+    """The k of smallest |k| with k·θ within eps of φ on the circle
+    (distance < eps), k ≥ 0 on a tie. A negative k is realized as
+    X·Rz(θ)^{|k|}·X = Rz(−θ)^{|k|}.
 
     Exact, with no loop over k: θ, 2π, φ and eps are doubles, so dyadic
     rationals. Over their common denominator, k·θ mod 2π is a·k mod m in
-    integers and the open window around φ is an integer range; if the range
-    holds 0, k = 0, and otherwise `_first_hit` solves it in O(log m) steps.
+    integers and the open window around φ is an integer range W; if W holds
+    0, k = 0. Otherwise `_signed_count` descends W (k ≥ 0) and its mirror −W
+    (k < 0) together down the Euclid chain of θ/2π, the continued fraction,
+    in O(log m) steps. The chain is shared by every φ of one θ and eps; a φ
+    with a finer denominator scales it by a power of two, since every
+    Euclid step is homogeneous.
 
     Raises PhaseApproximationError for either of two causes: no k exists
     (θ/(2π) is rational at double precision, e.g. θ = 0 or 2π/8, and no
-    multiple lands in the window), or the smallest k exceeds cap."""
+    multiple lands in the window), or the smallest |k| exceeds cap."""
     _check_eps_theta(eps, theta)
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
-    ratios = [x.as_integer_ratio() for x in (theta, TWO_PI, phi, eps)]
-    den = max(d for _, d in ratios)  # every denominator is a power of two
-    a, m, p, e = (num * (den // d) for num, d in ratios)
+    den, e, chain = _euclid_chain(theta, eps)
+    p, d = phi.as_integer_ratio()
+    if d > den:  # a finer phase: the chain scales by a power of two
+        shift = d.bit_length() - den.bit_length()
+        e, chain = e << shift, chain.scaled(shift)
+    else:
+        p *= den // d
+    m = chain.modulus
     p %= m
     # residues r with circular distance |r − p| < e
     lo, hi = p - e + 1, p + e - 1
     if lo <= 0 or hi >= m:
         return 0
-    k = _first_hit(a, m, lo, hi)
+    k = _signed_count(chain, hi - lo, lo, m - hi)
     if k is None:
         raise PhaseApproximationError(
             f"no multiple of theta={theta!r} comes within {eps} of {phi}: "
             "theta/(2*pi) is rational at double precision"
         )
-    if k > cap:
+    if abs(k) > cap:
         raise PhaseApproximationError(
-            f"the smallest k with k*theta within {eps} of {phi} exceeds the cap {cap}"
+            f"the smallest |k| with k*theta within {eps} of {phi} exceeds the cap {cap}"
         )
     return k
 
@@ -454,16 +550,36 @@ def _unary_iteration(n: int, indices: list[int], reps: list[int], gate) -> list[
     to a_{j−1}·q_j for the 1-branch, and a CCNOT clears it; a 1-branch
     alone is entered by the CCNOT. The walk takes the 0-branch first, so the
     rotations follow `indices`, and skips a subtree holding no index, found
-    by bisection. Gates are built by `gate`."""
+    by bisection. Gates are built by `gate`.
+
+    A negative count k is RZ^{|k|} while the leaf flag a_{n−1} is inverted,
+    X·RZ^{|k|}·X: one X on it where the sign changes from the leaf before
+    (the walk starts with k ≥ 0), and one closing X if the last k < 0. This
+    is exact: the leaf flag is only ever the target of the walk's CNOTs and
+    CCNOTs, and an X on a target commutes with them. At n = 1 the flag is
+    qubit 0, and an X that meets the flip pair's cancels it."""
     flag = [0, *range(n, 2 * n - 1)]
     switch = [gate("CNOT", (flag[j], flag[j + 1])) for j in range(n - 1)]
     toggle = [gate("CCNOT", (flag[j], j + 1, flag[j + 1])) for j in range(n - 1)]
+    invert = gate("X", (flag[-1],))
     gates: list[Gate] = []
+    inverted = False
+
+    def flip_leaf() -> None:
+        nonlocal inverted
+        inverted = not inverted
+        if gates and gates[-1] == invert:  # X·X = 1
+            gates.pop()
+        else:
+            gates.append(invert)
 
     def walk(lo: int, hi: int, j: int) -> None:
         # indices[lo:hi], nonempty, are the indices under the prefix a_j holds
         if j == n - 1:
-            gates.append(gate("RZ", (flag[j],), reps[lo]))
+            k = reps[lo]
+            if (k < 0) != inverted:
+                flip_leaf()
+            gates.append(gate("RZ", (flag[j],), abs(k)))
             return
         low = n - 2 - j  # the index bits below qubit j + 1
         mid = bisect_left(indices, (indices[lo] >> low | 1) << low, lo, hi)
@@ -485,6 +601,8 @@ def _unary_iteration(n: int, indices: list[int], reps: list[int], gate) -> list[
         gates.append(flip)
     if half < len(indices):
         walk(half, len(indices), 0)
+    if inverted:
+        flip_leaf()
     return gates
 
 
@@ -493,17 +611,20 @@ def diagonal_to_circuit(
     eps: float,
     theta: float = GOLDEN_THETA,
     gate=None,
-) -> GateSequence:
+) -> DiagonalSequence:
     """Approximate diag(e^{iφ_0}, ..., e^{iφ_{2^n-1}}) over the gate set.
 
-    Each nontrivial one-level factor gets the full eps: it leaves residual
-    δ_j = k_j·θ − φ_j on basis state j alone, with |δ_j| < eps, and trivial
-    factors leave 0. Distinct factors touch distinct states, so the worst
-    case over states is the maximum, not the sum: every residual sits on an
-    arc shorter than 2·eps, and the phase-optimized error is below
-    2·sin(eps/2) < eps. eps and theta are checked as synthesize checks
-    them, also when no factor needs a rotation. Each distinct gate is built
-    once by `gate`, a Gate factory (by default a fresh cache)."""
+    Each nontrivial one-level factor is Rz(θ)^k on a flag qubit set on its
+    state alone, k from `approximate_phase`: the k of smallest |k|, realized
+    for k < 0 under X on the flag. The factors share one Euclid chain of θ.
+    Each gets the full eps: it leaves residual δ_j = k_j·θ − φ_j on basis
+    state j alone, with |δ_j| < eps, and trivial factors leave 0. Distinct
+    factors touch distinct states, so the worst case over states is the
+    maximum, not the sum: every residual sits on an arc shorter than 2·eps,
+    and the phase-optimized error is below 2·sin(eps/2) < eps. eps and theta
+    are checked as synthesize checks them, also when no factor needs a
+    rotation. Each distinct gate is built once by `gate`, a Gate factory (by
+    default a fresh cache)."""
     _check_eps_theta(eps, theta)
     phases = [float(p) % TWO_PI for p in phases]
     dim = len(phases)
@@ -511,7 +632,7 @@ def diagonal_to_circuit(
     if 1 << n != dim:
         raise ValueError("phase list length must be a power of two")
     nontrivial = [j for j in range(dim) if circular_distance(phases[j], 0.0) > PHASE_TRIVIAL]
-    seq = GateSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
+    seq = DiagonalSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
     if n == 0:  # a global phase, exact
         seq.global_phase = phases[0]
         return seq
@@ -520,8 +641,10 @@ def diagonal_to_circuit(
     reps = [approximate_phase(phases[j], eps, theta) for j in nontrivial]
     seq.gates = _unary_iteration(n, nontrivial, reps, gate or functools.cache(Gate))
     seq.n_anc = n - 1
-    # RZ^k gives its state e^{+ikθ/2} and every other e^{−ikθ/2}; the global
-    # phase e^{+ikθ/2} makes these e^{ikθ} and 1
+    seq.factor_reps = tuple(reps)
+    # RZ^k, k ≥ 0, gives its state e^{+ikθ/2} and every other e^{−ikθ/2},
+    # as X·RZ^{|k|}·X does for k < 0; the global phase e^{+ikθ/2} makes
+    # these e^{ikθ} and 1
     for k in reps:
         seq.global_phase = (seq.global_phase + 0.5 * k * theta) % TWO_PI
     return seq
@@ -570,6 +693,6 @@ def synthesize(
         gate_counts={k: sum(c[k] for c in stages.values()) for k in GATE_KINDS},
         stage_gate_counts=stages,
         max_phase_residual=float(residuals.max()),
-        factor_reps=tuple(g.reps for g in diag_seq.gates if g.kind == "RZ"),
+        factor_reps=diag_seq.factor_reps,
         stage_seconds={stage.name: stage.seconds for stage in (perm_stage, diag_stage, certify_stage)},
     )

@@ -25,7 +25,7 @@ from bpgates import (
 from bpgates import cli
 from bpgates.cli import build_parser, main
 from bpgates.css import build_css
-from bpgates.linalg import H, index_to_bits, tensor
+from bpgates.linalg import GOLDEN_THETA, H, index_to_bits, tensor
 from conftest import hamming_pair, random_near_bp, random_unitary, repetition_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
@@ -414,6 +414,33 @@ def test_simulate_refuses_wide_circuit_before_simulating(
     assert err == f"error: {width} qubits exceeds dense cap 10\n"
 
 
+def test_simulate_refuses_wide_circuit_from_its_leading_headers(tmp_path, capsys, monkeypatch):
+    # a synthesized 16-qubit circuit was once read whole, 7.9-9.2 s, before
+    # its width was refused: the headers that lead the file are read first
+    def read(text):
+        raise AssertionError("read the gates of a circuit wider than the dense cap")
+
+    circ_file = tmp_path / "wide.circ"
+    circ_file.write_text("# synthesized\nqubits 16\nancillas 0\nX 99\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "read_circuit", read)
+        assert main(["simulate", "--circuit", str(circ_file)]) == 2
+    assert capsys.readouterr().err == "error: 16 qubits exceeds dense cap 10\n"
+    # with --restrict the ancillas do not count; the bad line is then read
+    circ_file.write_text("qubits 4\nancillas 36\nX 99\n")
+    assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 2
+    assert "qubit outside register" in capsys.readouterr().err
+    # headers after a gate line, or a faulty header, are left to the reader
+    for text, err in (
+        ("qubits 1\nX 0\nancillas 15\n", "error: 16 qubits exceeds dense cap 10\n"),
+        ("qubits 16\nqubits 1\nancillas 0\n", "error: line 2: repeated header qubits\n"),
+        ("qubits 16\nancillas -1\nX 0\n", "error: header ancillas must be nonnegative, got -1\n"),
+    ):
+        circ_file.write_text(text)
+        assert main(["simulate", "--circuit", str(circ_file)]) == 2
+        assert capsys.readouterr().err == err
+
+
 def test_simulate_restrict_ignores_ancilla_width(tmp_path, capsys):
     # 4 data + 36 ancilla qubits: only the 2^4 ancilla-clean inputs are pushed
     circ_file = tmp_path / "narrow.circ"
@@ -509,6 +536,20 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
     assert len(report["factor_reps"]) == stages["diagonal"]["RZ"]
     assert set(report["stage_seconds"]) == {"permutation", "diagonal", "certify"}
     assert all(t >= 0.0 for t in report["stage_seconds"].values())
+
+
+def test_synth_json_reports_a_negative_factor(tmp_path, capsys):
+    # phase 2π − θ on |1⟩ is Rz(θ)^{-1}: one RZ under an X pair on qubit 0
+    gate_file, circ_file = tmp_path / "g.perm", tmp_path / "g.circ"
+    gate_file.write_text(f"0 -> 0 phase=0\n1 -> 1 phase={float(2 * np.pi - GOLDEN_THETA)!r}\n")
+    argv = ["synth", "--target", str(gate_file), "--output", str(circ_file), "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["factor_reps"] == [-1]
+    assert report["gate_counts"] == {"X": 2, "RZ": 1, "CNOT": 0, "CCNOT": 0}
+    assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 0
+    M = io.read_matrix(capsys.readouterr().out)
+    assert abs(M[1, 1] / M[0, 0] - np.exp(-1j * GOLDEN_THETA)) < 1e-12
 
 
 def test_synth_renders_the_circuit_only_when_it_prints_it(tmp_path, capsys, monkeypatch, rng):

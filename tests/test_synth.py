@@ -392,10 +392,12 @@ def test_approximate_phase_trivial():
 
 
 def test_approximate_phase_matches_scan_oracle():
-    # independent brute-force scan, frozen before trusting the implementation
+    # independent brute-force scan over k = 0, 1, −1, 2, −2, ..., frozen
+    # before trusting the implementation: π is its own mirror, so k and −k
+    # both land, and the tie goes to k ≥ 0
     theta = TWO_PI * (np.sqrt(2) - 1)
     k_oracle = None
-    for k in range(10**6):
+    for k in itertools.chain([0], *zip(range(1, 10**6), range(-1, -10**6, -1))):
         if circular_distance(k * theta % TWO_PI, np.pi) < 1e-2:
             k_oracle = k
             break
@@ -403,18 +405,31 @@ def test_approximate_phase_matches_scan_oracle():
     assert approximate_phase(np.pi, 1e-2, theta) == 204
 
 
-def scan_oracle(phi, eps, theta, limit):
-    """Smallest k <= limit with k*theta within eps of phi, by a scan in exact
-    integers over the common denominator; None if there is none."""
+def exact_ints(theta, phi, eps):
+    """(a, m, p, e): θ, 2π, φ and eps as integers over their common
+    denominator."""
     fr = [Fraction(x) for x in (theta, TWO_PI, phi, eps)]
     den = math.lcm(*(f.denominator for f in fr))
-    a, m, p, e = (int(f * den) for f in fr)
-    r = 0
-    for k in range(limit + 1):
+    return tuple(int(f * den) for f in fr)
+
+
+def scan_oracle(phi, eps, theta, limit):
+    """The k of smallest |k| <= limit, k ≥ 0 on a tie, with k*theta within
+    eps of phi, by a scan over k = 0, 1, −1, 2, −2, ... in exact integers
+    over the common denominator; None if there is none."""
+    a, m, p, e = exact_ints(theta, phi, eps)
+
+    def lands(r):
         d = (r - p) % m
-        if min(d, m - d) < e:
-            return k
-        r = (r + a) % m
+        return min(d, m - d) < e
+
+    if lands(0):
+        return 0
+    for x in range(1, limit + 1):
+        if lands(a * x % m):
+            return x
+        if lands(-a * x % m):
+            return -x
     return None
 
 
@@ -440,6 +455,101 @@ def test_approximate_phase_matches_exact_oracle():
         assert (k == 0) == (phi > TWO_PI - eps)
 
 
+SCAN_THETAS = [GOLDEN_THETA, 1.0, TWO_PI * (1 / 3 + 1e-7), math.sqrt(2), TWO_PI * (1 / 4 + 1e-9)]
+
+
+@pytest.mark.parametrize("theta", SCAN_THETAS, ids=["golden", "one", "third", "sqrt2", "quarter"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 2.0**-7, 2.0**-10])
+def test_approximate_phase_matches_signed_scan(theta, eps):
+    # random phases, phases a multiple of θ of either sign away, landing
+    # near their window's ends, and phases with a finer denominator than
+    # θ, 2π and eps share: at eps 1e-2 and 1e-3 such a phase lies within
+    # eps of 0, while at a dyadic eps phases like 1.1 are finer and
+    # nontrivial, so the search scales its chain to them
+    rng = np.random.default_rng(round(-math.log2(eps)))
+    limit = 20_000
+    phis = [1e-10, TWO_PI - 1e-10, -1e-10, 1e-300, 1.1, 0.1, 3.3]
+    phis += [float(x) for x in rng.uniform(0.0, TWO_PI, 6)]
+    for k in rng.integers(-limit, limit, 8):
+        offset = float(rng.choice([-0.999, -0.5, 0.0, 0.5, 0.999])) * eps
+        phis.append(float(k * theta + offset) % TWO_PI)
+    for phi in phis:
+        k = scan_oracle(phi, eps, theta, limit)
+        if k is None:
+            with pytest.raises(PhaseApproximationError, match="cap"):
+                approximate_phase(phi, eps, theta, cap=limit)
+        else:
+            assert approximate_phase(phi, eps, theta, cap=limit) == k, phi
+
+
+def euclid_levels(a, m):
+    """The levels (a_i, m_i) of Euclid's algorithm on a/m, m_i = a_{i−1}."""
+    remainders = synth._Chain.of(a, m).remainders
+    return list(zip(remainders, (m, *remainders)))
+
+
+def first_hit_reference(levels, lo, w):
+    """One window [lo, lo + w] descended alone, each hit found by a ceiling
+    and back-substituted: (count at level 0, level of the hit, low end at
+    each level above it); None if no multiple lands in it."""
+    los = []
+    for a, _ in levels:
+        x = -(-lo // a)
+        if a * x <= lo + w:
+            return back_substitute(levels, los, x), len(los), los
+        los.append(lo)
+        lo = (-(lo + w)) % a
+    return None
+
+
+def back_substitute(levels, los, x):
+    """The count at level 0 of a window whose count at level len(los) is x."""
+    for up, (a, m) in zip(reversed(los), reversed(levels[:len(los)])):
+        x = -(-(up + m * x) // a)
+    return x
+
+
+def random_windows(rng, count):
+    """(a, m, lo, w): small and double-sized problems with 0 < lo, lo + w < m."""
+    for i in range(count):
+        m = int(rng.integers(3, 400)) if i % 2 else (1 << 62) + int(rng.integers(0, 1 << 40))
+        a = int(rng.integers(1, m - 1)) if m < 1 << 62 else int(rng.integers(1, 1 << 62))
+        w = int(rng.integers(0, max(1, m // 3))) if m < 1 << 62 else int(rng.integers(0, 1 << 50))
+        lo = int(rng.integers(1, m - w))
+        yield a, m, lo, w
+
+
+def test_back_substituting_one_wrap_bounds_every_deeper_hit():
+    # a window that misses at level i hits below with a wrap count of at
+    # least 1 at level i + 1, so back-substituting 1 from there is never
+    # above its count; and the first of W and −W to hit has the smaller
+    # count, which lets the signed search stop at the first hit
+    rng = np.random.default_rng(27)
+    checked = first_wins = 0
+    for a, m, lo, w in random_windows(rng, 4000):
+        levels = euclid_levels(a, m)
+        found = {}
+        for neg, low in ((0, lo), (1, m - lo - w)):
+            hit = first_hit_reference(levels, low, w)
+            if hit is None:
+                continue
+            x, level, los = hit
+            found[neg] = x, level
+            for i in range(level):
+                assert back_substitute(levels, los[:i + 1], 1) <= x
+                checked += 1
+        if len(found) == 2 and found[0][1] != found[1][1]:
+            first = min(found, key=lambda neg: found[neg][1])
+            assert found[first][0] < found[1 - first][0]
+            first_wins += 1
+        expected = None
+        if found:
+            x, neg = min((x, neg) for neg, (x, _) in found.items())
+            expected = -x if neg else x
+        assert synth._signed_count(synth._Chain.of(a, m), w, lo, m - lo - w) == expected
+    assert checked > 1000 and first_wins > 1000
+
+
 def test_approximate_phase_large_eps_is_zero():
     for eps in (np.pi, 4.0, 1e3):
         for phi in (0.1, 3.0, 6.2):
@@ -453,10 +563,13 @@ def test_approximate_phase_cap():
         with pytest.raises(PhaseApproximationError, match="rational"):
             approximate_phase(np.pi / 3, 1e-6, theta)
         assert time.perf_counter() - start < 1.0
-    k = approximate_phase(np.pi, 1e-3)
-    assert approximate_phase(np.pi, 1e-3, cap=k) == k
-    with pytest.raises(PhaseApproximationError, match=f"cap {k - 1}"):
-        approximate_phase(np.pi, 1e-3, cap=k - 1)
+    # the cap bounds |k|, for k of either sign
+    for phi in (np.pi, 1.0, 5.0):
+        k = approximate_phase(phi, 1e-3)
+        assert approximate_phase(phi, 1e-3, cap=abs(k)) == k
+        with pytest.raises(PhaseApproximationError, match=re.escape(f"|k|") + ".* cap " + f"{abs(k) - 1}$"):
+            approximate_phase(phi, 1e-3, cap=abs(k) - 1)
+    assert {np.sign(approximate_phase(phi, 1e-3)) for phi in (1.0, 5.0)} == {1, -1}
     for phi, eps, theta in (
         (0.3, 0.0, GOLDEN_THETA),
         (0.3, -1e-3, GOLDEN_THETA),
@@ -487,8 +600,18 @@ def test_theta_outside_one_turn_is_refused(theta):
 @given(st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9))
 @settings(max_examples=30, deadline=None)
 def test_approximate_phase_property(phi):
+    # k lands within eps, and no count of smaller |k|, nor −k for k > 0,
+    # does: checked in exact integers
     k = approximate_phase(phi, 1e-3)
-    assert circular_distance(k * GOLDEN_THETA % TWO_PI, phi) < 1e-3
+    a, m, p, e = exact_ints(GOLDEN_THETA, phi, 1e-3)
+
+    def lands(j):
+        d = (a * j - p) % m
+        return min(d, m - d) < e
+
+    assert lands(k)
+    assert not any(lands(j) or lands(-j) for j in range(abs(k)))
+    assert k <= 0 or not lands(-k)
 
 
 # ---------------------------------------------------- diagonal_to_circuit
@@ -528,6 +651,21 @@ def test_diagonal_single_qubit_index0():
     assert np.max(np.abs(approx - target)) < 1e-12
 
 
+def test_diagonal_single_qubit_negative_factor():
+    # k = −1 on state 0: the polarity X pair merges with the walk's flip pair
+    seq = diagonal_to_circuit([TWO_PI - GOLDEN_THETA, 0.0], eps=1e-6)
+    assert seq.gates == [Gate("RZ", (0,), reps=1)]
+    assert seq.factor_reps == (-1,)
+    assert abs(seq.global_phase - (TWO_PI - GOLDEN_THETA / 2)) < 1e-12
+    approx = np.exp(1j * seq.global_phase) * to_unitary(simulate_restricted(seq))
+    target = np.diag([np.exp(-1j * GOLDEN_THETA), 1.0])
+    assert np.max(np.abs(approx - target)) < 1e-12
+    # on state 1 it is X·RZ·X
+    seq = diagonal_to_circuit([0.0, TWO_PI - GOLDEN_THETA], eps=1e-6)
+    assert seq.gates == [Gate("X", (0,)), Gate("RZ", (0,), reps=1), Gate("X", (0,))]
+    assert seq.factor_reps == (-1,)
+
+
 def assert_diagonal_certified(phases, seq, eps):
     achieved = simulate_restricted(seq)  # raises if an ancilla is left set
     assert np.array_equal(achieved.perm, np.arange(len(phases)))
@@ -535,21 +673,49 @@ def assert_diagonal_certified(phases, seq, eps):
     assert shortest_arc_chord(deltas) <= eps
 
 
+def polarity_x_count(n, indices, reps):
+    """X gates of the walk at n ≥ 2: the flip pair around qubit 0's
+    0-subtree, one X per sign change from the leaf before (the walk starts
+    with k ≥ 0), and one closing X if the last k < 0."""
+    negative = [False] + [k < 0 for k in reps]
+    changes = sum(a != b for a, b in zip(negative, negative[1:]))
+    return 2 * (min(indices) < 1 << (n - 1)) + changes + negative[-1]
+
+
 def test_diagonal_unary_iteration_counts(rng):
     # all 2^n factors nontrivial: two CCNOTs per node of the AND tree below
-    # qubit 0, one X pair around qubit 0's 0-subtree, a flag ancilla per level
+    # qubit 0, one X pair around qubit 0's 0-subtree and one X per sign
+    # change of k, a flag ancilla per level
     eps = 1e-3
     for n in range(2, 7):
         phases = rng.uniform(0.1, TWO_PI - 0.1, 1 << n)
         seq = diagonal_to_circuit(phases, eps)
         counts = seq.gate_counts()
         assert counts["CCNOT"] == 2 ** (n + 1) - 4
-        assert counts["X"] <= 2 and counts["RZ"] == 1 << n
+        assert counts["X"] == polarity_x_count(n, range(1 << n), seq.factor_reps)
+        assert counts["RZ"] == 1 << n
+        assert [g.reps for g in seq.gates if g.kind == "RZ"] == [abs(k) for k in seq.factor_reps]
         assert seq.n_anc == n - 1
         assert_diagonal_certified(phases, seq, eps)
-        # the switch and toggle of each level are built once and shared
+        # the switch and toggle of each level, the flip X and the leaf
+        # flag's X are built once and shared
         level = [g for g in seq.gates if g.kind != "RZ"]
-        assert len({id(g) for g in level}) == len(set(level)) <= 2 * (n - 1) + 1
+        assert len({id(g) for g in level}) == len(set(level)) <= 2 * (n - 1) + 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("signs", ["+", "-", "+-", "-+"], ids=["plus", "minus", "alternating", "alternating-minus"])
+def test_diagonal_signed_factors_certify(n, signs):
+    # phases ±jθ force k_j = ±j: every sign pattern certifies with its
+    # ancillas restored, and the X count is the flip pair, one per sign
+    # change and the closing X
+    eps = 1e-6
+    sign = [1 if signs[j % len(signs)] == "+" else -1 for j in range(1 << n)]
+    phases = [sign[j] * j * GOLDEN_THETA % TWO_PI for j in range(1 << n)]
+    seq = diagonal_to_circuit(phases, eps)
+    assert seq.factor_reps == tuple(sign[j] * j for j in range(1, 1 << n))
+    assert seq.gate_counts()["X"] == polarity_x_count(n, range(1, 1 << n), seq.factor_reps)
+    assert_diagonal_certified(phases, seq, eps)
 
 
 def test_diagonal_single_index_at_every_position():
@@ -704,6 +870,7 @@ def test_error_is_max_of_factor_residuals(rng):
     # each nontrivial factor gets the full eps, so the certified error is the
     # chord to the shortest arc holding the per-factor residuals, not a sum
     eps = 1e-2
+    negative = 0
     for n in (1, 2, 3):
         for _ in range(4):
             g = random_bp(n, rng)
@@ -712,7 +879,8 @@ def test_error_is_max_of_factor_residuals(rng):
             residuals = []
             for p in d_phases:
                 if circular_distance(p, 0.0) > synth.PHASE_TRIVIAL:
-                    k = approximate_phase(p, eps)
+                    k = approximate_phase(p, eps)  # signed: X·RZ^{|k|}·X for k < 0
+                    negative += k < 0
                     r = (k * GOLDEN_THETA - p + np.pi) % TWO_PI - np.pi
                     assert abs(r) < eps
                     residuals.append(r)
@@ -721,6 +889,7 @@ def test_error_is_max_of_factor_residuals(rng):
             assert abs(report.achieved_error - shortest_arc_chord(residuals)) <= 1e-12
             assert report.achieved_error <= 2 * np.sin(eps / 2)
             assert abs(report.max_phase_residual - max(map(abs, residuals))) <= 1e-12
+    assert negative
 
 
 def test_synthesize_five_qubits_tight_eps():
@@ -752,6 +921,7 @@ def test_report_stage_counts_and_logs(rng, caplog):
 
 def test_report_factor_reps_in_emission_order(rng):
     eps = 1e-2
+    signs = set()
     for n in (1, 2, 3):
         g = random_bp(n, rng)
         report = synthesize(g, eps=eps)
@@ -761,20 +931,25 @@ def test_report_factor_reps_in_emission_order(rng):
             if circular_distance(p, 0.0) > synth.PHASE_TRIVIAL
         )
         assert report.factor_reps == expected
+        # each factor is RZ^{|k|}, under an X pair on its flag where k < 0
         rz = [gate.reps for gate in report.sequence.gates if gate.kind == "RZ"]
-        assert list(report.factor_reps) == rz
+        assert [abs(k) for k in report.factor_reps] == rz
+        signs |= {np.sign(k) for k in expected}
+    assert signs == {1, -1}
 
 
 def test_monotonicity_per_factor_refinement():
-    # the k search only refines: a tighter budget never worsens the distance
+    # the k search only refines: a tighter budget never worsens the distance,
+    # and never takes fewer repetitions, whichever sign each k has
+    signs = set()
     for phi in np.linspace(0.1, 6.0, 12):
-        d_coarse = circular_distance(
-            approximate_phase(phi, 1e-2) * GOLDEN_THETA % TWO_PI, phi
-        )
-        d_fine = circular_distance(
-            approximate_phase(phi, 1e-4) * GOLDEN_THETA % TWO_PI, phi
-        )
+        k_coarse, k_fine = approximate_phase(phi, 1e-2), approximate_phase(phi, 1e-4)
+        d_coarse = circular_distance(k_coarse * GOLDEN_THETA % TWO_PI, phi)
+        d_fine = circular_distance(k_fine * GOLDEN_THETA % TWO_PI, phi)
         assert d_fine <= d_coarse
+        assert abs(k_fine) >= abs(k_coarse)
+        signs |= {np.sign(k_coarse), np.sign(k_fine)}
+    assert signs == {1, -1}
 
 
 def test_closure_roundtrip(rng):
