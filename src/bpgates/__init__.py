@@ -7,7 +7,6 @@ from .linalg import (
     GOLDEN_THETA,
     pauli_z_string,
     phase_optimized_error,
-    tensor,
     worst_case_error,
 )
 from .zx import ZXBlock, ZXDecomposition, block, block_matrix, is_z_type, zx_decompose
@@ -17,7 +16,6 @@ from .verify import (
     check_normalizer,
     check_permutation,
     check_zx,
-    coherence_rank,
     hadamard_bound,
     random_bp,
     to_unitary,
@@ -37,14 +35,9 @@ from .synth import (
 from .css import (
     BinaryCode,
     CssEncoding,
-    GenericEncoding,
     build_css,
     check_equicoherent,
-    coherence_scaling_check,
-    decode,
-    encode,
     lift_logical,
-    obstruction_check,
     restrict_physical,
 )
 

@@ -148,13 +148,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    text = io.read_file(args.circuit)
-    # refused before simulating, the push itself being 2^n wide, and before
-    # reading the gates where the headers lead the file
-    sizes = io.circuit_sizes(text)
+    # refused before simulating, the push itself being 2^n wide, and, where
+    # the headers lead the file, from its head before the rest is read
+    sizes = io.circuit_sizes(io.read_head(args.circuit))
     if sizes is not None:
         require_dense_cap(sizes["qubits"] + (0 if args.restrict else sizes["ancillas"]))
-    seq = io.read_circuit(text)
+    seq = io.read_circuit(io.read_file(args.circuit))
     require_dense_cap(seq.n_data if args.restrict else seq.n_total)
     U = verify.to_unitary(synth.simulate_restricted(seq) if args.restrict else synth.simulate(seq))
     _write(args.output, io.write_matrix, U)

@@ -17,25 +17,19 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import gf2
-from .linalg import (DEFAULT_TOL, MONOMIAL_QUBIT_CAP, index_to_bits, num_qubits,
-                     require_monomial_cap)
+from .linalg import DEFAULT_TOL, MONOMIAL_QUBIT_CAP, index_to_bits, require_monomial_cap
 from .stages import Stage
-from .verify import TWO_PI, PermutationWithPhases, coherence_rank
+from .verify import TWO_PI, PermutationWithPhases
 
 log = logging.getLogger(__name__)
 
 
 class CodeConstructionError(ValueError):
     """Invalid classical code input or code pair."""
-
-
-class NotInCodespaceError(ValueError):
-    """State handed to decode lies outside the span of the code basis."""
 
 
 class NotLogicalOperatorError(ValueError):
@@ -117,30 +111,6 @@ class CssEncoding:
         return CosetStates(self.n, self.cosets)
 
 
-@dataclass(frozen=True)
-class GenericEncoding:
-    """Arbitrary basis-state encoding, for equicoherence counterexamples."""
-
-    n: int
-    k: int
-    basis_states: dict[int, np.ndarray]
-
-    @classmethod
-    def from_states(cls, states: dict[int, np.ndarray], tol: float = DEFAULT_TOL):
-        k = len(states).bit_length() - 1
-        if 1 << k != len(states) or set(states) != set(range(1 << k)):
-            raise ValueError("basis_states must be keyed by 0..2^k-1")
-        n = num_qubits(next(iter(states.values())).size)
-        vecs = {x: np.asarray(v, dtype=complex) for x, v in states.items()}
-        for x, y in combinations(sorted(vecs), 2):
-            if abs(np.vdot(vecs[x], vecs[y])) > tol:
-                raise ValueError(f"basis states {x} and {y} are not orthogonal")
-        for x, v in vecs.items():
-            if abs(np.linalg.norm(v) - 1.0) > tol:
-                raise ValueError(f"basis state {x} is not normalized")
-        return cls(n=n, k=k, basis_states=vecs)
-
-
 @Stage(log, "build_css")
 def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
     """Standard CSS encoding for C1 ⊂ C2.
@@ -170,34 +140,20 @@ def build_css(c1: BinaryCode, c2: BinaryCode) -> CssEncoding:
 
 
 def check_equicoherent(
-    e: CssEncoding | GenericEncoding, tol: float = DEFAULT_TOL
+    e: CssEncoding, tol: float = DEFAULT_TOL
 ) -> tuple[bool, int | None, str | None]:
-    """Verify equal coherence ranks and pairwise disjoint supports of the
-    logical basis images. Returns (ok, common rank l, violation), the
-    violation being that of the first failing pair (x, y) in
-    combinations order, a rank difference before an overlap.
+    """Verify that the logical basis images have equal coherence ranks and
+    pairwise disjoint supports, from the coset table with no state built.
+    Returns (ok, common rank l, violation), the violation naming the first
+    pair (x, y) in combinations order whose supports overlap.
 
-    A CssEncoding is decided from its coset table with no state built: every
-    row holds |C1| amplitudes 1/√|C1| (none if that is not above tol). A
-    GenericEncoding takes one lookup per state."""
-    if isinstance(e, CssEncoding):
-        keep = 1.0 / np.sqrt(e.l) > tol
-        ranks = np.full(1 << e.k, e.l if keep else 0)
-        flat = e.cosets.ravel() if keep else e.cosets[:, :0].ravel()
-    else:
-        supports = [np.flatnonzero(np.abs(e.basis_states[x]) > tol) for x in range(1 << e.k)]
-        ranks = np.array([s.size for s in supports])
-        flat = np.concatenate(supports)
-    differ = np.flatnonzero(ranks != ranks[0]).tolist()
-    overlap = _first_overlap(flat, ranks)
-    if differ and (overlap is None or (0, differ[0]) <= overlap[:2]):
-        y = differ[0]
-        return (
-            False,
-            None,
-            f"condition 1: ranks differ for ({index_to_bits(0, e.k)}, "
-            f"{index_to_bits(y, e.k)}): {ranks[0]} vs {ranks[y]}",
-        )
+    The ranks are equal by construction: every row holds |C1| amplitudes
+    1/√|C1|, so every rank is |C1|, or 0 if that amplitude is not above tol,
+    and then no support holds an index. Disjointness is what the table could
+    get wrong, and one sort of its entries decides it."""
+    if not 1.0 / np.sqrt(e.l) > tol:
+        return True, 0, None
+    overlap = _first_overlap(e.cosets)
     if overlap is not None:
         x, y, t = overlap
         return (
@@ -206,64 +162,28 @@ def check_equicoherent(
             f"condition 2: supports of ({index_to_bits(x, e.k)}, "
             f"{index_to_bits(y, e.k)}) overlap at {index_to_bits(t, e.n)}",
         )
-    return True, int(ranks[0]), None
+    return True, e.l, None
 
 
-def _first_overlap(flat: np.ndarray, sizes: np.ndarray) -> tuple[int, int, int] | None:
-    """(x, y, t) for the first pair x < y in combinations order whose
-    supports share a basis index, and t the smallest index they share; None
-    if the supports are disjoint. flat lists the supports one after another
-    (each without repeats), sizes[x] the size of support x.
+def _first_overlap(table: np.ndarray) -> tuple[int, int, int] | None:
+    """(x, y, t) for the first pair of rows x < y of table in combinations
+    order that share an entry, and t the smallest entry they share; None if
+    the rows are disjoint. No row may hold an entry twice.
 
-    A shared index t with owners o_1 < o_2 < … first brings in the pair
+    A shared entry t in rows o_1 < o_2 < … first brings in the pair
     (o_1, o_2), so the first pair overall is the least such pair, and every
-    index that pair shares has it as its first two owners."""
+    entry that pair shares has it as its first two rows."""
+    flat = table.ravel()
     ordered = np.sort(flat)
     if not (ordered[1:] == ordered[:-1]).any():
         return None
-    order = np.argsort(flat, kind="stable")  # owners ascending within each index
-    flat, owner = flat[order], np.repeat(np.arange(sizes.size), sizes)[order]
+    order = np.argsort(flat, kind="stable")  # rows ascending within each entry
+    flat, row = flat[order], order // table.shape[1]
     same = flat[1:] == flat[:-1]
-    first = np.flatnonzero(same & np.r_[True, ~same[:-1]])  # first two owners of each index
-    x, y, t = owner[first], owner[first + 1], flat[first]
+    first = np.flatnonzero(same & np.r_[True, ~same[:-1]])  # first two rows of each entry
+    x, y, t = row[first], row[first + 1], flat[first]
     j = np.lexsort((t, y, x))[0]
     return int(x[j]), int(y[j]), int(t[j])
-
-
-def encode(e: CssEncoding | GenericEncoding, psi: np.ndarray) -> np.ndarray:
-    """Linear extension of the basis map to a k-qubit state."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.size != 1 << e.k:
-        raise ValueError(f"expected a {e.k}-qubit state, got dimension {psi.size}")
-    require_monomial_cap(e.n)
-    out = np.zeros(1 << e.n, dtype=complex)
-    for x in range(1 << e.k):
-        if psi[x]:
-            out += psi[x] * e.basis_states[x]
-    return out
-
-
-def decode(
-    e: CssEncoding | GenericEncoding, psi_l: np.ndarray, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Recover the logical state by inner products with the basis images.
-    Errors if the input leaves the codespace by more than tol in norm."""
-    psi_l = np.asarray(psi_l, dtype=complex)
-    if psi_l.size != 1 << e.n:
-        raise ValueError(f"expected a {e.n}-qubit state, got dimension {psi_l.size}")
-    coeffs = np.array([np.vdot(e.basis_states[x], psi_l) for x in range(1 << e.k)])
-    residual = np.linalg.norm(psi_l - encode(e, coeffs))
-    if residual > tol:
-        raise NotInCodespaceError(f"residual norm {residual:.3e} outside codespace")
-    return coeffs
-
-
-def coherence_scaling_check(
-    e: CssEncoding, psi: np.ndarray, tol: float = DEFAULT_TOL
-) -> bool:
-    """χ(encode(ψ)) must equal l · χ(ψ): each logical term contributes one
-    disjoint coset of size l."""
-    return coherence_rank(encode(e, psi), tol) == e.l * coherence_rank(psi, tol)
 
 
 @Stage(log, "lift_logical")
@@ -272,7 +192,8 @@ def lift_logical(e: CssEncoding, g: PermutationWithPhases) -> PermutationWithPha
 
     Cosets matched by C1-translation: γ(x·B ⊕ y) = π(x)·B ⊕ y for y ∈ C1,
     identity outside the codespace supports; each coset carries its logical
-    phase. Satisfies encode ∘ G = Ĝ ∘ encode on the logical basis."""
+    phase. Satisfies Ĝ|x⟩_L = e^{iφ_x}|π(x)⟩_L on the logical basis, the
+    encoded form of G|x⟩ = e^{iφ_x}|π(x)⟩."""
     if g.n != e.k:
         raise ValueError(f"logical gate acts on {g.n} qubits, code has k={e.k}")
     require_monomial_cap(e.n)
@@ -309,20 +230,3 @@ def restrict_physical(
         why = "leaves the codespace" if outside[x] else "is not one coset with a constant phase"
         raise NotLogicalOperatorError(f"image of logical |{index_to_bits(x, e.k)}⟩ {why}")
     return PermutationWithPhases(e.k, image[:, 0], phase[:, 0])
-
-
-def obstruction_check(
-    e: GenericEncoding | CssEncoding, s: int, t: int, tol: float = DEFAULT_TOL
-) -> tuple[int, int] | None:
-    """Coherence-rank obstruction to lifting the logical gate |s⟩ → |t⟩.
-
-    If the logical basis images have different ranks, no physical
-    bias-preserving gate can realize that logical map; the rank pair is the
-    certificate. Returns None when ranks agree."""
-    if s == t:
-        raise ValueError("s and t must be distinct logical basis indices")
-    rs = coherence_rank(e.basis_states[s], tol)
-    rt = coherence_rank(e.basis_states[t], tol)
-    if rs != rt:
-        return (rs, rt)
-    return None

@@ -21,7 +21,6 @@ for a matrix or ZX file, and for a perm file by its text, as 2^n lines hold
 from __future__ import annotations
 
 import functools
-import sys
 from io import StringIO
 from operator import itemgetter
 from typing import Iterator, TextIO
@@ -30,7 +29,7 @@ import numpy as np
 
 from .css import BinaryCode
 from .linalg import GOLDEN_THETA, bits_index, index_bits, index_labels, num_qubits, require_dense_cap
-from .synth import Gate, GateSequence, check_theta
+from .synth import RZ_REPS_CAP, Gate, GateSequence, check_theta
 from .verify import PermutationWithPhases
 from .zx import CoefficientView, ZXDecomposition
 
@@ -369,7 +368,7 @@ def read_circuit(text: str) -> GateSequence:
     headers: dict[str, tuple[int, str]] = {}
     gates: list[Gate] = []
     gate = functools.cache(Gate)
-    top_reps, top_line = 0, None  # the largest RZ count, whose angle reps·theta/2 is largest
+    total_reps = 0  # the simulator sums RZ counts in int64
     for lineno, line in _content_lines(text):
         parts = line.split()
         key = parts[0]
@@ -389,8 +388,9 @@ def read_circuit(text: str) -> GateSequence:
                     if len(args) != 2:
                         raise ValueError("RZ takes qubit and repetition count")
                     gates.append(gate("RZ", (args[0],), args[1]))
-                    if args[1] > top_reps:
-                        top_reps, top_line = args[1], lineno
+                    total_reps += args[1]
+                    if total_reps > RZ_REPS_CAP:
+                        raise ValueError(f"RZ counts sum past the cap {RZ_REPS_CAP}")
                 else:
                     gates.append(gate(key, tuple(args)))
             except ValueError as exc:
@@ -421,8 +421,6 @@ def read_circuit(text: str) -> GateSequence:
                 check_theta(angles[key])
             except ValueError as exc:
                 raise FormatError(str(exc), lineno) from None
-    if top_reps > sys.float_info.max or not np.isfinite(0.5 * top_reps * angles["theta"]):
-        raise FormatError("RZ count too large: reps·theta/2 is not a finite float", top_line)
     seq = GateSequence(sizes["qubits"], sizes["ancillas"], gates, *angles.values())
     try:
         seq.validate()
@@ -622,6 +620,14 @@ def read_perm(text: str) -> PermutationWithPhases:
 def read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fp:
         return fp.read()
+
+
+def read_head(path: str) -> str:
+    """The whole lines among the first _PIECE_CHARS characters of the file
+    at path, all of it if it is shorter: its headers, read in bounded memory."""
+    with open(path, "r", encoding="utf-8") as fp:
+        head = fp.read(_PIECE_CHARS)
+    return head if len(head) < _PIECE_CHARS else head[:head.rfind("\n") + 1]
 
 
 class _OpenOnWrite:

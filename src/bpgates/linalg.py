@@ -2,7 +2,7 @@
 
 Global convention: big-endian qubit ordering. Qubit 0 is the leftmost bit
 of a basis label and the most significant bit of its integer index, so
-|s⟩ sits at index int(s, 2) and tensor(A, B) puts A on the high bits.
+|s⟩ sits at index int(s, 2) and np.kron(A, B) puts A on the high bits.
 index_bits, bits_index and index_labels convert between indices and labels in bulk.
 """
 
@@ -116,11 +116,6 @@ def require_unitary(U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) <= tol:
         raise ValueError("matrix is not unitary within tolerance")
     return U
-
-
-def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product; A acts on the more significant qubits."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
 def z_signs(c: int, n: int) -> np.ndarray:

@@ -25,7 +25,9 @@ Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
 ancillas supplied and returned in |0⟩.
 `simulate` and `simulate_restricted` push basis indices through the gates
 and return a PermutationWithPhases; certification compares its per-state
-phases with the target's and builds no dense matrix. The simulator is
+phases with the target's and builds no dense matrix. A state's phase is its
+signed sum of RZ counts, an integer, times θ/2, reduced exactly modulo
+TWO_PI and rounded once. The simulator is
 bit-sliced: each qubit of all inputs is one Python integer, so a
 permutation gate is one integer operation however many inputs there are.
 """
@@ -62,6 +64,10 @@ PHASE_TRIVIAL = 1e-12
 # Unpacked bytes of RZ snapshots the simulator holds at a time: its memory
 # stays O(this + qubits·inputs), not O(#RZ·inputs).
 _UNPACK_BYTES = 1 << 20
+
+# Largest sum of the RZ repetition counts of a sequence the simulator takes:
+# each input's signed sum of them is then exact in int64.
+RZ_REPS_CAP = (1 << 63) - 1
 
 log = logging.getLogger(__name__)
 
@@ -163,10 +169,12 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Bit-sliced: planes[q] is one Python integer whose bit j is qubit q of
     input j, so each X, CNOT or CCNOT is one integer operation on all inputs
-    at once. An RZ yields its angle and planes[q], a snapshot since integers
-    are immutable, and the phases are summed from the snapshots in gate
-    order, as a per-gate loop would sum them, about _UNPACK_BYTES unpacked
-    bytes of snapshots at a time."""
+    at once. An RZ^k yields k and planes[q], a snapshot since integers are
+    immutable, and each input's signed count Σ ±k, + where its qubit is 1,
+    is summed in int64 from the snapshots, about _UNPACK_BYTES unpacked
+    bytes of them at a time; RZ_REPS_CAP keeps the sums exact. Each input's
+    phase is then its count times θ/2, reduced exactly by `_half_angle`, so
+    it is rounded once."""
     seq.validate()
     m = seq.n_total
     if m > INDEX_QUBITS:
@@ -182,7 +190,10 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(values), nbytes)
         return np.unpackbits(rows, axis=1, count=size, bitorder="little")
 
+    total = 0  # Σ k over every RZ^k
+
     def walk():  # the gates, run as the RZ snapshots are drawn
+        nonlocal total
         for g in seq.gates:
             q = g.qubits
             kind = g.kind
@@ -192,16 +203,22 @@ def _monomial(seq: GateSequence, inputs: np.ndarray) -> tuple[np.ndarray, np.nda
                 planes[q[1]] ^= planes[q[0]]
             elif kind == "X":
                 planes[q[0]] ^= ones
-            else:  # RZ: diag(e^{-i k θ/2}, e^{+i k θ/2}) on the qubit
-                # reduced mod 2π first: summing large angles would lose precision
-                yield 0.5 * g.reps * seq.theta % TWO_PI, planes[q[0]]
+            else:  # RZ^k: diag(e^{-i k θ/2}, e^{+i k θ/2}) on the qubit
+                total += g.reps
+                if total > RZ_REPS_CAP:
+                    raise ValueError(f"RZ counts sum past the cap {RZ_REPS_CAP}")
+                yield g.reps, planes[q[0]]
 
-    phase = np.zeros(size)
+    up = np.zeros(size, dtype=np.int64)  # Σ k over the RZ^k met with the qubit at 1
     snapshots = walk()
     while chunk := list(islice(snapshots, max(1, _UNPACK_BYTES // max(size, 1)))):
-        angles, taken = zip(*chunk)
-        for angle, row in zip(angles, unpack(taken)):
-            phase += angle * (2.0 * row - 1.0)
+        reps, taken = zip(*chunk)
+        for k, row in zip(reps, unpack(taken)):
+            up += np.multiply(row, k, dtype=np.int64)
+    count = up - (total - up)  # cannot overflow
+    distinct = np.unique(count)  # one exact angle each
+    phase = np.array([_half_angle(c, seq.theta) for c in distinct.tolist()], dtype=float)
+    phase = phase[np.searchsorted(distinct, count)]
     # planes hold the outputs: the walk has run
     return bits_index(unpack(planes).T), phase
 
@@ -404,6 +421,30 @@ def _check_eps_theta(eps: float, theta: float) -> None:
     check_theta(theta)
 
 
+def _dyadic(*values: float) -> tuple[int, list[int]]:
+    """(den, numerators) of doubles over their common denominator den: each
+    double is a dyadic rational, so den is the largest denominator."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    return den, [num * (den // d) for num, d in ratios]
+
+
+@functools.lru_cache(maxsize=64)
+def _half_turn(theta: float) -> tuple[int, int, int]:
+    """(a, 2m, 2·den) with θ = a/den and TWO_PI = m/den, so that
+    c·θ/2 mod TWO_PI = (c·a mod 2m)/(2·den) for every integer c."""
+    den, (a, m) = _dyadic(theta, TWO_PI)
+    return a, 2 * m, 2 * den
+
+
+def _half_angle(count: int, theta: float) -> float:
+    """count·θ/2 modulo TWO_PI, exact until it is rounded once: the
+    reduction runs in integers, by `_half_turn`, and the division of two
+    Python integers rounds correctly."""
+    a, m2, den2 = _half_turn(theta)
+    return count * a % m2 / den2
+
+
 class _Chain(NamedTuple):
     """Multiples of a modulo m, in integers: the remainders of Euclid's
     algorithm on a/m, a_0 = a mod m, a_1 = m mod a_0, a_{i+1} = a_{i−1} mod
@@ -444,9 +485,7 @@ def _euclid_chain(theta: float, eps: float) -> tuple[int, int, _Chain]:
     is that of θ·den modulo 2π·den, the continued fraction of θ/2π. Cached,
     so that the factors of one diagonal, which share θ and eps, share one
     chain."""
-    ratios = [x.as_integer_ratio() for x in (theta, TWO_PI, eps)]
-    den = max(d for _, d in ratios)  # every denominator is a power of two
-    a, m, e = (num * (den // d) for num, d in ratios)
+    den, (a, m, e) = _dyadic(theta, TWO_PI, eps)
     return den, e, _Chain.of(a, m)
 
 
@@ -644,9 +683,9 @@ def diagonal_to_circuit(
     seq.factor_reps = tuple(reps)
     # RZ^k, k ≥ 0, gives its state e^{+ikθ/2} and every other e^{−ikθ/2},
     # as X·RZ^{|k|}·X does for k < 0; the global phase e^{+ikθ/2} makes
-    # these e^{ikθ} and 1
-    for k in reps:
-        seq.global_phase = (seq.global_phase + 0.5 * k * theta) % TWO_PI
+    # these e^{ikθ} and 1. Summed over the factors in integers, it is
+    # reduced exactly and rounded once, as the certificate's phases are.
+    seq.global_phase = _half_angle(sum(reps), theta)
     return seq
 
 
@@ -662,7 +701,14 @@ def synthesize(
     the target U and the simulated data-qubit restriction V: both permute by
     σ, so the eigenvalues of U†V are e^{i(ψ_s − φ_s)}. Any other permutation
     is a synthesis bug and raises RuntimeError. Targets above
-    SYNTH_QUBIT_CAP qubits are refused before any circuit is built."""
+    SYNTH_QUBIT_CAP qubits are refused before any circuit is built.
+
+    The certificate's error has two parts. Rounding: each state's phase ψ_s
+    is its integer RZ count times θ/2, reduced modulo TWO_PI exactly and
+    rounded once, so achieved_error is within about 1e-15 of its exact value
+    for the doubles θ, TWO_PI and φ_s. Model: a full turn is the double
+    TWO_PI, 2.4e-16 short of 2π, so the true phase of a factor Rz(θ)^k is
+    off by about (|k·θ|/2π)·2.4e-16 more, under 2.5e-9 at |k| = 10^7."""
     if p.n > SYNTH_QUBIT_CAP:
         raise ValueError(f"{p.n} qubits exceeds synthesis cap {SYNTH_QUBIT_CAP}")
     _check_eps_theta(eps, theta)

@@ -193,11 +193,6 @@ def check_normalizer(G: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return is_z_type((G * np.arange(1 << n)) @ G.conj().T, tol)
 
 
-def coherence_rank(psi: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of computational-basis amplitudes above tol; 0 for the 0 vector."""
-    return int(np.count_nonzero(np.abs(np.asarray(psi)) > tol))
-
-
 def hadamard_bound(n: int) -> float:
     """Lower bound √(2(1 − 2^{-n/2})) on the worst-case error when any
     bias-preserving gate stands in for the n-fold Hadamard."""

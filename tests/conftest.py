@@ -75,6 +75,21 @@ def check_zx_by_parts(G: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(diagonal - 1.0)) <= tol)
 
 
+def coherence_rank(psi: np.ndarray, tol: float = 1e-9) -> int:
+    """χ(ψ): the number of computational-basis amplitudes above tol."""
+    return int(np.count_nonzero(np.abs(np.asarray(psi)) > tol))
+
+
+def encode(e, psi: np.ndarray) -> np.ndarray:
+    """The n-qubit encoding of a k-qubit state under a CSS encoding e, as a
+    scatter of its coset table: amplitude ψ_x/√l on each entry of row x."""
+    psi = np.asarray(psi, dtype=complex)
+    assert psi.shape == (1 << e.k,)
+    out = np.zeros(1 << e.n, dtype=complex)
+    out[e.cosets] = psi[:, None] / np.sqrt(e.l)
+    return out
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like random unitary from the QR decomposition of a Ginibre matrix."""
     dim = 1 << n

@@ -25,7 +25,7 @@ from bpgates import (
 from bpgates import cli
 from bpgates.cli import build_parser, main
 from bpgates.css import build_css
-from bpgates.linalg import GOLDEN_THETA, H, index_to_bits, tensor
+from bpgates.linalg import GOLDEN_THETA, H, index_to_bits
 from conftest import hamming_pair, random_near_bp, random_unitary, repetition_pair, wide_pair
 
 CNOT = to_unitary(PermutationWithPhases(2, (0, 1, 3, 2), (0.0,) * 4))
@@ -320,7 +320,6 @@ def test_decompose_zx_with_no_coefficient_writes_no_file(tmp_path, capsys):
 def test_distance(cnot_file, hadamard_file, capsys):
     assert main(["distance", "--matrix", cnot_file, "--other", cnot_file]) == 0
     assert float(capsys.readouterr().out.split()[1]) == 0.0
-    H2 = tensor(H, np.eye(2))
     assert main(["distance", "--matrix", cnot_file, "--other", hadamard_file]) == 2
 
 
@@ -441,6 +440,30 @@ def test_simulate_refuses_wide_circuit_from_its_leading_headers(tmp_path, capsys
         assert capsys.readouterr().err == err
 
 
+def test_simulate_refuses_wide_circuit_before_reading_it_whole(tmp_path, capsys, monkeypatch):
+    # a 35.7 MB 16-qubit circuit was once read whole, 98 MB max RSS, before
+    # its headers were looked at: now its head alone is read
+    def read(path):
+        raise AssertionError("read the whole file of a circuit wider than the dense cap")
+
+    circ_file = tmp_path / "wide.circ"
+    circ_file.write_text("qubits 16\nancillas 15\n" + "X 0\n" * (1 << 16))
+    monkeypatch.setattr(io, "read_file", read)
+    assert main(["simulate", "--circuit", str(circ_file)]) == 2
+    assert main(["simulate", "--circuit", str(circ_file), "--restrict"]) == 2
+    assert capsys.readouterr().err == "error: 31 qubits exceeds dense cap 10\n" + \
+        "error: 16 qubits exceeds dense cap 10\n"
+
+
+def test_read_head_keeps_whole_lines(tmp_path, monkeypatch):
+    path = tmp_path / "lines.txt"
+    monkeypatch.setattr(io, "_PIECE_CHARS", 10)
+    for text, head in (("qubits 1\n", "qubits 1\n"), ("ab\ncd\nefghij\n", "ab\ncd\n"),
+                       ("abcdefghijkl\n", ""), ("ab\r\ncd\n", "ab\ncd\n")):
+        path.write_bytes(text.encode())
+        assert io.read_head(str(path)) == head
+
+
 def test_simulate_restrict_ignores_ancilla_width(tmp_path, capsys):
     # 4 data + 36 ancilla qubits: only the 2^4 ancilla-clean inputs are pushed
     circ_file = tmp_path / "narrow.circ"
@@ -479,7 +502,7 @@ def test_simulate_refuses_register_wider_than_basis_index(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 72 qubits exceeds the 63-qubit basis-index width\n"
 
 
-TOO_LARGE = "RZ count too large: reps·theta/2 is not a finite float"
+TOO_LARGE = f"RZ counts sum past the cap {(1 << 63) - 1}"
 
 
 @pytest.mark.parametrize(
@@ -536,6 +559,17 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
     assert len(report["factor_reps"]) == stages["diagonal"]["RZ"]
     assert set(report["stage_seconds"]) == {"permutation", "diagonal", "certify"}
     assert all(t >= 0.0 for t in report["stage_seconds"].values())
+
+
+def test_synth_certifies_seed_1004_at_twelve_qubits(tmp_path, capsys):
+    # its exact error is 9.998363e-7, which a float sum of each state's RZ
+    # angles once read as 1.0000235e-6 and refused with exit 2
+    gate_file = tmp_path / "g.perm"
+    io.write_file(str(gate_file), io.write_perm, random_bp(12, np.random.default_rng(1004)))
+    argv = ["synth", "--target", str(gate_file), "--eps", "1e-6", "--output", str(tmp_path / "g.circ")]
+    assert main(argv) == 0
+    achieved = float(capsys.readouterr().out.split("ACHIEVED ")[1].split()[0])
+    assert abs(achieved - 9.998363e-7) < 1e-12
 
 
 def test_synth_json_reports_a_negative_factor(tmp_path, capsys):
@@ -830,7 +864,7 @@ def test_css_restrict_rejects_non_bp_matrix(code_files, tmp_path, capsys):
     # H⊗4 is unitary but not bias-preserving: the column test refuses it,
     # naming the first column that holds a superposition
     c1, c2 = code_files
-    H4 = tensor(tensor(H, H), tensor(H, H))
+    H4 = np.kron(np.kron(H, H), np.kron(H, H))
     matrix_file, out_file = tmp_path / "h4.mat", tmp_path / "out.perm"
     io.write_file(str(matrix_file), io.write_matrix, H4)
     argv = ["css-restrict", "--c1", c1, "--c2", c2, "--matrix", str(matrix_file)]

@@ -17,7 +17,6 @@ from bpgates.linalg import (
     index_to_bits,
     pauli_z_string,
     phase_optimized_error,
-    tensor,
     worst_case_error,
 )
 from conftest import parity
@@ -25,26 +24,37 @@ from conftest import parity
 bitstrings = st.text(alphabet="01", min_size=1, max_size=6)
 
 
+# The qubit order, qubit 0 on the high bits, is that of np.kron(A, B) with A
+# on qubit 0: each library object is checked against the Kronecker product.
+
 def test_tensor_identity():
-    assert np.array_equal(tensor(I2, I2), np.eye(4))
+    assert np.array_equal(pauli_z_string("00"), np.kron(I2, I2))
+    assert np.array_equal(np.kron(I2, I2), np.eye(4))
 
 
 def test_tensor_zz_sign_pattern():
-    assert np.allclose(tensor(Z, Z), np.diag([1, -1, -1, 1]))
+    assert np.array_equal(pauli_z_string("11"), np.kron(Z, Z))
+    assert np.array_equal(pauli_z_string("10"), np.kron(Z, I2))  # Z on qubit 0
+    assert np.allclose(np.kron(Z, Z), np.diag([1, -1, -1, 1]))
 
 
 def test_tensor_xx_flips_both_qubits():
+    from bpgates import Gate, GateSequence, simulate, to_unitary
+
+    flip0 = to_unitary(simulate(GateSequence(n_data=2, gates=[Gate("X", (0,))])))
+    assert np.array_equal(flip0, np.kron(X, I2))  # |00> -> |10>, index 2
+    both = GateSequence(n_data=2, gates=[Gate("X", (0,)), Gate("X", (1,))])
     psi = np.zeros(4)
     psi[0] = 1.0  # |00>
-    assert np.allclose(tensor(X, X) @ psi, [0, 0, 0, 1])  # |11>
+    assert np.array_equal(to_unitary(simulate(both)), np.kron(X, X))
+    assert np.allclose(np.kron(X, X) @ psi, [0, 0, 0, 1])  # |11>
 
 
 def test_tensor_associative_and_dims():
-    rng = np.random.default_rng(7)
-    # exactly representable entries keep float multiplication associative
-    A, B, C = (rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(2, 2)) for _ in range(3))
-    left = tensor(tensor(A, B), C)
-    right = tensor(A, tensor(B, C))
+    # Z_c is ⊗_i Z^{c_i}, grouped either way
+    left = np.kron(np.kron(Z, I2), Z)
+    right = np.kron(Z, np.kron(I2, Z))
+    assert np.array_equal(pauli_z_string("101"), left)
     assert np.array_equal(left, right)
     assert left.shape == (8, 8)
 

@@ -86,13 +86,19 @@ def test_ancilla_restoration_error():
         simulate_restricted(seq)
 
 
-def monomial_reference(seq, inputs):
-    """The per-gate numpy simulator the bit-sliced one replaced: four array
-    operations per gate on the basis indices themselves."""
+def exact_half_angle(count: int, theta: float) -> float:
+    """count·θ/2 modulo TWO_PI in exact rationals, rounded once to a double."""
+    return float(count * Fraction(theta) / 2 % Fraction(TWO_PI))
+
+
+def monomial_counts(seq, inputs):
+    """(target, count) of each input by the per-gate numpy simulator the
+    bit-sliced one replaced: four array operations per gate on the basis
+    indices themselves, count being the input's signed sum of RZ counts."""
     seq.validate()
     m = seq.n_total
     target = np.array(inputs, dtype=np.int64)
-    phase = np.zeros(target.size)
+    counts = np.zeros(target.size, dtype=np.int64)
     for g in seq.gates:
         bits = tuple(m - 1 - q for q in g.qubits)
         if g.kind == "X":
@@ -102,9 +108,15 @@ def monomial_reference(seq, inputs):
         elif g.kind == "CCNOT":
             target ^= ((target >> bits[0]) & (target >> bits[1]) & 1) << bits[2]
         else:
-            bit = (target >> bits[0]) & 1
-            phase += (0.5 * g.reps * seq.theta % TWO_PI) * (2 * bit - 1)
-    return target, phase
+            counts += g.reps * (2 * ((target >> bits[0]) & 1) - 1)
+    return target, counts
+
+
+def monomial_reference(seq, inputs):
+    """(target, phase) of each input: its count times θ/2, reduced in exact
+    rationals and rounded once."""
+    target, counts = monomial_counts(seq, inputs)
+    return target, np.array([exact_half_angle(c, seq.theta) for c in counts.tolist()], dtype=float)
 
 
 def random_sequence(n_data, n_anc, length, rng):
@@ -148,11 +160,11 @@ def test_bit_sliced_push_matches_reference_on_synthesized(rng):
 
 def test_push_in_chunks_sums_phases_alike(rng, monkeypatch):
     # snapshots unpacked a few at a time, or one at a time, give the bits of
-    # the default chunk, which holds all of these
+    # the default chunk, which holds all of these: the exact angle
     seqs = [synthesize(random_bp(n, rng), eps=1e-3).sequence for n in (3, 6)]
     seqs.append(random_sequence(4, 3, 400, rng))
-    whole = [synth._monomial(seq, np.arange(1 << seq.n_total)) for seq in seqs]
-    for unpack_bytes in (1, 1000):
+    whole = [monomial_reference(seq, np.arange(1 << seq.n_total)) for seq in seqs]
+    for unpack_bytes in (1, 1000, synth._UNPACK_BYTES):
         monkeypatch.setattr(synth, "_UNPACK_BYTES", unpack_bytes)
         for seq, (target, phase) in zip(seqs, whole):
             got_target, got_phase = synth._monomial(seq, np.arange(1 << seq.n_total))
@@ -174,6 +186,18 @@ def test_push_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 3 * synth._UNPACK_BYTES
+
+
+def test_simulators_refuse_rz_counts_past_int64():
+    # each input's signed sum of RZ counts is an int64: past 2^63 − 1 in all
+    # it would wrap without a word
+    half = 1 << 62
+    seq = GateSequence(n_data=1, gates=[Gate("RZ", (0,), half), Gate("RZ", (0,), half - 1)])
+    assert simulate(seq).phases.size == 2
+    seq.gates.append(Gate("RZ", (0,), 1))
+    for sim in (simulate, simulate_restricted):
+        with pytest.raises(ValueError, match=re.escape(f"RZ counts sum past the cap {(1 << 63) - 1}")):
+            sim(seq)
 
 
 def test_sequence_refuses_qubit_outside_register():
@@ -890,6 +914,34 @@ def test_error_is_max_of_factor_residuals(rng):
             assert report.achieved_error <= 2 * np.sin(eps / 2)
             assert abs(report.max_phase_residual - max(map(abs, residuals))) <= 1e-12
     assert negative
+
+
+def exact_error(report, g) -> float:
+    """report's certified error recomputed in exact rationals over the
+    doubles θ, TWO_PI and the target's phases: each state's residual is its
+    integer RZ count times θ/2 less its target phase, modulo TWO_PI, and
+    the chord 2·sin(arc/4) to the shortest arc holding them all is the one
+    step taken in floating point."""
+    seq = report.sequence
+    _, counts = monomial_counts(seq, np.arange(1 << seq.n_data) << seq.n_anc)
+    turn, half = Fraction(TWO_PI), Fraction(seq.theta) / 2
+    residues = sorted((c * half - Fraction(phi)) % turn
+                      for c, phi in zip(counts.tolist(), g.phases.tolist()))
+    span = residues[-1] - residues[0]
+    gap = max((b - a for a, b in zip(residues, residues[1:])), default=0)
+    arc = span if gap <= turn - span else turn - gap
+    return 2 * math.sin(float(arc) / 4)
+
+
+def test_certificate_equals_exact_recomputation():
+    # each state's phase was once a float sum of its RZ angles, each one
+    # rounded, which drifted by up to 2e-10: the certificate of seed 1004 at
+    # n = 12 read 1.0000235e-6 for an exact 9.99836e-7
+    cases = [(n, n, eps) for n in (3, 5, 8) for eps in (1e-3, 1e-6)] + [(12, 1004, 1e-6)]
+    for n, seed, eps in cases:
+        g = random_bp(n, np.random.default_rng(seed))
+        report = synthesize(g, eps)
+        assert abs(report.achieved_error - exact_error(report, g)) <= 1e-12
 
 
 def test_synthesize_five_qubits_tight_eps():

@@ -6,11 +6,9 @@ from bpgates import (
     check_normalizer,
     check_permutation,
     check_zx,
-    coherence_rank,
     hadamard_bound,
     pauli_z_string,
     random_bp,
-    tensor,
     to_unitary,
     worst_case_error,
 )
@@ -18,6 +16,7 @@ from bpgates.linalg import H, I2, index_to_bits
 from conftest import (
     basis_state,
     check_zx_by_parts,
+    coherence_rank,
     normalizer_reference,
     parity,
     random_near_bp,
@@ -257,7 +256,7 @@ def test_hadamard_separation(rng):
     for n in (1, 2, 3):
         Hn = H
         for _ in range(n - 1):
-            Hn = tensor(Hn, H)
+            Hn = np.kron(Hn, H)
         for _ in range(50):
             V = to_unitary(random_bp(n, rng))
             assert worst_case_error(Hn, V) >= hadamard_bound(n) - 1e-8
@@ -347,7 +346,7 @@ def test_check_permutation_matches_column_loop(rng):
     # for bit; phases of -1e-17 rad (e^{2πi} in floating point) included
     tiny = to_unitary(PermutationWithPhases(2, (2, 0, 3, 1), (0.0,) * 4)).astype(complex)
     tiny[2, 0] = complex(1.0, -1e-17)
-    cases = [tiny, H, CNOT, tensor(H, I2)]
+    cases = [tiny, H, CNOT, np.kron(H, I2)]
     for n in (1, 2, 3, 4, 5):
         for _ in range(3):
             cases += [to_unitary(random_bp(n, rng)), random_near_bp(n, rng), random_unitary(n, rng)]
