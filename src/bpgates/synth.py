@@ -20,6 +20,8 @@ holding the residuals, at most 2·sin(eps/2) < eps. Each factor's count k may
 be negative, realized as X·Rz(θ)^{|k|}·X = Rz(θ)^k on its flag qubit, and
 the k of smallest |k| is found exactly, by one descent of the window around
 φ and its mirror down the continued fraction of θ/(2π), with no loop over k.
+A factor becomes gates only when its k ≠ 0: a phase within eps of 0 costs
+none, and a diagonal with no other factor is the bare sequence.
 
 Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
 ancillas supplied and returned in |0⟩.
@@ -57,9 +59,9 @@ GATE_KINDS = tuple(ARITY)
 # targets took 14.9 s and 18-qubit ones 340 s.
 SYNTH_QUBIT_CAP = 16
 
-# Phases closer to 0 (mod 2pi) than this are treated as trivial diagonal
-# factors and emit no gates.
-PHASE_TRIVIAL = 1e-12
+# Largest |k| approximate_phase returns for a factor Rz(θ)^k: the
+# certificate's model error, about (|k·θ|/2π)·2.4e-16, stays under 2.5e-9.
+PHASE_REPS_CAP = 10**7
 
 # Unpacked bytes of RZ snapshots the simulator holds at a time: its memory
 # stays O(this + qubits·inputs), not O(#RZ·inputs).
@@ -134,7 +136,7 @@ class GateSequence:
 @dataclass
 class DiagonalSequence(GateSequence):
     """The diagonal stage's circuit and the signed repetition count k of each
-    nontrivial factor, in emission order."""
+    factor it emits, those with k ≠ 0, in emission order."""
     factor_reps: tuple[int, ...] = ()
 
 
@@ -400,12 +402,6 @@ def permutation_to_circuit(perm: tuple[int, ...] | list[int] | np.ndarray, n: in
     return GateSequence(n_data=n, n_anc=ladder[p][2], gates=gates, global_phase=0.0)
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Distance between angles on the circle, in [0, π]."""
-    d = (a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 def check_theta(theta: float) -> None:
     """Refuse a theta the certificate cannot vouch for. k·θ is reduced modulo
     the double TWO_PI, 2.4e-16 off 2π, which shifts the true phase by about
@@ -529,9 +525,7 @@ def _signed_count(chain: _Chain, w: int, lo_pos: int, lo_neg: int) -> int | None
     return -x if neg else x
 
 
-def approximate_phase(
-    phi: float, eps: float, theta: float = GOLDEN_THETA, cap: int = 10**7
-) -> int:
+def approximate_phase(phi: float, eps: float, theta: float = GOLDEN_THETA) -> int:
     """The k of smallest |k| with k·θ within eps of φ on the circle
     (distance < eps), k ≥ 0 on a tie. A negative k is realized as
     X·Rz(θ)^{|k|}·X = Rz(−θ)^{|k|}.
@@ -547,7 +541,7 @@ def approximate_phase(
 
     Raises PhaseApproximationError for either of two causes: no k exists
     (θ/(2π) is rational at double precision, e.g. θ = 0 or 2π/8, and no
-    multiple lands in the window), or the smallest |k| exceeds cap."""
+    multiple lands in the window), or the smallest |k| exceeds PHASE_REPS_CAP."""
     _check_eps_theta(eps, theta)
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
@@ -570,14 +564,14 @@ def approximate_phase(
             f"no multiple of theta={theta!r} comes within {eps} of {phi}: "
             "theta/(2*pi) is rational at double precision"
         )
-    if abs(k) > cap:
+    if abs(k) > PHASE_REPS_CAP:
         raise PhaseApproximationError(
-            f"the smallest |k| with k*theta within {eps} of {phi} exceeds the cap {cap}"
+            f"the smallest |k| with k*theta within {eps} of {phi} exceeds the cap {PHASE_REPS_CAP}"
         )
     return k
 
 
-def _unary_iteration(n: int, indices: list[int], reps: list[int], gate) -> list[Gate]:
+def _unary_iteration(n: int, indices: tuple[int, ...], reps: tuple[int, ...], gate) -> list[Gate]:
     """RZ^{reps[i]} on a flag qubit that is 1 on basis state indices[i] alone,
     for sorted distinct indices, in one depth-first walk over a shared AND
     tree (unary iteration: Babbush et al., PRX 8, 041015, 2018, §III.A).
@@ -653,11 +647,12 @@ def diagonal_to_circuit(
 ) -> DiagonalSequence:
     """Approximate diag(e^{iφ_0}, ..., e^{iφ_{2^n-1}}) over the gate set.
 
-    Each nontrivial one-level factor is Rz(θ)^k on a flag qubit set on its
-    state alone, k from `approximate_phase`: the k of smallest |k|, realized
-    for k < 0 under X on the flag. The factors share one Euclid chain of θ.
-    Each gets the full eps: it leaves residual δ_j = k_j·θ − φ_j on basis
-    state j alone, with |δ_j| < eps, and trivial factors leave 0. Distinct
+    Each one-level factor is Rz(θ)^k on a flag qubit set on its state alone,
+    k from `approximate_phase`: the k of smallest |k|, realized for k < 0
+    under X on the flag, and a factor becomes gates only when its k ≠ 0. A
+    phase of exactly 0 is k = 0 with no search. The factors share one Euclid
+    chain of θ. Each gets the full eps: it leaves residual δ_j = k_j·θ − φ_j
+    on basis state j alone, with |δ_j| < eps, k_j = 0 included. Distinct
     factors touch distinct states, so the worst case over states is the
     maximum, not the sum: every residual sits on an arc shorter than 2·eps,
     and the phase-optimized error is below 2·sin(eps/2) < eps. eps and theta
@@ -665,22 +660,24 @@ def diagonal_to_circuit(
     rotation. Each distinct gate is built once by `gate`, a Gate factory (by
     default a fresh cache)."""
     _check_eps_theta(eps, theta)
-    phases = [float(p) % TWO_PI for p in phases]
-    dim = len(phases)
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
+    with np.errstate(invalid="ignore"):  # inf becomes nan, which approximate_phase refuses
+        phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    dim = phases.size
+    if phases.ndim != 1 or dim == 0 or dim & (dim - 1):
         raise ValueError("phase list length must be a power of two")
-    nontrivial = [j for j in range(dim) if circular_distance(phases[j], 0.0) > PHASE_TRIVIAL]
+    n = dim.bit_length() - 1
     seq = DiagonalSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
     if n == 0:  # a global phase, exact
-        seq.global_phase = phases[0]
+        seq.global_phase = float(phases[0])
         return seq
-    if not nontrivial:
+    factors = [(j, k) for j, phi in enumerate(phases.tolist())
+               if phi and (k := approximate_phase(phi, eps, theta))]
+    if not factors:
         return seq
-    reps = [approximate_phase(phases[j], eps, theta) for j in nontrivial]
-    seq.gates = _unary_iteration(n, nontrivial, reps, gate or functools.cache(Gate))
+    indices, reps = zip(*factors)
+    seq.gates = _unary_iteration(n, indices, reps, gate or functools.cache(Gate))
     seq.n_anc = n - 1
-    seq.factor_reps = tuple(reps)
+    seq.factor_reps = reps
     # RZ^k, k ≥ 0, gives its state e^{+ikθ/2} and every other e^{−ikθ/2},
     # as X·RZ^{|k|}·X does for k < 0; the global phase e^{+ikθ/2} makes
     # these e^{ikθ} and 1. Summed over the factors in integers, it is

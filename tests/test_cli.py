@@ -586,6 +586,18 @@ def test_synth_json_reports_a_negative_factor(tmp_path, capsys):
     assert abs(M[1, 1] / M[0, 0] - np.exp(-1j * GOLDEN_THETA)) < 1e-12
 
 
+def test_synth_emits_no_rz_for_a_phase_within_eps_of_zero(tmp_path, capsys):
+    # phase 1e-9 is k = 0: it once compiled to the no-op line `RZ 0 0`
+    gate_file = tmp_path / "g.perm"
+    gate_file.write_text("0 -> 0 phase=0\n1 -> 1 phase=1e-9\n")
+    assert main(["synth", "--target", str(gate_file)]) == 0
+    out = capsys.readouterr().out
+    assert "qubits 1" in out
+    assert not any(line.startswith("RZ") for line in out.splitlines())
+    assert main(["synth", "--target", str(gate_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["factor_reps"] == []
+
+
 def test_synth_renders_the_circuit_only_when_it_prints_it(tmp_path, capsys, monkeypatch, rng):
     gate_file, circ_file = tmp_path / "g.perm", tmp_path / "g.circ"
     io.write_file(str(gate_file), io.write_perm, random_bp(3, rng))

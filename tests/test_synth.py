@@ -31,9 +31,15 @@ from bpgates import (
 )
 from bpgates import synth
 from bpgates.linalg import GOLDEN_THETA, X, shortest_arc_chord
-from bpgates.synth import PhaseApproximationError, circular_distance
+from bpgates.synth import PhaseApproximationError
 
 TWO_PI = 2 * np.pi
+
+
+def circular_distance(a, b):
+    """Distance between angles on the circle, in [0, π]."""
+    d = (a - b) % TWO_PI
+    return min(d, TWO_PI - d)
 
 
 def perm_matrix(perm):
@@ -457,9 +463,10 @@ def scan_oracle(phi, eps, theta, limit):
     return None
 
 
-def test_approximate_phase_matches_exact_oracle():
+def test_approximate_phase_matches_exact_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     limit = 200_000
+    monkeypatch.setattr(synth, "PHASE_REPS_CAP", limit)
     thetas = [GOLDEN_THETA, TWO_PI * (np.sqrt(2) - 1)] + list(rng.uniform(0.0, TWO_PI, 4))
     for theta in thetas:
         theta = float(theta)
@@ -469,9 +476,9 @@ def test_approximate_phase_matches_exact_oracle():
             k = scan_oracle(phi, eps, theta, limit)
             if k is None:
                 with pytest.raises(PhaseApproximationError, match="cap"):
-                    approximate_phase(phi, eps, theta, cap=limit)
+                    approximate_phase(phi, eps, theta)
             else:
-                assert approximate_phase(phi, eps, theta, cap=limit) == k
+                assert approximate_phase(phi, eps, theta) == k
     # windows at the ends of [0, 2π): one holding 0 (it wraps), one just short
     for phi, eps in ((TWO_PI - 5e-4, 1e-3), (TWO_PI - 2e-3, 1e-3), (3e-3, 2e-3)):
         k = approximate_phase(phi, eps)
@@ -484,7 +491,7 @@ SCAN_THETAS = [GOLDEN_THETA, 1.0, TWO_PI * (1 / 3 + 1e-7), math.sqrt(2), TWO_PI 
 
 @pytest.mark.parametrize("theta", SCAN_THETAS, ids=["golden", "one", "third", "sqrt2", "quarter"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 2.0**-7, 2.0**-10])
-def test_approximate_phase_matches_signed_scan(theta, eps):
+def test_approximate_phase_matches_signed_scan(theta, eps, monkeypatch):
     # random phases, phases a multiple of θ of either sign away, landing
     # near their window's ends, and phases with a finer denominator than
     # θ, 2π and eps share: at eps 1e-2 and 1e-3 such a phase lies within
@@ -492,6 +499,7 @@ def test_approximate_phase_matches_signed_scan(theta, eps):
     # nontrivial, so the search scales its chain to them
     rng = np.random.default_rng(round(-math.log2(eps)))
     limit = 20_000
+    monkeypatch.setattr(synth, "PHASE_REPS_CAP", limit)
     phis = [1e-10, TWO_PI - 1e-10, -1e-10, 1e-300, 1.1, 0.1, 3.3]
     phis += [float(x) for x in rng.uniform(0.0, TWO_PI, 6)]
     for k in rng.integers(-limit, limit, 8):
@@ -501,9 +509,9 @@ def test_approximate_phase_matches_signed_scan(theta, eps):
         k = scan_oracle(phi, eps, theta, limit)
         if k is None:
             with pytest.raises(PhaseApproximationError, match="cap"):
-                approximate_phase(phi, eps, theta, cap=limit)
+                approximate_phase(phi, eps, theta)
         else:
-            assert approximate_phase(phi, eps, theta, cap=limit) == k, phi
+            assert approximate_phase(phi, eps, theta) == k, phi
 
 
 def euclid_levels(a, m):
@@ -580,7 +588,7 @@ def test_approximate_phase_large_eps_is_zero():
             assert approximate_phase(phi, eps) == 0
 
 
-def test_approximate_phase_cap():
+def test_approximate_phase_cap(monkeypatch):
     # theta = 2pi/8 exactly rational, and theta = 0: pi/3 is unreachable
     for theta in (TWO_PI / 8, 0.0):
         start = time.perf_counter()
@@ -590,9 +598,12 @@ def test_approximate_phase_cap():
     # the cap bounds |k|, for k of either sign
     for phi in (np.pi, 1.0, 5.0):
         k = approximate_phase(phi, 1e-3)
-        assert approximate_phase(phi, 1e-3, cap=abs(k)) == k
+        monkeypatch.setattr(synth, "PHASE_REPS_CAP", abs(k))
+        assert approximate_phase(phi, 1e-3) == k
+        monkeypatch.setattr(synth, "PHASE_REPS_CAP", abs(k) - 1)
         with pytest.raises(PhaseApproximationError, match=re.escape(f"|k|") + ".* cap " + f"{abs(k) - 1}$"):
-            approximate_phase(phi, 1e-3, cap=abs(k) - 1)
+            approximate_phase(phi, 1e-3)
+        monkeypatch.undo()
     assert {np.sign(approximate_phase(phi, 1e-3)) for phi in (1.0, 5.0)} == {1, -1}
     for phi, eps, theta in (
         (0.3, 0.0, GOLDEN_THETA),
@@ -695,6 +706,36 @@ def assert_diagonal_certified(phases, seq, eps):
     assert np.array_equal(achieved.perm, np.arange(len(phases)))
     deltas = achieved.phases + seq.global_phase - np.asarray(phases)
     assert shortest_arc_chord(deltas) <= eps
+
+
+@pytest.mark.parametrize("phases", [[], [[0.0, 0.5], [0.5, 0.0]], [0.0] * 3], ids=["empty", "two-d", "three"])
+def test_diagonal_refuses_a_length_not_a_power_of_two(phases):
+    # the empty list once raised "negative shift count", a 2-D list a TypeError
+    with pytest.raises(ValueError, match="^phase list length must be a power of two$"):
+        diagonal_to_circuit(phases, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_diagonal_refuses_a_phase_that_is_not_finite(bad):
+    # such a phase was once read as a phase of 0 and dropped
+    with pytest.raises(ValueError, match="^phase must be finite, got nan$"):
+        diagonal_to_circuit([bad, 0.5], 1e-3)
+
+
+def test_diagonal_factor_is_a_gate_only_when_its_k_is_nonzero():
+    # 1e-6 lies within eps of 0, so its k is 0: it once cost a second leaf
+    # of the walk and a no-op RZ^0
+    phases = [0.0, 1e-6, 0.5, 0.0]
+    seq = diagonal_to_circuit(phases, 1e-3)
+    assert seq.factor_reps == (814,)
+    assert [g.reps for g in seq.gates if g.kind == "RZ"] == [814]
+    assert_diagonal_certified(phases, seq, 1e-3)
+    # no phase needs a rotation: the bare sequence, though none is exactly 0
+    for phases in ([1e-9] * 8, [1e-12, TWO_PI - 1e-9]):
+        seq = diagonal_to_circuit(phases, 1e-3)
+        assert seq.gates == [] and seq.n_anc == 0 and seq.factor_reps == ()
+        assert seq.global_phase == 0.0
+        assert_diagonal_certified(phases, seq, 1e-3)
 
 
 def polarity_x_count(n, indices, reps):
@@ -869,6 +910,33 @@ def test_synthesize_six_qubit_random_phases():
     assert worst <= 1e-2
 
 
+def test_synthesize_phases_within_eps_of_zero_is_the_permutation_stage_alone():
+    # every phase 1e-9 is k = 0: each once cost a leaf of the diagonal walk
+    # and an RZ^0, 34 gates on two ancillas
+    perm = (3, 0, 6, 1, 7, 2, 5, 4)
+    report = synthesize(PermutationWithPhases(3, perm, (1e-9,) * 8), eps=1e-3)
+    bare = permutation_to_circuit(perm, 3)
+    assert report.sequence.gates == bare.gates
+    assert report.sequence.n_anc == bare.n_anc == 0
+    assert report.stage_gate_counts["diagonal"] == dict.fromkeys(synth.GATE_KINDS, 0)
+    assert report.factor_reps == ()
+    assert report.achieved_error == 0.0
+
+
+def test_every_diagonal_factor_has_a_nonzero_k(rng):
+    # one RZ per reported factor, and no k is 0, on targets whose phases mix
+    # exact zeros, phases within eps of 0 on either side and random ones
+    near = [0.0, 1e-300, 1e-12, 1e-9, 1e-6, 9e-4, TWO_PI - 1e-9, TWO_PI - 9e-4]
+    for n in range(1, 6):
+        for _ in range(4):
+            g = random_bp(n, rng)
+            mixed = np.where(rng.random(1 << n) < 0.5, rng.choice(near, 1 << n), g.phases)
+            report = synthesize(PermutationWithPhases(n, g.perm, mixed), eps=1e-3)
+            assert report.stage_gate_counts["diagonal"]["RZ"] == len(report.factor_reps)
+            assert 0 not in report.factor_reps
+            assert all(gate.reps for gate in report.sequence.gates if gate.kind == "RZ")
+
+
 def test_synthesize_raises_on_wrong_permutation(monkeypatch):
     # a permutation stage that drops its gates is a synthesis bug, not an input error
     monkeypatch.setattr(synth, "permutation_to_circuit", lambda perm, n, gate: GateSequence(n_data=n))
@@ -891,8 +959,9 @@ def test_every_primitive_is_bias_preserving():
 
 
 def test_error_is_max_of_factor_residuals(rng):
-    # each nontrivial factor gets the full eps, so the certified error is the
-    # chord to the shortest arc holding the per-factor residuals, not a sum
+    # each factor gets the full eps, so the certified error is the chord to
+    # the shortest arc holding the per-factor residuals, not a sum; a factor
+    # with k = 0 emits no gate and leaves its residual −φ
     eps = 1e-2
     negative = 0
     for n in (1, 2, 3):
@@ -902,14 +971,11 @@ def test_error_is_max_of_factor_residuals(rng):
             d_phases, _ = factor_dp(g)
             residuals = []
             for p in d_phases:
-                if circular_distance(p, 0.0) > synth.PHASE_TRIVIAL:
-                    k = approximate_phase(p, eps)  # signed: X·RZ^{|k|}·X for k < 0
-                    negative += k < 0
-                    r = (k * GOLDEN_THETA - p + np.pi) % TWO_PI - np.pi
-                    assert abs(r) < eps
-                    residuals.append(r)
-                else:
-                    residuals.append(0.0)
+                k = approximate_phase(p, eps)  # signed: X·RZ^{|k|}·X for k < 0
+                negative += k < 0
+                r = (k * GOLDEN_THETA - p + np.pi) % TWO_PI - np.pi
+                assert abs(r) < eps
+                residuals.append(r)
             assert abs(report.achieved_error - shortest_arc_chord(residuals)) <= 1e-12
             assert report.achieved_error <= 2 * np.sin(eps / 2)
             assert abs(report.max_phase_residual - max(map(abs, residuals))) <= 1e-12
@@ -962,9 +1028,8 @@ def test_report_stage_counts_and_logs(rng, caplog):
     for kind, count in report.gate_counts.items():
         assert stages["permutation"][kind] + stages["diagonal"][kind] == count
     assert stages["permutation"]["RZ"] == 0
-    assert stages["diagonal"]["RZ"] == sum(
-        circular_distance(p, 0.0) > synth.PHASE_TRIVIAL for p in factor_dp(g)[0]
-    )
+    # a factor becomes a gate exactly when its k ≠ 0
+    assert stages["diagonal"]["RZ"] == sum(approximate_phase(p, 1e-2) != 0 for p in factor_dp(g)[0])
     messages = [r.getMessage() for r in caplog.records if r.name == "bpgates.synth"]
     for stage in ("permutation", "diagonal", "certify"):
         assert f"{stage}: start" in messages
@@ -977,11 +1042,7 @@ def test_report_factor_reps_in_emission_order(rng):
     for n in (1, 2, 3):
         g = random_bp(n, rng)
         report = synthesize(g, eps=eps)
-        expected = tuple(
-            approximate_phase(p, eps)
-            for p in factor_dp(g)[0]
-            if circular_distance(p, 0.0) > synth.PHASE_TRIVIAL
-        )
+        expected = tuple(k for p in factor_dp(g)[0] if (k := approximate_phase(p, eps)))
         assert report.factor_reps == expected
         # each factor is RZ^{|k|}, under an X pair on its flag where k < 0
         rz = [gate.reps for gate in report.sequence.gates if gate.kind == "RZ"]
