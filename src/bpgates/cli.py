@@ -134,6 +134,8 @@ def cmd_synth(args) -> int:
         "stage_gate_counts": report.stage_gate_counts,
         "max_phase_residual": report.max_phase_residual,
         "factor_reps": list(report.factor_reps),
+        "phase_shift": report.phase_shift,
+        "rz_reps": report.rz_reps,
         "stage_seconds": report.stage_seconds,
     }
     lines = [

@@ -14,13 +14,17 @@ commute with a frame change that writes none of the qubits they read. Both
 stages build each distinct gate once, through one cache per synthesis.
 
 The one-level factors act on distinct basis states, so their errors do not
-add: each factor gets the full budget eps, every residual k·θ − φ lies in
-(−eps, eps), and the phase-optimized error is the chord to the shortest arc
-holding the residuals, at most 2·sin(eps/2) < eps. Each factor's count k may
-be negative, realized as X·Rz(θ)^{|k|}·X = Rz(θ)^k on its flag qubit, and
-the k of smallest |k| is found exactly, by one descent of the window around
-φ and its mirror down the continued fraction of θ/(2π), with no loop over k.
-A factor becomes gates only when its k ≠ 0: a phase within eps of 0 costs
+add: each factor gets the full budget eps, and the phase-optimized error
+counts only the shortest arc holding the residuals, so the global phase is
+free. All factors share one integer shift j of it: every residual
+(k − j)·θ − φ lies in (−eps, eps), and the error is at most
+2·sin(eps/2) < eps. Each factor's count k may be negative, realized as
+X·Rz(θ)^{|k|}·X = Rz(θ)^k on its flag qubit, and is the k of smallest |k|
+for its window at j. At j = 0 that k is found exactly, by one descent of the
+window around φ and its mirror down the continued fraction of θ/(2π), with
+no loop over k; from it the window's other members follow by Slater's
+three-gap rule, and one sweep over them all picks the j of least Σ|k|. A
+factor becomes gates only when its k ≠ 0: a phase within eps of 0 costs
 none, and a diagonal with no other factor is the bare sequence.
 
 Sequence semantics: target ≈ e^{i·global_phase} · simulate(sequence), with
@@ -37,9 +41,11 @@ permutation gate is one integer operation however many inputs there are.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
@@ -135,9 +141,11 @@ class GateSequence:
 
 @dataclass
 class DiagonalSequence(GateSequence):
-    """The diagonal stage's circuit and the signed repetition count k of each
-    factor it emits, those with k ≠ 0, in emission order."""
+    """The diagonal stage's circuit, the signed repetition count k of each
+    factor it emits, those with k ≠ 0, in emission order, and the shift j
+    they share: factor s leaves phase (k − j)·θ on its state."""
     factor_reps: tuple[int, ...] = ()
+    phase_shift: int = 0
 
 
 @dataclass(frozen=True)
@@ -148,12 +156,15 @@ class SynthesisReport:
     gate_counts: dict[str, int]
     # gate counts of the "permutation" and "diagonal" stages
     stage_gate_counts: dict[str, dict[str, int]]
-    # largest |k·θ − φ| over the diagonal factors (wrapped to [0, π]), read
-    # off the certificate's per-state phases; each is below target_eps
+    # largest |(k − j)·θ − φ| over the diagonal factors (wrapped to [0, π]),
+    # read off the certificate's per-state phases; each is below target_eps
     max_phase_residual: float
     # signed repetition count k of each diagonal factor's Rz(θ)^k, in
     # emission order: RZ^{|k|}, under X on its flag where k < 0
     factor_reps: tuple[int, ...]
+    # the shift j all diagonal factors share, and Σ|k|, the Rz(θ) repetitions
+    phase_shift: int
+    rz_reps: int
     # wall seconds of the "permutation", "diagonal" and "certify" stages
     stage_seconds: dict[str, float]
 
@@ -525,6 +536,23 @@ def _signed_count(chain: _Chain, w: int, lo_pos: int, lo_neg: int) -> int | None
     return -x if neg else x
 
 
+def _window(phi: float, den: int, e: int, chain: _Chain) -> tuple[_Chain, int, int, int]:
+    """(chain, lo, w, shift) of φ, for (den, e, chain) of θ and eps from
+    `_euclid_chain`: over den, times 2^shift for a φ with a finer
+    denominator, k·θ lies within eps of φ on the circle exactly when
+    a·k − lo mod m lies in [0, w], for a/m the returned chain's. A finer φ
+    scales the chain by 2^shift, since every Euclid step is homogeneous."""
+    p, d = phi.as_integer_ratio()
+    shift = 0
+    if d > den:  # a finer phase: the chain scales by a power of two
+        shift = d.bit_length() - den.bit_length()
+        e, chain = e << shift, chain.scaled(shift)
+    else:
+        p *= den // d
+    # residues r with circular distance |r − p| < e
+    return chain, p % chain.modulus - e + 1, 2 * e - 2, shift
+
+
 def approximate_phase(phi: float, eps: float, theta: float = GOLDEN_THETA) -> int:
     """The k of smallest |k| with k·θ within eps of φ on the circle
     (distance < eps), k ≥ 0 on a tie. A negative k is realized as
@@ -532,12 +560,10 @@ def approximate_phase(phi: float, eps: float, theta: float = GOLDEN_THETA) -> in
 
     Exact, with no loop over k: θ, 2π, φ and eps are doubles, so dyadic
     rationals. Over their common denominator, k·θ mod 2π is a·k mod m in
-    integers and the open window around φ is an integer range W; if W holds
-    0, k = 0. Otherwise `_signed_count` descends W (k ≥ 0) and its mirror −W
-    (k < 0) together down the Euclid chain of θ/2π, the continued fraction,
-    in O(log m) steps. The chain is shared by every φ of one θ and eps; a φ
-    with a finer denominator scales it by a power of two, since every
-    Euclid step is homogeneous.
+    integers and the open window around φ is an integer range W (`_window`);
+    if W holds 0, k = 0. Otherwise `_signed_count` descends W (k ≥ 0) and
+    its mirror −W (k < 0) together down the Euclid chain of θ/2π, the
+    continued fraction, in O(log m) steps.
 
     Raises PhaseApproximationError for either of two causes: no k exists
     (θ/(2π) is rational at double precision, e.g. θ = 0 or 2π/8, and no
@@ -545,20 +571,11 @@ def approximate_phase(phi: float, eps: float, theta: float = GOLDEN_THETA) -> in
     _check_eps_theta(eps, theta)
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
-    den, e, chain = _euclid_chain(theta, eps)
-    p, d = phi.as_integer_ratio()
-    if d > den:  # a finer phase: the chain scales by a power of two
-        shift = d.bit_length() - den.bit_length()
-        e, chain = e << shift, chain.scaled(shift)
-    else:
-        p *= den // d
+    chain, lo, w, _ = _window(phi, *_euclid_chain(theta, eps))
     m = chain.modulus
-    p %= m
-    # residues r with circular distance |r − p| < e
-    lo, hi = p - e + 1, p + e - 1
-    if lo <= 0 or hi >= m:
+    if lo <= 0 or lo + w >= m:
         return 0
-    k = _signed_count(chain, hi - lo, lo, m - hi)
+    k = _signed_count(chain, w, lo, m - lo - w)
     if k is None:
         raise PhaseApproximationError(
             f"no multiple of theta={theta!r} comes within {eps} of {phi}: "
@@ -571,7 +588,149 @@ def approximate_phase(phi: float, eps: float, theta: float = GOLDEN_THETA) -> in
     return k
 
 
-def _unary_iteration(n: int, indices: tuple[int, ...], reps: tuple[int, ...], gate) -> list[Gate]:
+class _Gaps(NamedTuple):
+    """The three gaps of a window of w + 1 residues (Slater, Proc. Cambridge
+    Phil. Soc. 63, 1967): the members of a window, the counts k with a·k − lo
+    mod m in [0, w], follow one another by one of three steps. θ first
+    returns into (0, w] after `up` steps, raising a member's offset a·k − lo
+    by `rise`, and into [−w, 0) after `down` steps, lowering it by `fall`.
+    From a member at offset t the next one is up on if t + rise ≤ w, else
+    down on if t ≥ fall, else up + down on, at t + rise − fall; rise + fall
+    > w, so at most one of the first two holds. Valid while up + down is at
+    most the period of a modulo m, so that no shorter step keeps the
+    offset."""
+    up: int
+    rise: int
+    down: int
+    fall: int
+
+    @classmethod
+    def of(cls, chain: _Chain, w: int) -> _Gaps | None:
+        """The gaps of the chain's a/m for a window of w + 1 residues; None
+        if either return is missing within a period, as for θ/2π rational
+        with a coarse period, or w = 0."""
+        m = chain.modulus
+        if not 0 < w < m:
+            return None
+        up = _signed_count(chain, w - 1, 1, 1)  # the first x > 0 with a·x mod m in [1, w]
+        down = _signed_count(chain, w - 1, m - w, m - w)  # ... in [m − w, m − 1]
+        if up is None or down is None or up + down > m // chain.remainders[-1]:
+            return None
+        a = chain.remainders[0]
+        return cls(up, a * up % m, down, -a * down % m)
+
+    def walk(self, k: int, t: int, w: int, reach: int) -> list[int]:
+        """The members from the last below −reach to the first above reach,
+        ascending, walked out both ways from member k at offset t. A step
+        back mirrors a step on: up back lowers the offset by rise, down back
+        raises it by fall."""
+        up, rise, down, fall = self
+        below = []
+        x, s = k, t
+        while x >= -reach:
+            if s >= rise:
+                x, s = x - up, s - rise
+            elif s + fall <= w:
+                x, s = x - down, s + fall
+            else:
+                x, s = x - up - down, s + fall - rise
+            below.append(x)
+        members = below[::-1]
+        members.append(k)
+        x, s = k, t
+        while x <= reach:
+            if s + rise <= w:
+                x, s = x + up, s + rise
+            elif s >= fall:
+                x, s = x + down, s - fall
+            else:
+                x, s = x + up + down, s + rise - fall
+            members.append(x)
+        return members
+
+
+@functools.lru_cache(maxsize=64)
+def _gaps(theta: float, eps: float, shift: int) -> _Gaps | None:
+    """The gaps of θ for the windows of eps, scaled by 2^shift. Cached, as
+    `_euclid_chain` is."""
+    _, e, chain = _euclid_chain(theta, eps)
+    return _Gaps.of(chain.scaled(shift) if shift else chain, (2 * e << shift) - 2)
+
+
+def _phase_shift(values: list[float], counts: list[int], weights: list[int],
+                 eps: float, theta: float) -> tuple[int, list[int]]:
+    """The shared shift j of the distinct phases `values`, their counts
+    `counts` at j = 0 from `approximate_phase` and their multiplicities
+    `weights`, and each value's count k at j: the k of smallest |k|, k ≥ 0
+    on a tie, with (k − j)·θ within eps of φ.
+
+    With S_φ the members of φ's window, k = (the member of S_φ nearest −j)
+    + j, so Σ weight·|k| is C(x) = Σ weight·dist(x, S_φ) at x = −j. Each S_φ
+    is walked out from its count at j = 0 by `_Gaps.walk` past ±R, R = up +
+    down of θ's gaps: no gap exceeds R, so no |k| exceeds R / 2, and the
+    search runs only while R / 2 ≤ PHASE_REPS_CAP. C is piecewise linear,
+    its slope rising by 2·weight at each member and falling as much at each
+    midpoint between members, so one sort and cumsum over them evaluates it
+    at every member, integer midpoint, 0 and ±R with |x| ≤ R. C is concave
+    between members, so its least values over the integers of that range,
+    and the one of them nearest 0, lie among these. A value with k = 0 at
+    j = 0 must keep k = 0, which leaves as candidates only the members all
+    such values share. The least C wins, then the smaller |j|, then j ≥ 0;
+    x = 0 is a candidate, so the total is never above the one at j = 0."""
+    base = _gaps(theta, eps, 0)
+    if base is None or (reach := base.up + base.down) // 2 > PHASE_REPS_CAP:
+        return 0, counts
+    members = []
+    shared = _euclid_chain(theta, eps)
+    for phi, k in zip(values, counts):
+        chain, lo, w, shift = _window(phi, *shared)
+        gaps = _gaps(theta, eps, shift) if shift else base
+        if gaps is None:
+            return 0, counts
+        members.append(gaps.walk(k, (chain.remainders[0] * k - lo) % chain.modulus, w, reach))
+    zero = [set(s) for s, k in zip(members, counts) if k == 0]
+    if zero:  # the only candidates: the members all such values share
+        extra = [x for x in set.intersection(*zero) if -reach <= x <= reach]
+        if len(extra) == 1:  # x = 0 alone
+            return 0, counts
+    else:
+        extra = [0, -reach, reach]
+    lengths = [len(s) for s in members]
+    size = sum(lengths)
+    flat = np.fromiter(itertools.chain.from_iterable(members), np.int64, size)
+    # doubled positions, so that midpoints are integers, of the members, of
+    # the midpoints between each and the next and of the extra candidates,
+    # each with the change of the slope of 2C there: +2·weight at a member,
+    # −2·weight at a midpoint, none between two values or at a candidate
+    pos = np.concatenate((2 * flat, flat[:-1] + flat[1:], np.array(extra, dtype=np.int64) * 2))
+    step = np.zeros(pos.size, dtype=np.int64)
+    step[:size] = np.repeat(np.array(weights, dtype=np.int64) * 2, lengths)
+    step[size:2 * size - 1] = -step[:size - 1]
+    step[[size - 1 + n for n in itertools.accumulate(lengths[:-1])]] = 0
+    order = pos.argsort()
+    pos, step = pos[order], step[order]
+    # pos[0] lies left of every member, where 2C has slope −Σ weight
+    total = sum(weights)
+    twice = np.empty_like(pos)
+    twice[0] = sum(wt * 2 * s[0] for wt, s in zip(weights, members)) - total * int(pos[0])
+    ((step[:-1].cumsum() - total) * (pos[1:] - pos[:-1])).cumsum(out=twice[1:])
+    twice[1:] += twice[0]
+    if zero:
+        flagged = order >= pos.size - len(extra)
+    else:  # every integer point in range is a shift to weigh
+        flagged = (pos & 1 == 0) & (np.abs(pos) <= 2 * reach)
+    x, cost = pos[flagged] // 2, twice[flagged]
+    best = min(x[cost == cost.min()].tolist(), key=lambda v: (abs(v), v > 0))
+    if best == 0:
+        return 0, counts
+    shifted = []
+    for s in members:  # the member nearest x = best, the upper one on a tie, less x
+        i = bisect_left(s, best)  # s[i − 1] < best ≤ s[i], both walked
+        shifted.append(s[i] - best if s[i] - best <= best - s[i - 1] else s[i - 1] - best)
+    return -best, shifted
+
+
+def _unary_iteration(n: int, indices: list[int], reps: tuple[int, ...], gate) -> list[Gate]:
     """RZ^{reps[i]} on a flag qubit that is 1 on basis state indices[i] alone,
     for sorted distinct indices, in one depth-first walk over a shared AND
     tree (unary iteration: Babbush et al., PRX 8, 041015, 2018, §III.A).
@@ -648,41 +807,60 @@ def diagonal_to_circuit(
     """Approximate diag(e^{iφ_0}, ..., e^{iφ_{2^n-1}}) over the gate set.
 
     Each one-level factor is Rz(θ)^k on a flag qubit set on its state alone,
-    k from `approximate_phase`: the k of smallest |k|, realized for k < 0
-    under X on the flag, and a factor becomes gates only when its k ≠ 0. A
-    phase of exactly 0 is k = 0 with no search. The factors share one Euclid
-    chain of θ. Each gets the full eps: it leaves residual δ_j = k_j·θ − φ_j
-    on basis state j alone, with |δ_j| < eps, k_j = 0 included. Distinct
-    factors touch distinct states, so the worst case over states is the
-    maximum, not the sum: every residual sits on an arc shorter than 2·eps,
-    and the phase-optimized error is below 2·sin(eps/2) < eps. eps and theta
-    are checked as synthesize checks them, also when no factor needs a
-    rotation. Each distinct gate is built once by `gate`, a Gate factory (by
-    default a fresh cache)."""
+    realized for k < 0 under X on the flag, and a factor becomes gates only
+    when its k ≠ 0. All factors share one shift j of the global phase: each
+    k is the one of smallest |k|, k ≥ 0 on a tie, with (k − j)·θ within eps
+    of its φ, and `_phase_shift` chooses j to make Σ|k| least while every
+    state whose k is 0 at j = 0 keeps k = 0; a diagonal with no factor at
+    j = 0 makes no search. Each factor gets the full eps: it leaves residual
+    δ_s = (k_s − j)·θ − φ_s on basis state s alone, with |δ_s| < eps, k_s = 0
+    included. Distinct factors touch distinct states, so the worst case
+    over states is the maximum, not the sum: every residual sits on an arc
+    shorter than 2·eps, and the phase-optimized error is below
+    2·sin(eps/2) < eps. `approximate_phase` runs once per distinct phase
+    other than 0. eps and theta are checked as synthesize checks them, also
+    when no factor needs a rotation. Each distinct gate is built once by
+    `gate`, a Gate factory (by default a fresh cache)."""
     _check_eps_theta(eps, theta)
-    with np.errstate(invalid="ignore"):  # inf becomes nan, which approximate_phase refuses
-        phases = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    try:
+        phases = np.asarray(phases, dtype=float)
+    except ValueError:
+        if any(np.ndim(phi) for phi in phases):  # a ragged list
+            raise ValueError("phase list length must be a power of two") from None
+        raise
     dim = phases.size
     if phases.ndim != 1 or dim == 0 or dim & (dim - 1):
         raise ValueError("phase list length must be a power of two")
+    with np.errstate(invalid="ignore"):  # inf becomes nan
+        phases = np.mod(phases, TWO_PI)
+    if np.isnan(phases).any():
+        raise ValueError("phase must be finite, got nan")
     n = dim.bit_length() - 1
     seq = DiagonalSequence(n_data=n, n_anc=0, gates=[], theta=theta, global_phase=0.0)
     if n == 0:  # a global phase, exact
         seq.global_phase = float(phases[0])
         return seq
-    factors = [(j, k) for j, phi in enumerate(phases.tolist())
-               if phi and (k := approximate_phase(phi, eps, theta))]
-    if not factors:
-        return seq
-    indices, reps = zip(*factors)
-    seq.gates = _unary_iteration(n, indices, reps, gate or functools.cache(Gate))
-    seq.n_anc = n - 1
-    seq.factor_reps = reps
+    phis = phases.tolist()
+    weights = Counter(phis)  # each distinct phase, by multiplicity
+    values = list(weights)
+    counts = [approximate_phase(phi, eps, theta) if phi else 0 for phi in values]
+    unshifted = sum(abs(k) * wt for k, wt in zip(counts, weights.values()))
+    if unshifted:
+        seq.phase_shift, counts = _phase_shift(values, counts, list(weights.values()), eps, theta)
+    count = dict(zip(values, counts))
+    indices = [s for s, phi in enumerate(phis) if count[phi]]
+    reps = seq.factor_reps = tuple(count[phis[s]] for s in indices)
+    log.debug("diagonal: %d Rz repetitions at shift 0, %d at shift %d",
+              unshifted, sum(map(abs, reps)), seq.phase_shift)
     # RZ^k, k ≥ 0, gives its state e^{+ikθ/2} and every other e^{−ikθ/2},
-    # as X·RZ^{|k|}·X does for k < 0; the global phase e^{+ikθ/2} makes
-    # these e^{ikθ} and 1. Summed over the factors in integers, it is
-    # reduced exactly and rounded once, as the certificate's phases are.
-    seq.global_phase = _half_angle(sum(reps), theta)
+    # as X·RZ^{|k|}·X does for k < 0; the global phase e^{+i(Σk − 2j)θ/2}
+    # makes these e^{i(k − j)θ} and e^{−ijθ}. Summed over the factors in
+    # integers, it is reduced exactly and rounded once, as the
+    # certificate's phases are.
+    seq.global_phase = _half_angle(sum(reps) - 2 * seq.phase_shift, theta)
+    if reps:
+        seq.gates = _unary_iteration(n, indices, reps, gate or functools.cache(Gate))
+        seq.n_anc = n - 1
     return seq
 
 
@@ -705,7 +883,12 @@ def synthesize(
     rounded once, so achieved_error is within about 1e-15 of its exact value
     for the doubles θ, TWO_PI and φ_s. Model: a full turn is the double
     TWO_PI, 2.4e-16 short of 2π, so the true phase of a factor Rz(θ)^k is
-    off by about (|k·θ|/2π)·2.4e-16 more, under 2.5e-9 at |k| = 10^7."""
+    off by about (|k·θ|/2π)·2.4e-16 more, under 2.5e-9 at |k| = 10^7.
+
+    The diagonal stage gives factor s the k of smallest |k| with
+    (k − j)·θ within eps of φ_s, for one shift j shared by every factor and
+    chosen to make Σ|k|, reported as rz_reps, least (`diagonal_to_circuit`);
+    the global phase carries −j·θ."""
     if p.n > SYNTH_QUBIT_CAP:
         raise ValueError(f"{p.n} qubits exceeds synthesis cap {SYNTH_QUBIT_CAP}")
     _check_eps_theta(eps, theta)
@@ -737,5 +920,7 @@ def synthesize(
         stage_gate_counts=stages,
         max_phase_residual=float(residuals.max()),
         factor_reps=diag_seq.factor_reps,
+        phase_shift=diag_seq.phase_shift,
+        rz_reps=sum(map(abs, diag_seq.factor_reps)),
         stage_seconds={stage.name: stage.seconds for stage in (perm_stage, diag_stage, certify_stage)},
     )

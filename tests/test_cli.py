@@ -555,21 +555,28 @@ def test_synth_json_reports_stages(tmp_path, capsys, rng):
     for kind, count in report["gate_counts"].items():
         assert stages["permutation"][kind] + stages["diagonal"][kind] == count
     assert report["achieved_error"] <= report["max_phase_residual"] < 1e-2
-    assert report["factor_reps"] == list(synthesize(g, eps=1e-2).factor_reps)
+    expected = synthesize(g, eps=1e-2)
+    assert report["factor_reps"] == list(expected.factor_reps)
     assert len(report["factor_reps"]) == stages["diagonal"]["RZ"]
+    assert report["phase_shift"] == expected.phase_shift
+    assert report["rz_reps"] == sum(map(abs, report["factor_reps"])) > 0
     assert set(report["stage_seconds"]) == {"permutation", "diagonal", "certify"}
     assert all(t >= 0.0 for t in report["stage_seconds"].values())
 
 
 def test_synth_certifies_seed_1004_at_twelve_qubits(tmp_path, capsys):
-    # its exact error is 9.998363e-7, which a float sum of each state's RZ
-    # angles once read as 1.0000235e-6 and refused with exit 2
+    # with no phase shift its exact error was 9.998363e-7, which a float sum
+    # of each state's RZ angles once read as 1.0000235e-6 and refused with
+    # exit 2; the shared shift j = 3,319,618 leaves an exact 9.986545e-7 and
+    # takes Σ|k| from 3,431,412,588 to 3,372,156,485
     gate_file = tmp_path / "g.perm"
     io.write_file(str(gate_file), io.write_perm, random_bp(12, np.random.default_rng(1004)))
-    argv = ["synth", "--target", str(gate_file), "--eps", "1e-6", "--output", str(tmp_path / "g.circ")]
+    argv = ["synth", "--target", str(gate_file), "--eps", "1e-6", "--output", str(tmp_path / "g.circ"), "--json"]
     assert main(argv) == 0
-    achieved = float(capsys.readouterr().out.split("ACHIEVED ")[1].split()[0])
-    assert abs(achieved - 9.998363e-7) < 1e-12
+    report = json.loads(capsys.readouterr().out)
+    assert report["phase_shift"] == 3_319_618
+    assert report["rz_reps"] == 3_372_156_485
+    assert abs(report["achieved_error"] - 9.986545e-7) < 1e-12
 
 
 def test_synth_json_reports_a_negative_factor(tmp_path, capsys):

@@ -355,7 +355,7 @@ def test_permutation_circuit_shares_equal_gates(rng):
     assert len({id(g) for g in seq.gates}) == len(set(seq.gates)) < len(seq.gates)
     report = synthesize(random_bp(6, rng), eps=1e-3)
     gates = report.sequence.gates
-    assert report.gate_counts["RZ"] == 64 > len({g for g in gates if g.kind == "RZ"})
+    assert report.gate_counts["RZ"] == len(report.factor_reps) > len({g for g in gates if g.kind == "RZ"})
     assert len({id(g) for g in gates}) == len(set(gates)) < len(gates)
 
 
@@ -461,6 +461,33 @@ def scan_oracle(phi, eps, theta, limit):
         if lands(-a * x % m):
             return -x
     return None
+
+
+def members_scan(phi, eps, theta, lo, hi):
+    """The k in [lo, hi] with k·θ within eps of φ on the circle, in exact
+    integers over the common denominator; a float pass, whose error stays
+    far below 1e-7 for |k| ≤ 10^7, picks the k to check, 10^6 at a time."""
+    a, m, p, e = exact_ints(theta, phi, eps)
+    found = []
+    for start in range(lo, hi + 1, 10**6):
+        ks = np.arange(start, min(hi, start + 10**6 - 1) + 1)
+        near = np.abs((ks * theta - phi + np.pi) % TWO_PI - np.pi) < eps + 1e-7
+        found += [k for k in ks[near].tolist() if min((a * k - p) % m, (p - a * k) % m) < e]
+    return found
+
+
+def shifted_count(phi, eps, theta, shift, limit):
+    """The k of smallest |k|, k ≥ 0 on a tie, with (k − shift)·θ within eps
+    of φ, by a scan of the counts within `limit` of −shift."""
+    members = members_scan(phi, eps, theta, -shift - limit, -shift + limit)
+    return min((x + shift for x in members), key=lambda k: (abs(k), k < 0))
+
+
+def shifted_counts(phases, eps, shift, theta=GOLDEN_THETA):
+    """Each phase's count at `shift`, scanned within 2R of −shift: no two
+    members of a window lie more than R = up + down apart."""
+    gaps = synth._gaps(theta, eps, 0)
+    return [shifted_count(float(phi), eps, theta, shift, 2 * (gaps.up + gaps.down)) for phi in phases]
 
 
 def test_approximate_phase_matches_exact_oracle(monkeypatch):
@@ -649,6 +676,164 @@ def test_approximate_phase_property(phi):
     assert k <= 0 or not lands(-k)
 
 
+# ------------------------------------------------------ shared phase shift
+
+def walked_members(phi, eps, theta):
+    """(members, reach): φ's window walked out from its count at j = 0."""
+    chain, lo, w, shift = synth._window(phi, *synth._euclid_chain(theta, eps))
+    base = synth._gaps(theta, eps, 0)
+    k = approximate_phase(phi, eps, theta)
+    t = (chain.remainders[0] * k - lo) % chain.modulus
+    reach = base.up + base.down
+    return synth._gaps(theta, eps, shift).walk(k, t, w, reach), reach
+
+
+@pytest.mark.parametrize("theta", [GOLDEN_THETA, -GOLDEN_THETA, 1.0, -2.5], ids=["golden", "minus-golden", "one", "minus"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
+def test_three_gap_walk_matches_scan(theta, eps):
+    # the walked members are every k with k·θ within eps of φ between the
+    # first and the last, and they bracket [−R, R]: random phases, phases
+    # within eps of 0 on either side and phases below 2^−10, whose
+    # denominators are finer than eps's, so the gaps are scaled to them
+    rng = np.random.default_rng(round(-math.log10(eps)))
+    if eps > 1e-4:
+        phis = [float(x) for x in rng.uniform(0.0, TWO_PI, 6)]
+        phis += [0.0, TWO_PI - eps / 2, float(rng.uniform(0.0, 2.0**-10)), 2.0**-11 + 2.0**-70, 1e-300]
+    else:  # each scan spans 2R ≈ 1.1e7 counts; a phase below 2^−10 is searched
+        phis = [float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(eps, 2.0**-10)), 1e-300]
+    gaps = synth._gaps(theta, eps, 0)
+    assert gaps.rise + gaps.fall > 2 * synth._euclid_chain(theta, eps)[1] - 2  # > w
+    for phi in phis:
+        members, reach = walked_members(phi, eps, theta)
+        assert members[0] < -reach <= members[1] and members[-2] <= reach < members[-1]
+        assert members == members_scan(phi, eps, theta, members[0], members[-1]), phi
+        assert {b - a for a, b in zip(members, members[1:])} <= {gaps.up, gaps.down, gaps.up + gaps.down}
+
+
+def test_three_gap_walk_on_small_moduli():
+    # windows of a/m for m < 300, where offsets often meet the window's
+    # ends: the walk from any member lists every member, and rise + fall > w
+    rng = np.random.default_rng(1967)
+    walked = 0
+    for _ in range(3000):
+        m = int(rng.integers(3, 300))
+        a, w, lo = int(rng.integers(1, m)), int(rng.integers(1, m - 1)), int(rng.integers(0, m))
+        gaps = synth._Gaps.of(synth._Chain.of(a, m), w)
+        if gaps is None:
+            continue
+        period = m // math.gcd(a, m)
+        members = [k for k in range(-3 * period, 3 * period + 1) if (a * k - lo) % m <= w]
+        assert gaps.rise + gaps.fall > w
+        k = members[len(members) // 2]
+        got = gaps.walk(k, (a * k - lo) % m, w, period)
+        first = members.index(got[0])
+        assert got == members[first:first + len(got)]
+        walked += 1
+    assert walked > 2000
+
+
+def brute_force_shift(phases, eps, theta=GOLDEN_THETA):
+    """(j, Σ|k|) over every |j| ≤ R by scanning: each state's k at j is its
+    member nearest −j plus j, and a state whose k is 0 at j = 0 must keep
+    it; the least Σ|k| wins, then the smaller |j|, then j ≥ 0."""
+    gaps = synth._gaps(theta, eps, 0)
+    reach = gaps.up + gaps.down
+    shifts = np.arange(-reach, reach + 1)
+    total = np.zeros(shifts.size, dtype=np.int64)
+    allowed = np.ones(shifts.size, dtype=bool)
+    for phi in phases:
+        members = np.array(members_scan(float(phi), eps, theta, -3 * reach, 3 * reach))
+        at = np.searchsorted(members, -shifts)
+        k = np.where(members[at] + shifts <= -(members[at - 1] + shifts), members[at], members[at - 1]) + shifts
+        total += np.abs(k)
+        if approximate_phase(float(phi), eps, theta) == 0:
+            allowed &= k == 0
+    best = min(range(shifts.size), key=lambda i: (not allowed[i], total[i], abs(shifts[i]), shifts[i] < 0))
+    return int(shifts[best]), int(total[best])
+
+
+@pytest.mark.parametrize("theta", [GOLDEN_THETA, -2.5], ids=["golden", "minus"])
+def test_shift_search_matches_brute_force(theta):
+    # at n ≤ 4 and eps 1e-2, on random diagonals, diagonals of a few
+    # repeated phases and diagonals mixing in phases within eps of 0
+    eps = 1e-2
+    rng = np.random.default_rng(30)
+    near = [0.0, 1e-9, 4e-3, TWO_PI - 4e-3]
+    # for the golden θ this one's least Σ|k| lies at the end j = R = 377 of the
+    # range, at no member
+    cases = [np.random.default_rng(6).uniform(0.0, TWO_PI, 4)]
+    for n in (1, 2, 3, 4):
+        cases.append(rng.uniform(0.0, TWO_PI, 1 << n))
+        cases.append(rng.choice(rng.uniform(0.0, TWO_PI, 3), 1 << n))
+        cases.append(np.where(rng.random(1 << n) < 0.3, rng.choice(near, 1 << n), rng.uniform(0.0, TWO_PI, 1 << n)))
+    moved = 0
+    for phases in cases:
+        seq = diagonal_to_circuit(phases, eps, theta)
+        j, total = brute_force_shift(phases, eps, theta)
+        assert (seq.phase_shift, sum(map(abs, seq.factor_reps))) == (j, total)
+        assert seq.factor_reps == tuple(k for k in shifted_counts(phases, eps, j, theta) if k)
+        assert_diagonal_certified(phases, seq, eps)
+        moved += j != 0
+    assert moved > len(cases) // 2
+
+
+def test_shift_limits(rng, monkeypatch):
+    # Σ|k| is never above the j = 0 total, and a state with k = 0 at j = 0
+    # keeps it; the shift is an exact integer and the circuit certifies
+    near = [0.0, 1e-300, 1e-9, 9e-4, TWO_PI - 9e-4]
+    for eps in (1e-2, 1e-3):
+        for n in range(1, 7):
+            g = random_bp(n, rng)
+            mixed = np.where(rng.random(1 << n) < 0.3, rng.choice(near, 1 << n), g.phases)
+            for phases in (g.phases, mixed):
+                seq = diagonal_to_circuit(phases, eps)
+                unshifted = [approximate_phase(float(p), eps) for p in phases]
+                shifted = shifted_counts(phases, eps, seq.phase_shift)
+                assert sum(map(abs, seq.factor_reps)) == sum(map(abs, shifted)) <= sum(map(abs, unshifted))
+                assert all(k == 0 for k, k0 in zip(shifted, unshifted) if k0 == 0)
+                assert_diagonal_certified(phases, seq, eps)
+    # equal phases share one window: the shift takes every k to 0, and the
+    # global phase −j·θ alone carries them; π's window is its own mirror,
+    # so its members ±1292 tie, and the tie goes to j ≥ 0
+    seq = diagonal_to_circuit([0.7] * 4, 1e-3)
+    assert seq.gates == [] and seq.factor_reps == () and seq.phase_shift != 0
+    assert_diagonal_certified([0.7] * 4, seq, 1e-3)
+    assert approximate_phase(np.pi, 1e-3) == 1292
+    assert diagonal_to_circuit([np.pi] * 2, 1e-3).phase_shift == 1292
+    # within a state the tie goes to k ≥ 0: with state 0 at phase 0, the
+    # shifts are the members of 0's window, and at j = −4181 φ1 sits midway
+    # between its members 2889 and 5473 = 2889 + 2584 (a gap of 2·1292)
+    drift = (2584 * GOLDEN_THETA + np.pi) % TWO_PI - np.pi
+    phi1, phi2 = (2889 * GOLDEN_THETA + drift / 2) % TWO_PI, (4181 * GOLDEN_THETA + 0.99e-3) % TWO_PI
+    phases = [0.0, phi1, phi2, phi2]
+    seq = diagonal_to_circuit(phases, 1e-3)
+    assert (seq.phase_shift, seq.factor_reps) == (-4181, (1292,))
+    assert shifted_counts(phases, 1e-3, -4181) == [0, 1292, 0, 0]
+    assert_diagonal_certified(phases, seq, 1e-3)
+
+    # a diagonal with no factor at j = 0 makes no search
+    def searched(*args):
+        raise AssertionError("searched a shift")
+
+    monkeypatch.setattr(synth, "_phase_shift", searched)
+    for phases in ([0.0] * 8, [1e-9, 0.0, TWO_PI - 1e-9, 0.0]):
+        seq = diagonal_to_circuit(phases, 1e-3)
+        assert seq.phase_shift == 0 and seq.gates == []
+    report = synthesize(PermutationWithPhases(6, np.arange(64)[::-1], np.zeros(64)), eps=1e-3)
+    assert report.phase_shift == 0 and report.rz_reps == 0
+    monkeypatch.undo()
+    # no shift when the largest gap R would let some |k| pass the cap
+    phases = rng.uniform(0.0, TWO_PI, 8)
+    gaps = synth._gaps(GOLDEN_THETA, 1e-3, 0)
+    monkeypatch.setattr(synth, "PHASE_REPS_CAP", (gaps.up + gaps.down) // 2 - 1)
+    seq = diagonal_to_circuit(phases, 1e-3)
+    assert seq.phase_shift == 0
+    assert seq.factor_reps == tuple(approximate_phase(p, 1e-3) for p in phases)
+    # θ/2π rational with a coarse period: no returns, so no search
+    seq = diagonal_to_circuit([0.0, np.pi / 2, np.pi, 0.0], 1e-3, TWO_PI / 8)
+    assert seq.phase_shift == 0 and seq.factor_reps == (2, 4)
+
+
 # ---------------------------------------------------- diagonal_to_circuit
 
 def test_diagonal_all_zero_phases():
@@ -708,27 +893,39 @@ def assert_diagonal_certified(phases, seq, eps):
     assert shortest_arc_chord(deltas) <= eps
 
 
-@pytest.mark.parametrize("phases", [[], [[0.0, 0.5], [0.5, 0.0]], [0.0] * 3], ids=["empty", "two-d", "three"])
+@pytest.mark.parametrize("phases", [[], [[0.0, 0.5], [0.5, 0.0]], [0.0] * 3, [[0.0], [0.0, 1.0]]],
+                         ids=["empty", "two-d", "three", "ragged"])
 def test_diagonal_refuses_a_length_not_a_power_of_two(phases):
-    # the empty list once raised "negative shift count", a 2-D list a TypeError
+    # the empty list once raised "negative shift count", a 2-D list a
+    # TypeError and a ragged one numpy's "setting an array element with a
+    # sequence"
     with pytest.raises(ValueError, match="^phase list length must be a power of two$"):
         diagonal_to_circuit(phases, 1e-3)
+    # a list of text is refused by the conversion, as before
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        diagonal_to_circuit(["x", "0"], 1e-3)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_diagonal_refuses_a_phase_that_is_not_finite(bad):
-    # such a phase was once read as a phase of 0 and dropped
-    with pytest.raises(ValueError, match="^phase must be finite, got nan$"):
-        diagonal_to_circuit([bad, 0.5], 1e-3)
+    # such a phase was once read as a phase of 0 and dropped, and on a
+    # 0-qubit diagonal returned as a global phase of nan
+    for phases in ([bad, 0.5], [bad]):
+        with pytest.raises(ValueError, match="^phase must be finite, got nan$"):
+            diagonal_to_circuit(phases, 1e-3)
 
 
 def test_diagonal_factor_is_a_gate_only_when_its_k_is_nonzero():
     # 1e-6 lies within eps of 0, so its k is 0: it once cost a second leaf
-    # of the walk and a no-op RZ^0
+    # of the walk and a no-op RZ^0. At j = 0 the factor of 0.5 is 814; the
+    # shift j = −4181 keeps the three other k at 0 and takes it to −783
     phases = [0.0, 1e-6, 0.5, 0.0]
     seq = diagonal_to_circuit(phases, 1e-3)
-    assert seq.factor_reps == (814,)
-    assert [g.reps for g in seq.gates if g.kind == "RZ"] == [814]
+    assert approximate_phase(0.5, 1e-3) == 814
+    assert seq.phase_shift == -4181
+    assert shifted_counts(phases, 1e-3, -4181) == [0, 0, -783, 0]
+    assert seq.factor_reps == (-783,)
+    assert [g.reps for g in seq.gates if g.kind == "RZ"] == [783]
     assert_diagonal_certified(phases, seq, 1e-3)
     # no phase needs a rotation: the bare sequence, though none is exactly 0
     for phases in ([1e-9] * 8, [1e-12, TWO_PI - 1e-9]):
@@ -747,18 +944,28 @@ def polarity_x_count(n, indices, reps):
     return 2 * (min(indices) < 1 << (n - 1)) + changes + negative[-1]
 
 
+def and_tree_ccnots(n, leaves):
+    """Two CCNOTs per node of the AND tree, a prefix of 1 to n − 1 qubits,
+    that holds a leaf: 2^(n+1) − 4 when all 2^n leaves are present."""
+    return 2 * sum(len({s >> (n - length) for s in leaves}) for length in range(1, n))
+
+
 def test_diagonal_unary_iteration_counts(rng):
-    # all 2^n factors nontrivial: two CCNOTs per node of the AND tree below
-    # qubit 0, one X pair around qubit 0's 0-subtree and one X per sign
-    # change of k, a flag ancilla per level
+    # every factor nontrivial at j = 0: the shift drops the leaves whose k
+    # it takes to 0, if any, and the rest cost two CCNOTs per node of
+    # the AND tree that holds one, one X pair around qubit 0's 0-subtree and
+    # one X per sign change of k, a flag ancilla per level
     eps = 1e-3
     for n in range(2, 7):
         phases = rng.uniform(0.1, TWO_PI - 0.1, 1 << n)
         seq = diagonal_to_circuit(phases, eps)
+        leaves = [s for s, k in enumerate(shifted_counts(phases, eps, seq.phase_shift)) if k]
+        assert len(leaves) == len(seq.factor_reps)
         counts = seq.gate_counts()
-        assert counts["CCNOT"] == 2 ** (n + 1) - 4
-        assert counts["X"] == polarity_x_count(n, range(1 << n), seq.factor_reps)
-        assert counts["RZ"] == 1 << n
+        assert and_tree_ccnots(n, range(1 << n)) == 2 ** (n + 1) - 4
+        assert counts["CCNOT"] == and_tree_ccnots(n, leaves)
+        assert counts["X"] == polarity_x_count(n, leaves, seq.factor_reps)
+        assert counts["RZ"] == len(leaves)
         assert [g.reps for g in seq.gates if g.kind == "RZ"] == [abs(k) for k in seq.factor_reps]
         assert seq.n_anc == n - 1
         assert_diagonal_certified(phases, seq, eps)
@@ -960,8 +1167,8 @@ def test_every_primitive_is_bias_preserving():
 
 def test_error_is_max_of_factor_residuals(rng):
     # each factor gets the full eps, so the certified error is the chord to
-    # the shortest arc holding the per-factor residuals, not a sum; a factor
-    # with k = 0 emits no gate and leaves its residual −φ
+    # the shortest arc holding the per-factor residuals (k − j)·θ − φ, not a
+    # sum; a factor with k = 0 emits no gate and leaves its residual −j·θ − φ
     eps = 1e-2
     negative = 0
     for n in (1, 2, 3):
@@ -969,11 +1176,11 @@ def test_error_is_max_of_factor_residuals(rng):
             g = random_bp(n, rng)
             report = synthesize(g, eps=eps)
             d_phases, _ = factor_dp(g)
+            j = report.phase_shift
             residuals = []
-            for p in d_phases:
-                k = approximate_phase(p, eps)  # signed: X·RZ^{|k|}·X for k < 0
-                negative += k < 0
-                r = (k * GOLDEN_THETA - p + np.pi) % TWO_PI - np.pi
+            for p, k in zip(d_phases, shifted_counts(d_phases, eps, j)):
+                negative += k < 0  # signed: X·RZ^{|k|}·X for k < 0
+                r = ((k - j) * GOLDEN_THETA - p + np.pi) % TWO_PI - np.pi
                 assert abs(r) < eps
                 residuals.append(r)
             assert abs(report.achieved_error - shortest_arc_chord(residuals)) <= 1e-12
@@ -1028,12 +1235,19 @@ def test_report_stage_counts_and_logs(rng, caplog):
     for kind, count in report.gate_counts.items():
         assert stages["permutation"][kind] + stages["diagonal"][kind] == count
     assert stages["permutation"]["RZ"] == 0
-    # a factor becomes a gate exactly when its k ≠ 0
-    assert stages["diagonal"]["RZ"] == sum(approximate_phase(p, 1e-2) != 0 for p in factor_dp(g)[0])
+    # a factor becomes a gate exactly when its k ≠ 0 at the shared shift j
+    d_phases = factor_dp(g)[0]
+    shifted = shifted_counts(d_phases, 1e-2, report.phase_shift)
+    assert stages["diagonal"]["RZ"] == sum(k != 0 for k in shifted)
     messages = [r.getMessage() for r in caplog.records if r.name == "bpgates.synth"]
     for stage in ("permutation", "diagonal", "certify"):
         assert f"{stage}: start" in messages
         assert any(m.startswith(f"{stage}: end in ") for m in messages)
+    # Σ|k| at j = 0 and at the chosen j, logged as the diagonal stage ends
+    unshifted = sum(abs(approximate_phase(p, 1e-2)) for p in d_phases)
+    assert report.rz_reps == sum(map(abs, shifted)) <= unshifted
+    line = f"diagonal: {unshifted} Rz repetitions at shift 0, {report.rz_reps} at shift {report.phase_shift}"
+    assert messages.index(line) < next(i for i, m in enumerate(messages) if m.startswith("diagonal: end in "))
 
 
 def test_report_factor_reps_in_emission_order(rng):
@@ -1042,7 +1256,7 @@ def test_report_factor_reps_in_emission_order(rng):
     for n in (1, 2, 3):
         g = random_bp(n, rng)
         report = synthesize(g, eps=eps)
-        expected = tuple(k for p in factor_dp(g)[0] if (k := approximate_phase(p, eps)))
+        expected = tuple(k for k in shifted_counts(factor_dp(g)[0], eps, report.phase_shift) if k)
         assert report.factor_reps == expected
         # each factor is RZ^{|k|}, under an X pair on its flag where k < 0
         rz = [gate.reps for gate in report.sequence.gates if gate.kind == "RZ"]
